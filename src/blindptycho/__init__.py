@@ -9,7 +9,7 @@ the inequalities the step-size rules are built on.
 """
 
 from .fourier import (CIRCULAR, MODES, ZERO_PADDED, ShiftSet, dft, dft_direct,
-                      idft, q_apply, shift, shift_stack)
+                      dft_adjoint, idft, q_apply, shift, shift_stack)
 from .harness import (ExperimentConfig, SlopeFit, Summary, aggregate_summaries,
                       fit_decay_slope, initial_guess, reconstruction_error,
                       run_experiment, summarize, summary_to_json)

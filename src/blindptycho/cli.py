@@ -8,7 +8,8 @@ Subcommands:
 * ``report``  aggregate summary files into one CSV table
 
 Exit status: 0 on success, 1 when a verification check fails, 2 on usage or
-configuration errors.
+configuration errors, 3 when a solver run diverges (its trace up to the
+failing iteration is written).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 from .fourier import CIRCULAR, MODES, ShiftSet
 from .harness import ExperimentConfig, aggregate_summaries, run_experiment
 from .model import NoiseModel, load_problem, save_problem, synthesize_problem
-from .solvers import ALGORITHMS, SolverConfig
+from .solvers import ALGORITHMS, DivergenceError, SolverConfig
 from .verify import SUITES, reports_to_json, run_suite
 
 
@@ -128,7 +129,10 @@ def _cmd_run(args) -> int:
     experiment = ExperimentConfig(
         problem=problem, solvers=[solver], repetitions=args.reps,
         base_seed=args.seed, init_scale=args.init_scale, out_dir=args.out_dir)
-    for trace_path, summary_path, _ in run_experiment(experiment):
+    # A divergence is reported as one error line (exit 3), not numpy warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        results = run_experiment(experiment)
+    for trace_path, summary_path, _ in results:
         print(f"wrote {trace_path} and {summary_path}")
     return 0
 
@@ -168,14 +172,12 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
+    except DivergenceError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-def cli(argv) -> int:
-    """Alias taking an explicit argv list; returns the exit status."""
-    return main(argv)
 
 
 if __name__ == "__main__":

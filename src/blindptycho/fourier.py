@@ -12,9 +12,10 @@ Conventions used throughout the package:
 In both shift flavours the transpose of S_r is S_{-r}, which the gradient
 code relies on.
 
-The main transform path is a hand-rolled iterative radix-2 FFT (used when d
-is a power of two, falling back to the direct transform otherwise);
-``dft_direct`` is the O(d^2) summation kept as an independent oracle.
+The transforms are numpy's FFT (``np.fft``) along the last axis, for any d;
+``dft_direct`` is the O(d^2) summation kept as an independent oracle.  Row i
+of a batched transform equals the transform of row i alone, bit for bit,
+which the solvers rely on when they reuse rows of the objective's stacks.
 """
 
 from __future__ import annotations
@@ -32,56 +33,12 @@ MODES = (CIRCULAR, ZERO_PADDED)
 # ---------------------------------------------------------------------------
 # transforms
 
-_radix2_plans: dict[int, tuple[np.ndarray, list[np.ndarray]]] = {}
 _direct_matrices: dict[int, np.ndarray] = {}
-
-
-def _is_pow2(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
-
-
-def _radix2_plan(d: int):
-    plan = _radix2_plans.get(d)
-    if plan is not None:
-        return plan
-    bits = d.bit_length() - 1
-    rev = np.zeros(d, dtype=np.intp)
-    for i in range(d):
-        r = 0
-        x = i
-        for _ in range(bits):
-            r = (r << 1) | (x & 1)
-            x >>= 1
-        rev[i] = r
-    twiddles = []
-    m = 2
-    while m <= d:
-        twiddles.append(np.exp(-2j * np.pi * np.arange(m // 2) / m))
-        m *= 2
-    _radix2_plans[d] = (rev, twiddles)
-    return rev, twiddles
 
 
 def dft(x: np.ndarray) -> np.ndarray:
     """Forward transform along the last axis."""
-    x = np.asarray(x, dtype=np.complex128)
-    d = x.shape[-1]
-    if not _is_pow2(d):
-        return dft_direct(x)
-    rev, twiddles = _radix2_plan(d)
-    out = np.ascontiguousarray(x[..., rev])
-    m = 2
-    for tw in twiddles:
-        half = m // 2
-        blocks = out.reshape(*out.shape[:-1], -1, m)
-        even = blocks[..., :half]
-        odd = blocks[..., half:] * tw
-        upper = even + odd
-        lower = even - odd
-        blocks[..., :half] = upper
-        blocks[..., half:] = lower
-        m *= 2
-    return out
+    return np.fft.fft(np.asarray(x, dtype=np.complex128))
 
 
 def dft_direct(x: np.ndarray) -> np.ndarray:
@@ -100,8 +57,12 @@ def dft_direct(x: np.ndarray) -> np.ndarray:
 
 def idft(X: np.ndarray) -> np.ndarray:
     """Inverse transform: (1/d) times the conjugate-transpose transform."""
-    X = np.asarray(X, dtype=np.complex128)
-    return np.conj(dft(np.conj(X))) / X.shape[-1]
+    return np.fft.ifft(np.asarray(X, dtype=np.complex128))
+
+
+def dft_adjoint(X: np.ndarray) -> np.ndarray:
+    """Conjugate-transpose transform F^* X along the last axis: d idft(X)."""
+    return np.fft.ifft(np.asarray(X, dtype=np.complex128), norm="forward")
 
 
 # ---------------------------------------------------------------------------
@@ -173,37 +134,48 @@ def _gather_plan(offsets: tuple[int, ...], d: int, mode: str, sign: int):
     return idx, valid
 
 
-def shift_stack(v: np.ndarray, shifts: ShiftSet) -> np.ndarray:
-    """Stack whose rows are S_r v for each offset, in listed order."""
+def _plan(shifts: ShiftSet, d: int, sign: int, select):
+    """Gather plan restricted to the rows ``select`` (all rows when None)."""
+    idx, valid = _gather_plan(shifts.offsets, d, shifts.mode, sign)
+    if select is None:
+        return idx, valid
+    return idx[select], None if valid is None else valid[select]
+
+
+def _stack(v, shifts: ShiftSet, sign: int, select):
     v = np.asarray(v)
-    idx, valid = _gather_plan(shifts.offsets, v.shape[-1], shifts.mode, 1)
+    idx, valid = _plan(shifts, v.shape[-1], sign, select)
     rows = v[idx]
-    if valid is not None:
-        rows = np.where(valid, rows, 0)
-    return rows
+    return rows if valid is None else np.where(valid, rows, 0)
+
+
+def shift_stack(v: np.ndarray, shifts: ShiftSet, select=None) -> np.ndarray:
+    """Stack whose rows are S_r v for each offset, in listed order.
+
+    ``select`` lists row indices into the offsets (repeats allowed) and
+    keeps only those rows, in that order.
+    """
+    return _stack(v, shifts, 1, select)
 
 
 def neg_shift_stack(v: np.ndarray, shifts: ShiftSet) -> np.ndarray:
     """Stack whose rows are S_{-r} v for each offset, in listed order."""
-    v = np.asarray(v)
-    idx, valid = _gather_plan(shifts.offsets, v.shape[-1], shifts.mode, -1)
-    rows = v[idx]
-    if valid is not None:
-        rows = np.where(valid, rows, 0)
-    return rows
+    return _stack(v, shifts, -1, None)
 
 
-def unshift_sum(rows: np.ndarray, shifts: ShiftSet) -> np.ndarray:
+def unshift_sum(rows: np.ndarray, shifts: ShiftSet, select=None) -> np.ndarray:
     """Sum of S_{-r} applied to the matching row of ``rows``.
 
     This is the adjoint reduction used by the window gradient: entry j of
     the result collects rows[i, j + r_i] subject to the mode's boundary
-    rule.
+    rule.  With ``select``, row i of ``rows`` belongs to the offset with
+    index ``select[i]``, as for ``shift_stack(v, shifts, select)``.
     """
     rows = np.asarray(rows)
-    d = rows.shape[-1]
-    idx, valid = _gather_plan(shifts.offsets, d, shifts.mode, -1)
-    gathered = np.take_along_axis(rows, idx, axis=-1)
+    n, d = rows.shape
+    idx, valid = _plan(shifts, d, -1, select)
+    # one flat gather: row i of the result reads row i of ``rows``
+    gathered = rows.reshape(-1)[idx + d * np.arange(n)[:, np.newaxis]]
     if valid is not None:
         gathered = np.where(valid, gathered, 0)
     return gathered.sum(axis=0)

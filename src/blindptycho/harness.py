@@ -13,7 +13,8 @@ import numpy as np
 from .formatting import g17
 from .model import Problem
 from .rng import Rng
-from .solvers import SolverConfig, SolverRun, TraceRecord, run, write_trace
+from .solvers import (DivergenceError, SolverConfig, SolverRun, TraceRecord,
+                      run, write_trace)
 
 
 def initial_guess(d: int, seed: int, scale: float = 1.0):
@@ -154,7 +155,8 @@ class ExperimentConfig:
     Repetition i of each solver runs with seed ``base_seed + i`` (used both
     for the starting pair and the solver's own stream) and writes
     ``<algo>_run<i>_trace.csv`` plus ``<algo>_run<i>_summary.json`` into
-    ``out_dir``.
+    ``out_dir``.  A run that diverges writes the trace rows it reached and
+    re-raises its ``DivergenceError``.
     """
 
     problem: Problem
@@ -179,14 +181,18 @@ def run_experiment(config: ExperimentConfig) -> list[tuple[Path, Path, Summary]]
                                      "seed": config.base_seed + rep})
             z0, v0 = initial_guess(config.problem.d, solver.seed,
                                    config.init_scale)
-            started = time.monotonic_ns()
-            result = run(config.problem, z0, v0, solver)
-            elapsed = time.monotonic_ns() - started
-            summary = summarize(config.problem, result)
-            summary.wall_ns = elapsed
             stem = f"{solver.algorithm}_run{rep:03d}"
             trace_path = out_dir / f"{stem}_trace.csv"
             summary_path = out_dir / f"{stem}_summary.json"
+            started = time.monotonic_ns()
+            try:
+                result = run(config.problem, z0, v0, solver)
+            except DivergenceError as exc:
+                write_trace(trace_path, exc.run.trace)
+                raise
+            elapsed = time.monotonic_ns() - started
+            summary = summarize(config.problem, result)
+            summary.wall_ns = elapsed
             write_trace(trace_path, result.trace)
             with open(summary_path, "w") as fh:
                 fh.write(summary_to_json(summary, solver, config.problem))

@@ -159,6 +159,13 @@ class Problem:
         return float(np.sum(self.y))
 
     @cached_property
+    def y_amplitude(self) -> np.ndarray:
+        """Smoothed measured amplitudes sqrt(y + epsilon), as the loss uses them."""
+        amp = np.sqrt(self.y + self.epsilon)
+        amp.setflags(write=False)
+        return amp
+
+    @cached_property
     def offset_row(self) -> dict[int, int]:
         return {r: i for i, r in enumerate(self.offsets)}
 

@@ -20,8 +20,9 @@ When eps = 0 and a spectral coefficient vanishes, the ratio term is set to
 zero (coefficients below 1e-300 in magnitude are treated as zero to avoid
 overflow).
 
-Region reductions always run over rows in the listed (ascending) offset
-order, so the decomposition identities are reproducible run to run.
+Every value and gradient comes from one kernel, ``_evaluate``, over any
+subset of regions (repeats allowed).  Reductions run in row order, so the
+decomposition identities are reproducible run to run.
 """
 
 from __future__ import annotations
@@ -30,7 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fourier import dft, neg_shift_stack, shift, shift_stack, unshift_sum
+from .fourier import dft, dft_adjoint, neg_shift_stack, shift_stack, unshift_sum
+from .fourier import shift  # noqa: F401  # perfbench/tracing.py wraps objective.shift
 from .model import Problem
 
 _TINY = 1e-300
@@ -46,10 +48,6 @@ class GradientPair:
     def norms(self) -> tuple[float, float]:
         return float(np.linalg.norm(self.z)), float(np.linalg.norm(self.v))
 
-    def stacked_norm_sq(self) -> float:
-        gz, gv = self.norms()
-        return gz * gz + gv * gv
-
 
 def _as_iterate(problem: Problem, z, v):
     z = np.asarray(z, dtype=np.complex128)
@@ -59,65 +57,82 @@ def _as_iterate(problem: Problem, z, v):
     return z, v
 
 
-def _conj_transform(rows: np.ndarray) -> np.ndarray:
-    # F^* X without the 1/d factor of the inverse transform.
-    return np.conj(dft(np.conj(rows)))
+@dataclass(frozen=True)
+class _Evaluation:
+    """One pass of the residual kernel.  Row i of each array belongs to the
+    offset with index ``rows[i]`` (every offset, in listed order, when
+    ``rows`` is None); ``back`` and ``grad`` are None without a gradient."""
+
+    J: float
+    L_eps: float
+    grad: GradientPair | None
+    windows: np.ndarray            # S_r v
+    spectrum: np.ndarray           # dft(z * S_r v)
+    back: np.ndarray | None        # F^* (I - D) spectrum
 
 
-def _residual_spectrum(problem: Problem, spectrum: np.ndarray) -> np.ndarray:
-    """(I - D) applied to the spectra, with the eps = 0 zero convention."""
-    denom = np.sqrt(np.abs(spectrum) ** 2 + problem.epsilon)
-    ratio = np.divide(np.sqrt(problem.y + problem.epsilon), denom,
-                      out=np.zeros_like(denom), where=denom > _TINY)
-    return (1.0 - ratio) * spectrum
+def _evaluate(problem: Problem, z, v, rows=None, weights=None,
+              tikhonov: float = 1.0, grad: bool = True) -> _Evaluation:
+    """The residual kernel: value and Wirtinger gradient of
+
+        sum_i weights_i L_i(z, v) + tikhonov (alpha ||z||^2 + beta ||v||^2),
+
+    where L_i is the data misfit of the region with offset index rows[i]
+    (repeats allowed; all regions when None) and weights default to one.
+    L_eps is the weighted data sum.  One forward and one back transform
+    cover all the rows.
+    """
+    z, v = _as_iterate(problem, z, v)
+    windows = shift_stack(v, problem.shifts, rows)
+    spectrum = dft(z * windows)
+    target = problem.y_amplitude if rows is None else problem.y_amplitude[rows]
+    amp = np.sqrt(np.abs(spectrum) ** 2 + problem.epsilon)
+    misfit = (amp - target) ** 2
+    if weights is not None:
+        misfit = weights[:, np.newaxis] * misfit
+    data = float(np.sum(misfit))
+    total = data + problem.alpha * tikhonov * float(np.vdot(z, z).real) \
+        + problem.beta * tikhonov * float(np.vdot(v, v).real)
+    if not grad:
+        return _Evaluation(total, data, None, windows, spectrum, None)
+    # (I - D) spectrum with the eps = 0 zero convention, then F^*.
+    ratio = np.divide(target, amp, out=np.zeros_like(amp), where=amp > _TINY)
+    back = dft_adjoint((1.0 - ratio) * spectrum)
+    g = _gradient(problem, z, v, windows, back, rows, weights, tikhonov)
+    return _Evaluation(total, data, g, windows, spectrum, back)
+
+
+def _gradient(problem: Problem, z, v, windows, back, rows, weights=None,
+              tikhonov: float = 1.0) -> GradientPair:
+    """The gradient reduction of ``_evaluate`` from its per-row arrays."""
+    if weights is not None:
+        back = weights[:, np.newaxis] * back
+    g_z = np.sum(np.conj(windows) * back, axis=0) + tikhonov * problem.alpha * z
+    g_v = unshift_sum(np.conj(z) * back, problem.shifts, rows) \
+        + tikhonov * problem.beta * v
+    return GradientPair(g_z, g_v)
 
 
 def loss(problem: Problem, z, v) -> tuple[float, float]:
     """Evaluate the objective; returns (J, L_eps)."""
-    z, v = _as_iterate(problem, z, v)
-    spectrum = dft(z[np.newaxis, :] * shift_stack(v, problem.shifts))
-    amp = np.sqrt(np.abs(spectrum) ** 2 + problem.epsilon)
-    data = float(np.sum((amp - np.sqrt(problem.y + problem.epsilon)) ** 2))
-    total = data + problem.alpha * float(np.vdot(z, z).real) \
-        + problem.beta * float(np.vdot(v, v).real)
-    return total, data
+    ev = _evaluate(problem, z, v, grad=False)
+    return ev.J, ev.L_eps
 
 
 def loss_region(problem: Problem, z, v, r: int) -> float:
     """Data misfit of the single region with offset r (no Tikhonov part)."""
-    z, v = _as_iterate(problem, z, v)
-    row = problem.offset_row[r]
-    spectrum = dft(z * shift(v, r, problem.shifts.mode))
-    amp = np.sqrt(np.abs(spectrum) ** 2 + problem.epsilon)
-    return float(np.sum((amp - np.sqrt(problem.y[row] + problem.epsilon)) ** 2))
+    return _evaluate(problem, z, v, [problem.offset_row[r]], grad=False).L_eps
 
 
 def gradient(problem: Problem, z, v) -> GradientPair:
     """Wirtinger gradient of J, all regions reduced in listed order."""
-    z, v = _as_iterate(problem, z, v)
-    windows = shift_stack(v, problem.shifts)
-    spectrum = dft(z[np.newaxis, :] * windows)
-    back = _conj_transform(_residual_spectrum(problem, spectrum))
-    g_z = np.sum(np.conj(windows) * back, axis=0) + problem.alpha * z
-    g_v = unshift_sum(np.conj(z)[np.newaxis, :] * back, problem.shifts) \
-        + problem.beta * v
-    return GradientPair(g_z, g_v)
+    return _evaluate(problem, z, v).grad
 
 
 def loss_and_gradient(problem: Problem, z, v) -> tuple[float, float, GradientPair]:
     """Fused evaluation sharing one forward transform; returns (J, L_eps, grad)."""
-    z, v = _as_iterate(problem, z, v)
-    windows = shift_stack(v, problem.shifts)
-    spectrum = dft(z[np.newaxis, :] * windows)
-    amp = np.sqrt(np.abs(spectrum) ** 2 + problem.epsilon)
-    data = float(np.sum((amp - np.sqrt(problem.y + problem.epsilon)) ** 2))
-    total = data + problem.alpha * float(np.vdot(z, z).real) \
-        + problem.beta * float(np.vdot(v, v).real)
-    back = _conj_transform(_residual_spectrum(problem, spectrum))
-    g_z = np.sum(np.conj(windows) * back, axis=0) + problem.alpha * z
-    g_v = unshift_sum(np.conj(z)[np.newaxis, :] * back, problem.shifts) \
-        + problem.beta * v
-    return total, data, GradientPair(g_z, g_v)
+    ev = _evaluate(problem, z, v)
+    return ev.J, ev.L_eps, ev.grad
 
 
 def gradient_region(problem: Problem, z, v, r: int) -> GradientPair:
@@ -127,19 +142,8 @@ def gradient_region(problem: Problem, z, v, r: int) -> GradientPair:
     terms, so the full gradient is recovered exactly by summing over all
     regions in listed order.
     """
-    z, v = _as_iterate(problem, z, v)
     row = problem.offset_row[r]
-    mode = problem.shifts.mode
-    sv = shift(v, r, mode)
-    spectrum = dft(z * sv)
-    denom = np.sqrt(np.abs(spectrum) ** 2 + problem.epsilon)
-    ratio = np.divide(np.sqrt(problem.y[row] + problem.epsilon), denom,
-                      out=np.zeros_like(denom), where=denom > _TINY)
-    back = np.conj(dft(np.conj((1.0 - ratio) * spectrum)))
-    share = float(problem.p[row])
-    g_z = np.conj(sv) * back + problem.alpha * share * z
-    g_v = shift(np.conj(z) * back, -r, mode) + problem.beta * share * v
-    return GradientPair(g_z, g_v)
+    return _evaluate(problem, z, v, [row], tikhonov=float(problem.p[row])).grad
 
 
 # ---------------------------------------------------------------------------

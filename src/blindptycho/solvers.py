@@ -4,7 +4,8 @@ the ptychographic iterative engine, and interval descent.
 All four solvers share the same trace schema (one row per visited iterate,
 plus a closing row for the final iterate with zero step sizes) and are
 bit-reproducible from (problem, initial pair, config): stochastic solvers
-own a fresh ``Rng(config.seed)``.
+own a fresh ``Rng(config.seed)``.  sgd and epie steps reuse their regions'
+rows of the iteration's full evaluation (the trace monitor).
 
 Step-size policies:
 
@@ -34,11 +35,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .formatting import g17
-from .fourier import dft, idft, shift
+# dft, gradient_region and loss_and_gradient are not called here but stay
+# bound: perfbench/tracing.py wraps them under these names.
+from .fourier import dft, idft, shift  # noqa: F401
 from .model import Problem
-from .objective import (GradientPair, gradient_region, loss, loss_and_gradient,
-                        partial_lipschitz, step_curvature_bound,
-                        stochastic_gradient_bounds)
+from .objective import (GradientPair, _evaluate, _gradient, gradient_region,  # noqa: F401
+                        loss, loss_and_gradient, partial_lipschitz,
+                        step_curvature_bound, stochastic_gradient_bounds)
 from .rng import Rng
 
 ALGORITHMS = ("gd", "sgd", "epie", "interval")
@@ -46,7 +49,12 @@ TRACE_HEADER = "t,J,L_eps,grad_z_norm,grad_v_norm,mu_t,nu_t,wall_ns"
 
 
 class DivergenceError(RuntimeError):
-    """Raised when a run produces non-finite or degenerate iterates."""
+    """Raised when a run produces non-finite or degenerate iterates; ``run``
+    holds the trace and iterates before it and the iterate it failed at."""
+
+    def __init__(self, message: str, run: SolverRun):
+        super().__init__(message)
+        self.run = run
 
 
 @dataclass
@@ -146,20 +154,32 @@ class SolverRun:
     interval_steps: list[IntervalStep] | None = None
 
 
-def _start_state(problem: Problem, z0, v0):
+def _start_state(problem: Problem, z0, v0, config: SolverConfig):
+    """Starting pair, empty trace and, when recorded, the iterate list."""
     z = np.array(z0, dtype=np.complex128)
     v = np.array(v0, dtype=np.complex128)
     if z.shape != (problem.d,) or v.shape != (problem.d,):
         raise ValueError("starting pair must be 1-d arrays of length d")
-    return z, v
+    iterates = [(z.copy(), v.copy())] if config.record_iterates else None
+    return z, v, [], iterates
 
 
-def _checked_eval(problem, z, v, t):
-    total, data, grad = loss_and_gradient(problem, z, v)
-    if not np.isfinite(total) or not np.all(np.isfinite(grad.z)) \
-            or not np.all(np.isfinite(grad.v)):
-        raise DivergenceError(f"non-finite loss or gradient at iteration {t}")
-    return total, data, grad
+def _checked_eval(problem, z, v, t, trace, iterates):
+    """Full evaluation (the trace monitor) with its per-row arrays."""
+    ev = _evaluate(problem, z, v)
+    if not np.isfinite(ev.J) or not np.all(np.isfinite(ev.grad.z)) \
+            or not np.all(np.isfinite(ev.grad.v)):
+        raise DivergenceError(f"non-finite loss or gradient at iteration {t}",
+                              SolverRun(z, v, trace, iterates))
+    return ev
+
+
+def _close(problem, z, v, t, trace, iterates, start) -> None:
+    """Append the closing row: the final iterate with zero step sizes."""
+    ev = _checked_eval(problem, z, v, t, trace, iterates)
+    gz, gv = ev.grad.norms()
+    trace.append(TraceRecord(t, ev.J, ev.L_eps, gz, gv, 0.0, 0.0,
+                             time.monotonic_ns() - start))
 
 
 # ---------------------------------------------------------------------------
@@ -187,71 +207,69 @@ def gd_step_sizes(problem: Problem, z, v, grad: GradientPair,
 
 def run_gd(problem: Problem, z0, v0, config: SolverConfig) -> SolverRun:
     config.validate()
-    z, v = _start_state(problem, z0, v0)
-    trace: list[TraceRecord] = []
-    iterates = [(z.copy(), v.copy())] if config.record_iterates else None
+    z, v, trace, iterates = _start_state(problem, z0, v0, config)
     start = time.monotonic_ns()
-    stopped = False
     for t in range(config.max_iters):
-        total, data, grad = _checked_eval(problem, z, v, t)
-        gz, gv = grad.norms()
-        mu_t, nu_t = gd_step_sizes(problem, z, v, grad, config.step_mode,
+        ev = _checked_eval(problem, z, v, t, trace, iterates)
+        gz, gv = ev.grad.norms()
+        mu_t, nu_t = gd_step_sizes(problem, z, v, ev.grad, config.step_mode,
                                    config.mu, config.nu)
         if config.grad_tol > 0 and np.hypot(gz, gv) <= config.grad_tol:
-            trace.append(TraceRecord(t, total, data, gz, gv, 0.0, 0.0,
+            trace.append(TraceRecord(t, ev.J, ev.L_eps, gz, gv, 0.0, 0.0,
                                      time.monotonic_ns() - start))
-            stopped = True
             break
-        trace.append(TraceRecord(t, total, data, gz, gv, mu_t, nu_t,
+        trace.append(TraceRecord(t, ev.J, ev.L_eps, gz, gv, mu_t, nu_t,
                                  time.monotonic_ns() - start))
-        z = z - mu_t * grad.z
-        v = v - nu_t * grad.v
+        z = z - mu_t * ev.grad.z
+        v = v - nu_t * ev.grad.v
         if iterates is not None:
             iterates.append((z.copy(), v.copy()))
-    if not stopped:
-        total, data, grad = _checked_eval(problem, z, v, config.max_iters)
-        gz, gv = grad.norms()
-        trace.append(TraceRecord(config.max_iters, total, data, gz, gv,
-                                 0.0, 0.0, time.monotonic_ns() - start))
+    else:
+        _close(problem, z, v, config.max_iters, trace, iterates, start)
     return SolverRun(z, v, trace, iterates)
 
 
 # ---------------------------------------------------------------------------
 # stochastic gradient descent
 
-def sample_indices(p: np.ndarray, offsets, k: int, rng: Rng) -> list[int]:
-    """Draw k offsets i.i.d. by inverse CDF over ascending offsets."""
+def _sampling_table(p, offsets):
+    """Check p and build its inverse-CDF table over ascending offsets: the
+    positions that sort the offsets, and the cumulative sums of p in them."""
     p = np.asarray(p, dtype=np.float64)
-    offsets = tuple(offsets)
     if p.shape != (len(offsets),):
         raise ValueError("p must have one entry per offset")
     if np.any(p < 0) or abs(float(p.sum()) - 1.0) > 1e-12:
         raise ValueError("p must be a probability vector")
-    order = sorted(range(len(offsets)), key=lambda i: offsets[i])
-    cum = np.cumsum(p[order])
-    draws = []
-    for _ in range(k):
-        u = rng.uniform()
-        idx = int(np.searchsorted(cum, u, side="right"))
-        draws.append(offsets[order[min(idx, len(offsets) - 1)]])
-    return draws
+    order = np.array(sorted(range(len(offsets)), key=offsets.__getitem__),
+                     dtype=np.intp)
+    return order, np.cumsum(p[order])
+
+
+def _draw_rows(table, k: int, rng: Rng) -> np.ndarray:
+    """k i.i.d. positions into the offsets, one ``rng.uniform()`` each."""
+    order, cum = table
+    u = [rng.uniform() for _ in range(k)]
+    idx = np.searchsorted(cum, u, side="right")
+    return order[np.minimum(idx, len(order) - 1)]
+
+
+def sample_indices(p: np.ndarray, offsets, k: int, rng: Rng) -> list[int]:
+    """Draw k offsets i.i.d. by inverse CDF over ascending offsets."""
+    offsets = tuple(offsets)
+    return [offsets[i] for i in _draw_rows(_sampling_table(p, offsets), k, rng)]
+
+
+def _importance_weights(problem: Problem, rows: np.ndarray) -> np.ndarray:
+    return 1.0 / (len(rows) * problem.p[rows])
 
 
 def stochastic_gradient(problem: Problem, z, v, indices) -> GradientPair:
     """Importance-weighted average of the sampled single-region gradients:
-    (1/K) sum_k (1 / p_{r_k}) grad J_{r_k}."""
-    indices = list(indices)
-    if not indices:
+    (1/K) sum_k (1 / p_{r_k}) grad J_{r_k}, from one batched evaluation."""
+    rows = np.array([problem.offset_row[r] for r in indices], dtype=np.intp)
+    if rows.size == 0:
         raise ValueError("indices must contain at least one offset")
-    k = len(indices)
-    g_z = np.zeros(problem.d, dtype=np.complex128)
-    g_v = np.zeros(problem.d, dtype=np.complex128)
-    for r in indices:
-        part = gradient_region(problem, z, v, r)
-        weight = 1.0 / float(problem.p[problem.offset_row[r]])
-        g_z = g_z + weight * part.z
-        g_v = g_v + weight * part.v
-    return GradientPair(g_z / k, g_v / k)
+    return _evaluate(problem, z, v, rows, _importance_weights(problem, rows)).grad
 
 
 def sgd_max_step(problem: Problem, z, v, t: int, theta: float, kappa: float,
@@ -271,47 +289,47 @@ def sgd_max_step(problem: Problem, z, v, t: int, theta: float, kappa: float,
     return min(candidates) if candidates else 0.0
 
 
-def _linf(vec: np.ndarray) -> float:
-    return float(np.max(np.abs(vec)))
+def _sup_sq(z, v, t, trace, iterates) -> tuple[float, float]:
+    """(||v||_inf^2, ||z||_inf^2), the engine's step denominators."""
+    linf_v, linf_z = float(np.max(np.abs(v))), float(np.max(np.abs(z)))
+    if linf_v == 0.0 or linf_z == 0.0:
+        raise DivergenceError(f"epie step undefined at iteration {t}: zero iterate",
+                              SolverRun(z, v, trace, iterates))
+    return linf_v ** 2, linf_z ** 2
 
 
 def run_sgd(problem: Problem, z0, v0, config: SolverConfig) -> SolverRun:
     config.validate()
     if config.sgd_step_rule == "epie_scaled" and problem.batch_size != 1:
         raise ValueError("epie_scaled steps require batch_size 1")
-    z, v = _start_state(problem, z0, v0)
+    z, v, trace, iterates = _start_state(problem, z0, v0, config)
     rng = Rng(config.seed)
-    trace: list[TraceRecord] = []
-    iterates = [(z.copy(), v.copy())] if config.record_iterates else None
+    table = _sampling_table(problem.p, problem.offsets)
     start = time.monotonic_ns()
     for t in range(config.max_iters):
-        total, data, grad = _checked_eval(problem, z, v, t)
-        gz, gv = grad.norms()
-        drawn = sample_indices(problem.p, problem.offsets, problem.batch_size, rng)
-        g = stochastic_gradient(problem, z, v, drawn)
+        ev = _checked_eval(problem, z, v, t, trace, iterates)
+        gz, gv = ev.grad.norms()
+        rows = _draw_rows(table, problem.batch_size, rng)
+        # the step reuses the monitor's rows: no transform of its own
+        g = _gradient(problem, z, v, ev.windows[rows], ev.back[rows], rows,
+                      _importance_weights(problem, rows))
         if config.sgd_step_rule == "bounded":
             m = sgd_max_step(problem, z, v, t, config.theta, config.kappa,
                              problem.batch_size)
             mu_t = config.mu * m
             nu_t = config.nu * m
         else:
-            linf_v, linf_z = _linf(v), _linf(z)
-            if linf_v == 0.0 or linf_z == 0.0:
-                raise DivergenceError(
-                    f"epie_scaled step undefined at iteration {t}: zero iterate")
-            share = float(problem.p[problem.offset_row[drawn[0]]])
-            mu_t = config.epie_alpha * share / (problem.d * linf_v ** 2)
-            nu_t = config.epie_beta * share / (problem.d * linf_z ** 2)
-        trace.append(TraceRecord(t, total, data, gz, gv, mu_t, nu_t,
+            sq_v, sq_z = _sup_sq(z, v, t, trace, iterates)
+            share = float(problem.p[rows[0]])
+            mu_t = config.epie_alpha * share / (problem.d * sq_v)
+            nu_t = config.epie_beta * share / (problem.d * sq_z)
+        trace.append(TraceRecord(t, ev.J, ev.L_eps, gz, gv, mu_t, nu_t,
                                  time.monotonic_ns() - start))
         z = z - mu_t * g.z
         v = v - nu_t * g.v
         if iterates is not None:
             iterates.append((z.copy(), v.copy()))
-    total, data, grad = _checked_eval(problem, z, v, config.max_iters)
-    gz, gv = grad.norms()
-    trace.append(TraceRecord(config.max_iters, total, data, gz, gv, 0.0, 0.0,
-                             time.monotonic_ns() - start))
+    _close(problem, z, v, config.max_iters, trace, iterates, start)
     return SolverRun(z, v, trace, iterates)
 
 
@@ -320,31 +338,27 @@ def run_sgd(problem: Problem, z0, v0, config: SolverConfig) -> SolverRun:
 
 def run_epie(problem: Problem, z0, v0, config: SolverConfig) -> SolverRun:
     config.validate()
-    z, v = _start_state(problem, z0, v0)
+    z, v, trace, iterates = _start_state(problem, z0, v0, config)
     rng = Rng(config.seed)
+    table = _sampling_table(problem.p, problem.offsets)
     mode = problem.shifts.mode
-    trace: list[TraceRecord] = []
-    iterates = [(z.copy(), v.copy())] if config.record_iterates else None
     schedule: list[int] = []
     start = time.monotonic_ns()
     for t in range(config.max_iters):
-        total, data, grad = _checked_eval(problem, z, v, t)
-        gz, gv = grad.norms()
+        ev = _checked_eval(problem, z, v, t, trace, iterates)
+        gz, gv = ev.grad.norms()
         if config.epie_schedule == "iid":
-            r = sample_indices(problem.p, problem.offsets, 1, rng)[0]
+            row = int(_draw_rows(table, 1, rng)[0])
         else:
             if not schedule:
-                schedule = list(problem.offsets)
+                schedule = list(range(problem.n_regions))
                 rng.shuffle(schedule)
-            r = schedule.pop()
-        linf_v, linf_z = _linf(v), _linf(z)
-        if linf_v == 0.0 or linf_z == 0.0:
-            raise DivergenceError(
-                f"epie update undefined at iteration {t}: zero iterate")
-        row = problem.offset_row[r]
-        sv = shift(v, r, mode)
+            row = schedule.pop()
+        sq_v, sq_z = _sup_sq(z, v, t, trace, iterates)
+        # the monitor's row equals shift and dft of this region bit for bit
+        sv = ev.windows[row]
         exit_wave = z * sv
-        spectrum = dft(exit_wave)
+        spectrum = ev.spectrum[row]
         # magnitude via |.|^2 then sqrt to match the forward-model path bit
         # for bit; coefficients at exactly zero stay zero after correction
         mag = np.sqrt(np.abs(spectrum) ** 2)
@@ -353,19 +367,17 @@ def run_epie(problem: Problem, z0, v0, config: SolverConfig) -> SolverRun:
         corrected = scale * spectrum
         delta = idft(corrected) - exit_wave
         share = float(problem.p[row])
-        mu_t = config.epie_alpha * share / (problem.d * linf_v ** 2)
-        nu_t = config.epie_beta * share / (problem.d * linf_z ** 2)
-        trace.append(TraceRecord(t, total, data, gz, gv, mu_t, nu_t,
+        mu_t = config.epie_alpha * share / (problem.d * sq_v)
+        nu_t = config.epie_beta * share / (problem.d * sq_z)
+        trace.append(TraceRecord(t, ev.J, ev.L_eps, gz, gv, mu_t, nu_t,
                                  time.monotonic_ns() - start))
-        z_new = z + config.epie_alpha * np.conj(sv) * delta / linf_v ** 2
-        v_new = v + config.epie_beta * shift(np.conj(z) * delta, -r, mode) / linf_z ** 2
+        r = problem.offsets[row]
+        z_new = z + config.epie_alpha * np.conj(sv) * delta / sq_v
+        v_new = v + config.epie_beta * shift(np.conj(z) * delta, -r, mode) / sq_z
         z, v = z_new, v_new
         if iterates is not None:
             iterates.append((z.copy(), v.copy()))
-    total, data, grad = _checked_eval(problem, z, v, config.max_iters)
-    gz, gv = grad.norms()
-    trace.append(TraceRecord(config.max_iters, total, data, gz, gv, 0.0, 0.0,
-                             time.monotonic_ns() - start))
+    _close(problem, z, v, config.max_iters, trace, iterates, start)
     return SolverRun(z, v, trace, iterates)
 
 
@@ -376,18 +388,16 @@ def run_interval(problem: Problem, z0, v0, config: SolverConfig) -> SolverRun:
     config.validate()
     if problem.alpha <= 0 or problem.beta <= 0:
         raise ValueError("interval descent requires positive Tikhonov weights")
-    z, v = _start_state(problem, z0, v0)
+    z, v, trace, iterates = _start_state(problem, z0, v0, config)
     gammas = np.linspace(0.0, 1.0, config.gamma_grid)
-    trace: list[TraceRecord] = []
     steps: list[IntervalStep] = []
-    iterates = [(z.copy(), v.copy())] if config.record_iterates else None
     start = time.monotonic_ns()
     for t in range(config.max_iters):
-        total, data, grad = _checked_eval(problem, z, v, t)
-        gz, gv = grad.norms()
+        ev = _checked_eval(problem, z, v, t, trace, iterates)
+        gz, gv = ev.grad.norms()
         object_curv, window_curv = partial_lipschitz(problem, z, v)
-        dz = grad.z / object_curv
-        dv = grad.v / window_curv
+        dz = ev.grad.z / object_curv
+        dv = ev.grad.v / window_curv
         values = [loss(problem, z - g * dz, v - (1.0 - g) * dv)[0] for g in gammas]
         best = int(np.argmin(values))
         gamma = float(gammas[best])
@@ -396,21 +406,18 @@ def run_interval(problem: Problem, z0, v0, config: SolverConfig) -> SolverRun:
             loss_object_endpoint=values[-1],
             loss_window_endpoint=values[0],
             loss_selected=values[best],
-            decrease=total - values[best],
+            decrease=ev.J - values[best],
             bound_matched=0.5 * gz * gz / object_curv + 0.5 * gv * gv / window_curv,
             bound_crossed=0.5 * gz * gz / window_curv + 0.5 * gv * gv / object_curv,
         ))
-        trace.append(TraceRecord(t, total, data, gz, gv,
+        trace.append(TraceRecord(t, ev.J, ev.L_eps, gz, gv,
                                  gamma / object_curv, (1.0 - gamma) / window_curv,
                                  time.monotonic_ns() - start))
         z = z - gamma * dz
         v = v - (1.0 - gamma) * dv
         if iterates is not None:
             iterates.append((z.copy(), v.copy()))
-    total, data, grad = _checked_eval(problem, z, v, config.max_iters)
-    gz, gv = grad.norms()
-    trace.append(TraceRecord(config.max_iters, total, data, gz, gv, 0.0, 0.0,
-                             time.monotonic_ns() - start))
+    _close(problem, z, v, config.max_iters, trace, iterates, start)
     return SolverRun(z, v, trace, iterates, steps)
 
 

@@ -1,9 +1,12 @@
 import json
+import warnings
 
 import numpy as np
+import pytest
 
 from blindptycho import load_problem
 from blindptycho.cli import main
+from blindptycho.solvers import TRACE_HEADER
 
 
 def _strip_wall(csv_text):
@@ -132,3 +135,24 @@ def test_usage_errors_exit_2(tmp_path):
 def test_run_missing_problem_file(tmp_path):
     assert main(["run", "--problem", str(tmp_path / "nope.json"),
                  "--algo", "gd"]) == 2
+
+
+@pytest.mark.parametrize("algo_args,rows", [
+    (["--algo", "gd", "--iters", "5", "--init-scale", "1e200"], 0),
+    (["--algo", "epie", "--iters", "50", "--epie-alpha", "1e300"], 1),
+])
+def test_run_divergence_exit_3_keeps_partial_trace(tmp_path, capsys,
+                                                   algo_args, rows):
+    problem_path = tmp_path / "p.json"
+    main(["synth", "--d", "8", "--out", str(problem_path)])
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")        # no numpy overflow warnings
+        code = main(["run", "--problem", str(problem_path),
+                     "--out-dir", str(tmp_path / "out")] + algo_args)
+    assert code == 3
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and err.startswith("error: ")
+    trace = (tmp_path / "out" / f"{algo_args[1]}_run000_trace.csv").read_text()
+    assert trace.startswith(TRACE_HEADER + "\n")
+    assert len(trace.strip().split("\n")) == 1 + rows

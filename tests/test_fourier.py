@@ -3,7 +3,7 @@ import pytest
 
 from blindptycho import (ShiftSet, dft, dft_direct, idft, q_apply, shift,
                          shift_stack)
-from blindptycho.fourier import neg_shift_stack, unshift_sum
+from blindptycho.fourier import dft_adjoint, neg_shift_stack, unshift_sum
 
 from conftest import np_pair
 
@@ -30,11 +30,26 @@ def test_parseval_roundtrip_and_oracle(d):
 
 
 def test_dft_batched_rows_match_single():
+    # bit for bit: the solvers take single-region spectra and residuals
+    # from rows of the objective's batched transforms
     rng = np.random.default_rng(0)
-    block = rng.normal(size=(5, 16)) + 1j * rng.normal(size=(5, 16))
-    batched = dft(block)
-    for i in range(5):
-        assert np.array_equal(batched[i], dft(block[i]))
+    for d in (8, 16, 100, 256):
+        for n in (1, 4, 40):
+            block = rng.normal(size=(n, d)) + 1j * rng.normal(size=(n, d))
+            for transform in (dft, idft, dft_adjoint):
+                batched = transform(block)
+                for i in range(n):
+                    assert np.array_equal(batched[i], transform(block[i]))
+                if n == 40:               # a gather with a repeated row
+                    pick = [2, 2, 5]
+                    assert np.array_equal(transform(block[pick]), batched[pick])
+
+
+def test_dft_adjoint_is_unnormalized_inverse():
+    x = np_pair(12, 7)[0]
+    assert np.allclose(dft_adjoint(x), 12 * idft(x), rtol=1e-13, atol=1e-13)
+    assert np.allclose(dft_adjoint(x), np.conj(dft_direct(np.conj(x))),
+                       rtol=1e-12, atol=1e-12)
 
 
 def test_shift_definition():
@@ -90,6 +105,21 @@ def test_shift_stack_rows(mode):
     neg = neg_shift_stack(v, shifts)
     for i, r in enumerate(shifts.offsets):
         assert np.array_equal(neg[i], shift(v, -r, mode))
+
+
+@pytest.mark.parametrize("mode", ["circular", "zero-padded"])
+def test_selected_rows_repeat_and_reorder(mode):
+    rng = np.random.default_rng(8)
+    v = rng.normal(size=8) + 1j * rng.normal(size=8)
+    rows = rng.normal(size=(4, 8)) + 1j * rng.normal(size=(4, 8))
+    shifts = ShiftSet((-3, 0, 2, 5), mode)
+    select = [3, 1, 3, 0]
+    assert np.array_equal(shift_stack(v, shifts, select),
+                          shift_stack(v, shifts)[select])
+    expected = sum(shift(rows[i], -shifts.offsets[j], mode)
+                   for i, j in enumerate(select))
+    assert np.allclose(unshift_sum(rows, shifts, select), expected,
+                       rtol=1e-15, atol=0)
 
 
 @pytest.mark.parametrize("mode", ["circular", "zero-padded"])

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from blindptycho import (DivergenceError, Rng, ShiftSet, SolverConfig,
-                         gd_step_sizes, gradient, partial_lipschitz, run,
+                         gd_step_sizes, gradient, gradient_region,
+                         partial_lipschitz, run,
                          run_epie, run_gd, run_interval, run_sgd,
                          sample_indices, sgd_max_step, step_curvature_bound,
                          stochastic_gradient, synthesize_problem, trace_to_csv)
@@ -114,8 +115,10 @@ def test_gd_grad_tol_stop():
 def test_gd_divergence_diagnostic():
     prob = synthesize_problem(4, seed=9)
     bad = np.full(4, np.nan, dtype=complex)
-    with pytest.raises(DivergenceError, match="iteration 0"):
+    with pytest.raises(DivergenceError, match="iteration 0") as excinfo:
         run_gd(prob, bad, bad, SolverConfig(algorithm="gd", max_iters=3))
+    partial = excinfo.value.run           # the partial run travels with it
+    assert partial.trace == [] and np.all(np.isnan(partial.z))
 
 
 # ---------------------------------------------------------------------------
@@ -274,6 +277,52 @@ def test_sgd_update_norm_identity():
         step = float(np.linalg.norm(res.iterates[t + 1][0] - z))
         assert step == pytest.approx(res.trace[t].mu_t * gz, rel=1e-9, abs=1e-300)
         z, v = res.iterates[t + 1]
+
+
+@pytest.mark.parametrize("mode,d,k,rule", [("circular", 8, 1, "epie_scaled"),
+                                            ("zero-padded", 16, 3, "bounded")])
+def test_sgd_step_is_public_stochastic_gradient(mode, d, k, rule):
+    # run_sgd builds its step from the monitor's per-row arrays; it must be
+    # the public stochastic gradient at the recorded iterate times mu_t, nu_t
+    offsets = tuple(range(-4, d, 3)) if mode == "zero-padded" else tuple(range(d))
+    p = np.linspace(1.0, 2.0, len(offsets))
+    prob = synthesize_problem(d, shifts=ShiftSet(offsets, mode), seed=49,
+                              p=p / p.sum(), batch_size=k)
+    z0, v0 = np_pair(d, 50)
+    res = run_sgd(prob, z0, v0, SolverConfig(algorithm="sgd", max_iters=25,
+                                             seed=8, sgd_step_rule=rule,
+                                             record_iterates=True))
+    rng = Rng(8)
+    for t, row in enumerate(res.trace[:-1]):
+        z, v = res.iterates[t]
+        g = stochastic_gradient(prob, z, v, sample_indices(prob.p, prob.offsets, k, rng))
+        z_next, v_next = res.iterates[t + 1]
+        assert np.max(np.abs(z_next - (z - row.mu_t * g.z))) \
+            <= 1e-13 * row.mu_t * np.max(np.abs(g.z))
+        assert np.max(np.abs(v_next - (v - row.nu_t * g.v))) \
+            <= 1e-13 * row.nu_t * np.max(np.abs(g.v))
+
+
+def test_stochastic_gradient_repeated_draws_match_region_sum():
+    # d = 100 is not a power of two; K = 4 draws with a repeated offset
+    offsets = tuple(range(-60, 100, 4))
+    p = np.linspace(1.0, 3.0, len(offsets))
+    prob = synthesize_problem(100, shifts=ShiftSet(offsets, "zero-padded"),
+                              seed=51, epsilon=1e-3, p=p / p.sum(), batch_size=4)
+    z, v = np_pair(100, 52)
+    drawn = sample_indices(prob.p, prob.offsets, 4, Rng(8))
+    assert len(set(drawn)) < len(drawn)
+    g = stochastic_gradient(prob, z, v, drawn)
+    acc_z = np.zeros(100, complex)
+    acc_v = np.zeros(100, complex)
+    for r in drawn:
+        part = gradient_region(prob, z, v, r)
+        weight = 1.0 / (4 * prob.p[prob.offset_row[r]])
+        acc_z += weight * part.z
+        acc_v += weight * part.v
+    norm = 1 + max(np.max(np.abs(acc_z)), np.max(np.abs(acc_v)))
+    assert np.max(np.abs(g.z - acc_z)) / norm < 1e-12
+    assert np.max(np.abs(g.v - acc_v)) / norm < 1e-12
 
 
 def test_sgd_config_validation():
