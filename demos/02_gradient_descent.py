@@ -14,12 +14,12 @@ which this script verifies along a real run.
 import numpy as np
 
 from blindptycho import (SolverConfig, fit_decay_slope, initial_guess,
-                         reconstruction_error, run_gd, synthesize_problem)
+                         reconstruction_error, run, synthesize_problem)
 
 problem = synthesize_problem(16, seed=3, epsilon=1e-8, alpha=1e-3, beta=1e-3)
 z0, v0 = initial_guess(16, seed=11)
-result = run_gd(problem, z0, v0,
-                SolverConfig(algorithm="gd", max_iters=2000, seed=0))
+result = run(problem, z0, v0,
+             SolverConfig(algorithm="gd", max_iters=2000, seed=0))
 trace = result.trace
 
 worst = 0.0

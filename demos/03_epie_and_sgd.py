@@ -14,18 +14,17 @@ step rule, under which the loss trace settles instead of oscillating.
 
 import numpy as np
 
-from blindptycho import (SolverConfig, initial_guess, run_epie, run_sgd,
-                         synthesize_problem)
+from blindptycho import SolverConfig, initial_guess, run, synthesize_problem
 
 problem = synthesize_problem(8, seed=5, epsilon=0.0, alpha=0.0, beta=0.0)
 z0, v0 = initial_guess(8, seed=21)
 
 shared = dict(max_iters=2000, seed=42, epie_alpha=0.5, epie_beta=0.5,
               record_iterates=True)
-engine = run_epie(problem, z0, v0, SolverConfig(algorithm="epie", **shared))
-mapped = run_sgd(problem, z0, v0,
-                 SolverConfig(algorithm="sgd", sgd_step_rule="epie_scaled",
-                              **shared))
+engine = run(problem, z0, v0, SolverConfig(algorithm="epie", **shared))
+mapped = run(problem, z0, v0,
+             SolverConfig(algorithm="sgd", sgd_step_rule="epie_scaled",
+                          **shared))
 
 worst = max(max(np.max(np.abs(za - zb)), np.max(np.abs(va - vb)))
             for (za, va), (zb, vb) in zip(engine.iterates, mapped.iterates))
@@ -35,9 +34,9 @@ print(f"  final J: engine {engine.trace[-1].J:.6f}, sgd {mapped.trace[-1].J:.6f}
 
 # the bounded decaying rule on the regularized, smoothed objective
 reg = synthesize_problem(8, seed=5, epsilon=1e-8, alpha=1e-3, beta=1e-3)
-bounded = run_sgd(reg, z0, v0,
-                  SolverConfig(algorithm="sgd", max_iters=5000, seed=42,
-                               theta=0.5, kappa=0.2))
+bounded = run(reg, z0, v0,
+              SolverConfig(algorithm="sgd", max_iters=5000, seed=42,
+                           theta=0.5, kappa=0.2))
 J = np.array([r.J for r in bounded.trace])
 tail = J[-500:]
 print("bounded-step SGD on the regularized objective:")

@@ -17,15 +17,14 @@ where it fails while the consistent pairing holds throughout.
 
 import numpy as np
 
-from blindptycho import (SolverConfig, initial_guess, run_gd, run_interval,
-                         synthesize_problem)
+from blindptycho import SolverConfig, initial_guess, run, synthesize_problem
 
 problem = synthesize_problem(16, seed=104, alpha=1e-3, beta=1e-3)
 z0, v0 = initial_guess(16, seed=3004)
 
-result = run_interval(problem, z0, v0,
-                      SolverConfig(algorithm="interval", max_iters=500,
-                                   gamma_grid=2, seed=4))
+result = run(problem, z0, v0,
+             SolverConfig(algorithm="interval", max_iters=500,
+                          gamma_grid=2, seed=4))
 trace = result.trace
 steps = result.interval_steps
 
@@ -49,6 +48,6 @@ print(f"gamma choices: object endpoint {chosen.count(1.0)} times, "
       f"window endpoint {chosen.count(0.0)} times")
 
 # same instance under the joint rule, for scale
-joint = run_gd(problem, z0, v0, SolverConfig(algorithm="gd", max_iters=500))
+joint = run(problem, z0, v0, SolverConfig(algorithm="gd", max_iters=500))
 print(f"joint gradient descent reaches J = {joint.trace[-1].J:.2f} "
       f"in the same 500 iterations (interval steps are far longer)")

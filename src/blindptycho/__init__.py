@@ -22,9 +22,8 @@ from .objective import (GradientPair, gradient, gradient_region, loss,
 from .rng import Rng
 from .solvers import (ALGORITHMS, DivergenceError, IntervalStep, SolverConfig,
                       SolverRun, TraceRecord, gd_step_sizes, read_trace, run,
-                      run_epie, run_gd, run_interval, run_sgd, sample_indices,
-                      sgd_max_step, stochastic_gradient, trace_to_csv,
-                      write_trace)
+                      sample_indices, sgd_max_step, stochastic_gradient,
+                      trace_to_csv, write_trace)
 from .verify import (CheckReport, check_bilinear_bound, check_descent_lemma,
                      check_gradient_bounds, check_gradient_fd, check_lipschitz,
                      check_unbiasedness, descent_upper_bound,

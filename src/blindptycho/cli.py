@@ -66,10 +66,16 @@ def _build_parser() -> argparse.ArgumentParser:
     runp.add_argument("--problem", required=True)
     runp.add_argument("--algo", required=True, choices=ALGORITHMS)
     runp.add_argument("--iters", type=int, default=500)
-    runp.add_argument("--seed", type=int, default=0)
+    runp.add_argument("--seed", type=int, default=0,
+                      help="seed of repetition 0 (repetition i uses seed + i) "
+                           "for its starting pair and solver stream; a problem "
+                           "synthesized with the same seed starts at its "
+                           "ground truth at --init-scale 1")
     runp.add_argument("--reps", type=int, default=1)
     runp.add_argument("--init-scale", type=float, default=1.0)
-    runp.add_argument("--grad-tol", type=float, default=0.0)
+    runp.add_argument("--grad-tol", type=float, default=0.0,
+                      help="stop at the first iterate whose joint gradient "
+                           "norm is at most this, with a closing row (0: off)")
     runp.add_argument("--step-mode", default="rate", choices=("rate", "cap"))
     runp.add_argument("--theta", type=float, default=0.5)
     runp.add_argument("--kappa", type=float, default=0.2)

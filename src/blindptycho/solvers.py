@@ -1,11 +1,18 @@
 """Iteration schemes: joint gradient descent, stochastic gradient descent,
 the ptychographic iterative engine, and interval descent.
 
-All four solvers share the same trace schema (one row per visited iterate,
-plus a closing row for the final iterate with zero step sizes) and are
-bit-reproducible from (problem, initial pair, config): stochastic solvers
-own a fresh ``Rng(config.seed)``.  sgd and epie steps reuse their regions'
-rows of the iteration's full evaluation (the trace monitor).
+``run`` is the one solver loop.  At each t it evaluates the iterate in full
+(the trace monitor; a non-finite loss or gradient raises DivergenceError).
+At t = max_iters, or once grad_tol > 0 and ||grad J|| <= grad_tol, it writes
+a closing row with zero step sizes and stops; otherwise it writes the row of
+``step(z, v, t, ev, gz, gv) -> (z_new, v_new, mu_t, nu_t)`` and moves on.
+The factories ``_gd/_sgd/_epie/_interval(problem, config)`` check the
+problem, build the algorithm's state and return (step, interval_steps or
+None).  ``ev`` is the monitor's evaluation, whose rows the sgd and epie
+steps reuse, and (gz, gv) its gradient norms.  A step raises DivergenceError
+on a degenerate iterate and ``run`` attaches the partial run.  Stochastic
+solvers own a fresh ``Rng(config.seed)``, so runs are bit-reproducible from
+(problem, initial pair, config).
 
 Step-size policies:
 
@@ -50,9 +57,10 @@ TRACE_HEADER = "t,J,L_eps,grad_z_norm,grad_v_norm,mu_t,nu_t,wall_ns"
 
 class DivergenceError(RuntimeError):
     """Raised when a run produces non-finite or degenerate iterates; ``run``
-    holds the trace and iterates before it and the iterate it failed at."""
+    holds the trace and iterates before it and the iterate it failed at
+    (the solver loop attaches it)."""
 
-    def __init__(self, message: str, run: SolverRun):
+    def __init__(self, message: str, run: SolverRun | None = None):
         super().__init__(message)
         self.run = run
 
@@ -154,32 +162,39 @@ class SolverRun:
     interval_steps: list[IntervalStep] | None = None
 
 
-def _start_state(problem: Problem, z0, v0, config: SolverConfig):
-    """Starting pair, empty trace and, when recorded, the iterate list."""
+def run(problem: Problem, z0, v0, config: SolverConfig) -> SolverRun:
+    """The solver loop shared by every algorithm (see module docstring)."""
+    config.validate()
     z = np.array(z0, dtype=np.complex128)
     v = np.array(v0, dtype=np.complex128)
     if z.shape != (problem.d,) or v.shape != (problem.d,):
         raise ValueError("starting pair must be 1-d arrays of length d")
+    step, interval_steps = _FACTORIES[config.algorithm](problem, config)
+    trace: list[TraceRecord] = []
     iterates = [(z.copy(), v.copy())] if config.record_iterates else None
-    return z, v, [], iterates
-
-
-def _checked_eval(problem, z, v, t, trace, iterates):
-    """Full evaluation (the trace monitor) with its per-row arrays."""
-    ev = _evaluate(problem, z, v)
-    if not np.isfinite(ev.J) or not np.all(np.isfinite(ev.grad.z)) \
-            or not np.all(np.isfinite(ev.grad.v)):
-        raise DivergenceError(f"non-finite loss or gradient at iteration {t}",
-                              SolverRun(z, v, trace, iterates))
-    return ev
-
-
-def _close(problem, z, v, t, trace, iterates, start) -> None:
-    """Append the closing row: the final iterate with zero step sizes."""
-    ev = _checked_eval(problem, z, v, t, trace, iterates)
-    gz, gv = ev.grad.norms()
-    trace.append(TraceRecord(t, ev.J, ev.L_eps, gz, gv, 0.0, 0.0,
-                             time.monotonic_ns() - start))
+    start = time.monotonic_ns()
+    for t in range(config.max_iters + 1):
+        try:
+            ev = _evaluate(problem, z, v)
+            if not np.isfinite(ev.J) or not np.all(np.isfinite(ev.grad.z)) \
+                    or not np.all(np.isfinite(ev.grad.v)):
+                raise DivergenceError(f"non-finite loss or gradient at iteration {t}")
+            gz, gv = ev.grad.norms()
+            last = t == config.max_iters or \
+                (config.grad_tol > 0 and np.hypot(gz, gv) <= config.grad_tol)
+            z_new, v_new, mu_t, nu_t = (z, v, 0.0, 0.0) if last else \
+                step(z, v, t, ev, gz, gv)
+        except DivergenceError as exc:
+            exc.run = SolverRun(z, v, trace, iterates, interval_steps)
+            raise
+        trace.append(TraceRecord(t, ev.J, ev.L_eps, gz, gv, mu_t, nu_t,
+                                 time.monotonic_ns() - start))
+        if last:
+            break
+        z, v = z_new, v_new
+        if iterates is not None:
+            iterates.append((z.copy(), v.copy()))
+    return SolverRun(z, v, trace, iterates, interval_steps)
 
 
 # ---------------------------------------------------------------------------
@@ -205,28 +220,12 @@ def gd_step_sizes(problem: Problem, z, v, grad: GradientPair,
     return m, m
 
 
-def run_gd(problem: Problem, z0, v0, config: SolverConfig) -> SolverRun:
-    config.validate()
-    z, v, trace, iterates = _start_state(problem, z0, v0, config)
-    start = time.monotonic_ns()
-    for t in range(config.max_iters):
-        ev = _checked_eval(problem, z, v, t, trace, iterates)
-        gz, gv = ev.grad.norms()
+def _gd(problem: Problem, config: SolverConfig):
+    def step(z, v, t, ev, gz, gv):
         mu_t, nu_t = gd_step_sizes(problem, z, v, ev.grad, config.step_mode,
                                    config.mu, config.nu)
-        if config.grad_tol > 0 and np.hypot(gz, gv) <= config.grad_tol:
-            trace.append(TraceRecord(t, ev.J, ev.L_eps, gz, gv, 0.0, 0.0,
-                                     time.monotonic_ns() - start))
-            break
-        trace.append(TraceRecord(t, ev.J, ev.L_eps, gz, gv, mu_t, nu_t,
-                                 time.monotonic_ns() - start))
-        z = z - mu_t * ev.grad.z
-        v = v - nu_t * ev.grad.v
-        if iterates is not None:
-            iterates.append((z.copy(), v.copy()))
-    else:
-        _close(problem, z, v, config.max_iters, trace, iterates, start)
-    return SolverRun(z, v, trace, iterates)
+        return z - mu_t * ev.grad.z, v - nu_t * ev.grad.v, mu_t, nu_t
+    return step, None
 
 
 # ---------------------------------------------------------------------------
@@ -289,26 +288,21 @@ def sgd_max_step(problem: Problem, z, v, t: int, theta: float, kappa: float,
     return min(candidates) if candidates else 0.0
 
 
-def _sup_sq(z, v, t, trace, iterates) -> tuple[float, float]:
+def _sup_sq(z, v, t) -> tuple[float, float]:
     """(||v||_inf^2, ||z||_inf^2), the engine's step denominators."""
     linf_v, linf_z = float(np.max(np.abs(v))), float(np.max(np.abs(z)))
     if linf_v == 0.0 or linf_z == 0.0:
-        raise DivergenceError(f"epie step undefined at iteration {t}: zero iterate",
-                              SolverRun(z, v, trace, iterates))
+        raise DivergenceError(f"epie step undefined at iteration {t}: zero iterate")
     return linf_v ** 2, linf_z ** 2
 
 
-def run_sgd(problem: Problem, z0, v0, config: SolverConfig) -> SolverRun:
-    config.validate()
+def _sgd(problem: Problem, config: SolverConfig):
     if config.sgd_step_rule == "epie_scaled" and problem.batch_size != 1:
         raise ValueError("epie_scaled steps require batch_size 1")
-    z, v, trace, iterates = _start_state(problem, z0, v0, config)
     rng = Rng(config.seed)
     table = _sampling_table(problem.p, problem.offsets)
-    start = time.monotonic_ns()
-    for t in range(config.max_iters):
-        ev = _checked_eval(problem, z, v, t, trace, iterates)
-        gz, gv = ev.grad.norms()
+
+    def step(z, v, t, ev, gz, gv):
         rows = _draw_rows(table, problem.batch_size, rng)
         # the step reuses the monitor's rows: no transform of its own
         g = _gradient(problem, z, v, ev.windows[rows], ev.back[rows], rows,
@@ -319,42 +313,32 @@ def run_sgd(problem: Problem, z0, v0, config: SolverConfig) -> SolverRun:
             mu_t = config.mu * m
             nu_t = config.nu * m
         else:
-            sq_v, sq_z = _sup_sq(z, v, t, trace, iterates)
+            sq_v, sq_z = _sup_sq(z, v, t)
             share = float(problem.p[rows[0]])
             mu_t = config.epie_alpha * share / (problem.d * sq_v)
             nu_t = config.epie_beta * share / (problem.d * sq_z)
-        trace.append(TraceRecord(t, ev.J, ev.L_eps, gz, gv, mu_t, nu_t,
-                                 time.monotonic_ns() - start))
-        z = z - mu_t * g.z
-        v = v - nu_t * g.v
-        if iterates is not None:
-            iterates.append((z.copy(), v.copy()))
-    _close(problem, z, v, config.max_iters, trace, iterates, start)
-    return SolverRun(z, v, trace, iterates)
+        return z - mu_t * g.z, v - nu_t * g.v, mu_t, nu_t
+    return step, None
 
 
 # ---------------------------------------------------------------------------
 # ptychographic iterative engine
 
-def run_epie(problem: Problem, z0, v0, config: SolverConfig) -> SolverRun:
-    config.validate()
-    z, v, trace, iterates = _start_state(problem, z0, v0, config)
+def _epie(problem: Problem, config: SolverConfig):
     rng = Rng(config.seed)
     table = _sampling_table(problem.p, problem.offsets)
     mode = problem.shifts.mode
     schedule: list[int] = []
-    start = time.monotonic_ns()
-    for t in range(config.max_iters):
-        ev = _checked_eval(problem, z, v, t, trace, iterates)
-        gz, gv = ev.grad.norms()
+
+    def step(z, v, t, ev, gz, gv):
         if config.epie_schedule == "iid":
             row = int(_draw_rows(table, 1, rng)[0])
         else:
             if not schedule:
-                schedule = list(range(problem.n_regions))
+                schedule.extend(range(problem.n_regions))
                 rng.shuffle(schedule)
             row = schedule.pop()
-        sq_v, sq_z = _sup_sq(z, v, t, trace, iterates)
+        sq_v, sq_z = _sup_sq(z, v, t)
         # the monitor's row equals shift and dft of this region bit for bit
         sv = ev.windows[row]
         exit_wave = z * sv
@@ -369,32 +353,23 @@ def run_epie(problem: Problem, z0, v0, config: SolverConfig) -> SolverRun:
         share = float(problem.p[row])
         mu_t = config.epie_alpha * share / (problem.d * sq_v)
         nu_t = config.epie_beta * share / (problem.d * sq_z)
-        trace.append(TraceRecord(t, ev.J, ev.L_eps, gz, gv, mu_t, nu_t,
-                                 time.monotonic_ns() - start))
         r = problem.offsets[row]
         z_new = z + config.epie_alpha * np.conj(sv) * delta / sq_v
         v_new = v + config.epie_beta * shift(np.conj(z) * delta, -r, mode) / sq_z
-        z, v = z_new, v_new
-        if iterates is not None:
-            iterates.append((z.copy(), v.copy()))
-    _close(problem, z, v, config.max_iters, trace, iterates, start)
-    return SolverRun(z, v, trace, iterates)
+        return z_new, v_new, mu_t, nu_t
+    return step, None
 
 
 # ---------------------------------------------------------------------------
 # interval descent
 
-def run_interval(problem: Problem, z0, v0, config: SolverConfig) -> SolverRun:
-    config.validate()
+def _interval(problem: Problem, config: SolverConfig):
     if problem.alpha <= 0 or problem.beta <= 0:
         raise ValueError("interval descent requires positive Tikhonov weights")
-    z, v, trace, iterates = _start_state(problem, z0, v0, config)
     gammas = np.linspace(0.0, 1.0, config.gamma_grid)
     steps: list[IntervalStep] = []
-    start = time.monotonic_ns()
-    for t in range(config.max_iters):
-        ev = _checked_eval(problem, z, v, t, trace, iterates)
-        gz, gv = ev.grad.norms()
+
+    def step(z, v, t, ev, gz, gv):
         object_curv, window_curv = partial_lipschitz(problem, z, v)
         dz = ev.grad.z / object_curv
         dv = ev.grad.v / window_curv
@@ -410,25 +385,14 @@ def run_interval(problem: Problem, z0, v0, config: SolverConfig) -> SolverRun:
             bound_matched=0.5 * gz * gz / object_curv + 0.5 * gv * gv / window_curv,
             bound_crossed=0.5 * gz * gz / window_curv + 0.5 * gv * gv / object_curv,
         ))
-        trace.append(TraceRecord(t, ev.J, ev.L_eps, gz, gv,
-                                 gamma / object_curv, (1.0 - gamma) / window_curv,
-                                 time.monotonic_ns() - start))
-        z = z - gamma * dz
-        v = v - (1.0 - gamma) * dv
-        if iterates is not None:
-            iterates.append((z.copy(), v.copy()))
-    _close(problem, z, v, config.max_iters, trace, iterates, start)
-    return SolverRun(z, v, trace, iterates, steps)
+        return (z - gamma * dz, v - (1.0 - gamma) * dv,
+                gamma / object_curv, (1.0 - gamma) / window_curv)
+    return step, steps
 
 
 # ---------------------------------------------------------------------------
 
-_RUNNERS = {"gd": run_gd, "sgd": run_sgd, "epie": run_epie, "interval": run_interval}
-
-
-def run(problem: Problem, z0, v0, config: SolverConfig) -> SolverRun:
-    config.validate()
-    return _RUNNERS[config.algorithm](problem, z0, v0, config)
+_FACTORIES = {"gd": _gd, "sgd": _sgd, "epie": _epie, "interval": _interval}
 
 
 def trace_to_csv(trace: list[TraceRecord]) -> str:

@@ -14,8 +14,8 @@ from blindptycho import (Rng, ShiftSet, SolverConfig, check_bilinear_bound,
                          check_lipschitz, check_unbiasedness,
                          fd_wirtinger_gradient, fit_decay_slope,
                          forward_intensities, gradient, initial_guess, loss,
-                         partial_lipschitz, reconstruction_error, run_epie,
-                         run_gd, run_interval, run_sgd, synthesize_problem)
+                         partial_lipschitz, reconstruction_error, run,
+                         synthesize_problem)
 from blindptycho.cli import main as cli_main
 
 from conftest import np_pair
@@ -37,8 +37,8 @@ def gd_runs():
         prob = synthesize_problem(16, seed=seed, epsilon=1e-8,
                                   alpha=1e-3, beta=1e-3)
         z0, v0 = initial_guess(16, 1000 + seed)
-        res = run_gd(prob, z0, v0,
-                     SolverConfig(algorithm="gd", max_iters=1000, seed=seed))
+        res = run(prob, z0, v0,
+                  SolverConfig(algorithm="gd", max_iters=1000, seed=seed))
         runs.append((prob, res))
     return runs
 
@@ -53,7 +53,7 @@ def sgd_runs():
         z0, v0 = initial_guess(8, 2000 + seed)
         cfg = SolverConfig(algorithm="sgd", max_iters=20_000, seed=seed,
                            theta=0.5, kappa=0.2, mu=1.0, nu=1.0)
-        runs.append(run_sgd(prob, z0, v0, cfg))
+        runs.append(run(prob, z0, v0, cfg))
     return runs
 
 
@@ -126,10 +126,10 @@ def test_criterion_05_epie_equals_mapped_sgd():
     z0, v0 = initial_guess(8, 71)
     kwargs = dict(max_iters=1000, seed=72, epie_alpha=0.3, epie_beta=0.3,
                   record_iterates=True)
-    res_e = run_epie(prob, z0, v0, SolverConfig(algorithm="epie", **kwargs))
-    res_s = run_sgd(prob, z0, v0,
-                    SolverConfig(algorithm="sgd", sgd_step_rule="epie_scaled",
-                                 **kwargs))
+    res_e = run(prob, z0, v0, SolverConfig(algorithm="epie", **kwargs))
+    res_s = run(prob, z0, v0,
+                SolverConfig(algorithm="sgd", sgd_step_rule="epie_scaled",
+                             **kwargs))
     worst = max(max(np.max(np.abs(za - zb)), np.max(np.abs(va - vb)))
                 for (za, va), (zb, vb) in zip(res_e.iterates, res_s.iterates))
     _announce(5, f"epie vs mapped sgd, shared index stream, 1000 steps "
@@ -229,7 +229,7 @@ def test_criterion_10_interval_descent():
         prob = synthesize_problem(16, seed=100 + seed, alpha=1e-3, beta=1e-3)
         z0, v0 = initial_guess(16, 3000 + seed)
         cfg = SolverConfig(algorithm="interval", max_iters=500, seed=seed)
-        res = run_interval(prob, z0, v0, cfg)
+        res = run(prob, z0, v0, cfg)
         for rec, step in zip(res.trace, res.interval_steps):
             worst_crossed = min(worst_crossed,
                                 (step.decrease - step.bound_crossed) / (1 + rec.J))

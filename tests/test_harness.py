@@ -5,7 +5,7 @@ import pytest
 
 from blindptycho import (SolverConfig, TraceRecord, aggregate_summaries,
                          fit_decay_slope, initial_guess, reconstruction_error,
-                         run_gd, summarize, summary_to_json,
+                         run, summarize, summary_to_json,
                          synthesize_problem)
 from blindptycho.harness import ExperimentConfig, run_experiment
 
@@ -66,7 +66,7 @@ def test_fit_decay_slope_short_trace_rejected():
 def test_gd_trace_slope_steep():
     prob = synthesize_problem(16, seed=5)
     z0, v0 = initial_guess(16, 6)
-    res = run_gd(prob, z0, v0, SolverConfig(algorithm="gd", max_iters=600))
+    res = run(prob, z0, v0, SolverConfig(algorithm="gd", max_iters=600))
     fit = fit_decay_slope(res.trace, t_min=10)
     assert fit.slope <= -0.9
 
@@ -75,7 +75,7 @@ def test_summarize_and_json(tmp_path):
     prob = synthesize_problem(8, seed=7)
     z0, v0 = initial_guess(8, 8)
     cfg = SolverConfig(algorithm="gd", max_iters=30, seed=8)
-    res = run_gd(prob, z0, v0, cfg)
+    res = run(prob, z0, v0, cfg)
     summary = summarize(prob, res)
     assert summary.final_J == res.trace[-1].J
     assert summary.decay_slope is None  # trace too short for a fit

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from blindptycho import (DivergenceError, Rng, ShiftSet, SolverConfig,
-                         gd_step_sizes, gradient, gradient_region,
-                         partial_lipschitz, run,
-                         run_epie, run_gd, run_interval, run_sgd,
+from blindptycho import (ALGORITHMS, DivergenceError, Rng, ShiftSet,
+                         SolverConfig, gd_step_sizes, gradient,
+                         gradient_region, partial_lipschitz, run,
                          sample_indices, sgd_max_step, step_curvature_bound,
                          stochastic_gradient, synthesize_problem, trace_to_csv)
 from blindptycho.objective import GradientPair
@@ -61,7 +60,7 @@ def test_gd_step_arithmetic_example():
 def test_gd_fixed_point_at_truth():
     prob = synthesize_problem(8, seed=5, alpha=0.0, beta=0.0)
     x, w = prob.truth
-    res = run_gd(prob, x, w, SolverConfig(algorithm="gd", max_iters=20))
+    res = run(prob, x, w, SolverConfig(algorithm="gd", max_iters=20))
     assert np.array_equal(res.z, x)
     assert np.array_equal(res.v, w)
     assert all(r.J == res.trace[0].J for r in res.trace)
@@ -70,7 +69,7 @@ def test_gd_fixed_point_at_truth():
 def test_gd_monotone_descent_500_iters():
     prob = synthesize_problem(16, seed=6)
     z0, v0 = np_pair(16, 60)
-    res = run_gd(prob, z0, v0, SolverConfig(algorithm="gd", max_iters=500))
+    res = run(prob, z0, v0, SolverConfig(algorithm="gd", max_iters=500))
     tr = res.trace
     assert len(tr) == 501
     for a, b in zip(tr, tr[1:]):
@@ -81,7 +80,7 @@ def test_gd_update_rule_matches_trace():
     prob = synthesize_problem(8, seed=7)
     z0, v0 = np_pair(8, 70)
     cfg = SolverConfig(algorithm="gd", max_iters=5, record_iterates=True)
-    res = run_gd(prob, z0, v0, cfg)
+    res = run(prob, z0, v0, cfg)
     z = np.array(z0)
     v = np.array(v0)
     for t, (zt, vt) in enumerate(res.iterates[1:]):
@@ -95,28 +94,36 @@ def test_gd_update_rule_matches_trace():
 def test_gd_cap_mode_scales_steps_and_still_descends():
     prob = synthesize_problem(8, seed=10)
     z0, v0 = np_pair(8, 90)
-    rate = run_gd(prob, z0, v0, SolverConfig(algorithm="gd", max_iters=50))
-    cap = run_gd(prob, z0, v0, SolverConfig(algorithm="gd", max_iters=50,
-                                            step_mode="cap", mu=0.5, nu=0.25))
+    rate = run(prob, z0, v0, SolverConfig(algorithm="gd", max_iters=50))
+    cap = run(prob, z0, v0, SolverConfig(algorithm="gd", max_iters=50,
+                                         step_mode="cap", mu=0.5, nu=0.25))
     assert cap.trace[0].mu_t == pytest.approx(0.5 * rate.trace[0].mu_t)
     assert cap.trace[0].nu_t == pytest.approx(0.25 * rate.trace[0].nu_t)
     for a, b in zip(cap.trace, cap.trace[1:]):
         assert b.J <= a.J + 1e-10 * (1 + a.J)
 
 
-def test_gd_grad_tol_stop():
-    prob = synthesize_problem(8, seed=8, alpha=0.0, beta=0.0)
+@pytest.mark.parametrize("algo", ALGORITHMS)
+def test_grad_tol_stop(algo):
+    # positive Tikhonov weights (interval descent needs them) keep the truth
+    # from being stationary: the tolerance sits just above its gradient norm
+    prob = synthesize_problem(8, seed=8, alpha=0.1, beta=0.1)
     x, w = prob.truth
-    res = run_gd(prob, x, w, SolverConfig(algorithm="gd", max_iters=50,
-                                          grad_tol=1e-12))
+    tol = 1.001 * float(np.hypot(*gradient(prob, x, w).norms()))
+    res = run(prob, x, w, SolverConfig(algorithm=algo, max_iters=50,
+                                       grad_tol=tol))
     assert len(res.trace) == 1
+    assert res.trace[0].t == 0 and res.trace[0].mu_t == res.trace[0].nu_t == 0.0
+    below = run(prob, x, w, SolverConfig(algorithm=algo, max_iters=1,
+                                         grad_tol=tol / 1.002))
+    assert len(below.trace) == 2           # one step, then the closing row
 
 
 def test_gd_divergence_diagnostic():
     prob = synthesize_problem(4, seed=9)
     bad = np.full(4, np.nan, dtype=complex)
     with pytest.raises(DivergenceError, match="iteration 0") as excinfo:
-        run_gd(prob, bad, bad, SolverConfig(algorithm="gd", max_iters=3))
+        run(prob, bad, bad, SolverConfig(algorithm="gd", max_iters=3))
     partial = excinfo.value.run           # the partial run travels with it
     assert partial.trace == [] and np.all(np.isnan(partial.z))
 
@@ -234,8 +241,8 @@ def test_sgd_seed_determinism():
     prob = synthesize_problem(8, seed=21)
     z0, v0 = np_pair(8, 22)
     cfg = SolverConfig(algorithm="sgd", max_iters=100, seed=5)
-    a = run_sgd(prob, z0, v0, cfg)
-    b = run_sgd(prob, z0, v0, cfg)
+    a = run(prob, z0, v0, cfg)
+    b = run(prob, z0, v0, cfg)
     assert np.array_equal(a.z, b.z) and np.array_equal(a.v, b.v)
     assert trace_to_csv(a.trace).split() != []  # smoke: serializable
     for ra, rb in zip(a.trace, b.trace):
@@ -249,7 +256,7 @@ def test_sgd_single_region_matches_gd_with_same_steps():
     z0, v0 = np_pair(8, 24)
     cfg = SolverConfig(algorithm="sgd", max_iters=40, seed=3,
                        record_iterates=True)
-    sgd_res = run_sgd(prob, z0, v0, cfg)
+    sgd_res = run(prob, z0, v0, cfg)
     z = np.array(z0)
     v = np.array(v0)
     for t in range(40):
@@ -265,7 +272,7 @@ def test_sgd_update_norm_identity():
     z0, v0 = np_pair(8, 26)
     cfg = SolverConfig(algorithm="sgd", max_iters=30, seed=7,
                        record_iterates=True)
-    res = run_sgd(prob, z0, v0, cfg)
+    res = run(prob, z0, v0, cfg)
     rng = Rng(7)
     z, v = np.array(z0), np.array(v0)
     for t in range(30):
@@ -282,16 +289,16 @@ def test_sgd_update_norm_identity():
 @pytest.mark.parametrize("mode,d,k,rule", [("circular", 8, 1, "epie_scaled"),
                                             ("zero-padded", 16, 3, "bounded")])
 def test_sgd_step_is_public_stochastic_gradient(mode, d, k, rule):
-    # run_sgd builds its step from the monitor's per-row arrays; it must be
+    # the sgd step is built from the monitor's per-row arrays; it must be
     # the public stochastic gradient at the recorded iterate times mu_t, nu_t
     offsets = tuple(range(-4, d, 3)) if mode == "zero-padded" else tuple(range(d))
     p = np.linspace(1.0, 2.0, len(offsets))
     prob = synthesize_problem(d, shifts=ShiftSet(offsets, mode), seed=49,
                               p=p / p.sum(), batch_size=k)
     z0, v0 = np_pair(d, 50)
-    res = run_sgd(prob, z0, v0, SolverConfig(algorithm="sgd", max_iters=25,
-                                             seed=8, sgd_step_rule=rule,
-                                             record_iterates=True))
+    res = run(prob, z0, v0, SolverConfig(algorithm="sgd", max_iters=25,
+                                         seed=8, sgd_step_rule=rule,
+                                         record_iterates=True))
     rng = Rng(8)
     for t, row in enumerate(res.trace[:-1]):
         z, v = res.iterates[t]
@@ -340,7 +347,7 @@ def test_sgd_config_validation():
 def test_epie_fixed_point_at_truth():
     prob = synthesize_problem(8, seed=27, epsilon=0.0, alpha=0.0, beta=0.0)
     x, w = prob.truth
-    res = run_epie(prob, x, w, SolverConfig(algorithm="epie", max_iters=100, seed=1))
+    res = run(prob, x, w, SolverConfig(algorithm="epie", max_iters=100, seed=1))
     assert np.allclose(res.z, x, rtol=0, atol=1e-12)
     assert np.allclose(res.v, w, rtol=0, atol=1e-12)
 
@@ -350,17 +357,21 @@ def test_epie_zero_steps_freeze_iterates():
     z0, v0 = np_pair(8, 29)
     cfg = SolverConfig(algorithm="epie", max_iters=20, seed=2,
                        epie_alpha=1e-300, epie_beta=1e-300)
-    res = run_epie(prob, z0, v0, cfg)
+    res = run(prob, z0, v0, cfg)
     assert np.allclose(res.z, z0, rtol=0, atol=1e-290)
     assert np.allclose(res.v, v0, rtol=0, atol=1e-290)
 
 
-def test_epie_zero_iterate_aborts():
+@pytest.mark.parametrize("algo", ["epie", "sgd"])
+def test_epie_zero_iterate_aborts(algo):
+    # sgd with epie_scaled steps divides by the same sup norms
     prob = synthesize_problem(8, seed=30, epsilon=0.0, alpha=0.0, beta=0.0)
     zeros = np.zeros(8, complex)
-    with pytest.raises(DivergenceError, match="iteration 0"):
-        run_epie(prob, zeros, np.ones(8, complex),
-                 SolverConfig(algorithm="epie", max_iters=5))
+    with pytest.raises(DivergenceError, match="iteration 0: zero iterate") as excinfo:
+        run(prob, zeros, np.ones(8, complex),
+            SolverConfig(algorithm=algo, max_iters=5, sgd_step_rule="epie_scaled"))
+    partial = excinfo.value.run           # attached by the solver loop
+    assert partial.trace == [] and np.array_equal(partial.z, zeros)
 
 
 def test_epie_matches_sgd_with_mapped_steps():
@@ -368,10 +379,10 @@ def test_epie_matches_sgd_with_mapped_steps():
     z0, v0 = np_pair(8, 32)
     kwargs = dict(max_iters=300, seed=4, epie_alpha=0.4, epie_beta=0.6,
                   record_iterates=True)
-    res_e = run_epie(prob, z0, v0, SolverConfig(algorithm="epie", **kwargs))
-    res_s = run_sgd(prob, z0, v0, SolverConfig(algorithm="sgd",
-                                               sgd_step_rule="epie_scaled",
-                                               **kwargs))
+    res_e = run(prob, z0, v0, SolverConfig(algorithm="epie", **kwargs))
+    res_s = run(prob, z0, v0, SolverConfig(algorithm="sgd",
+                                           sgd_step_rule="epie_scaled",
+                                           **kwargs))
     for (za, va), (zb, vb) in zip(res_e.iterates, res_s.iterates):
         assert np.max(np.abs(za - zb)) <= 1e-12
         assert np.max(np.abs(va - vb)) <= 1e-12
@@ -382,8 +393,8 @@ def test_epie_seed_determinism():
     z0, v0 = np_pair(8, 48)
     cfg = SolverConfig(algorithm="epie", max_iters=100, seed=6, epie_alpha=0.3,
                        epie_beta=0.3)
-    a = run_epie(prob, z0, v0, cfg)
-    b = run_epie(prob, z0, v0, cfg)
+    a = run(prob, z0, v0, cfg)
+    b = run(prob, z0, v0, cfg)
     assert np.array_equal(a.z, b.z) and np.array_equal(a.v, b.v)
     assert [r.J for r in a.trace] == [r.J for r in b.trace]
 
@@ -393,7 +404,7 @@ def test_epie_shuffled_schedule_covers_all_regions():
     z0, v0 = np_pair(8, 34)
     cfg = SolverConfig(algorithm="epie", max_iters=16, seed=5,
                        epie_schedule="shuffled", epie_alpha=0.1, epie_beta=0.1)
-    res = run_epie(prob, z0, v0, cfg)
+    res = run(prob, z0, v0, cfg)
     # one full pass every R iterations: step sizes reflect 16 region visits
     assert len(res.trace) == 17
 
@@ -405,14 +416,14 @@ def test_interval_requires_positive_weights():
     prob = synthesize_problem(8, seed=35, alpha=0.0, beta=0.0)
     z0, v0 = np_pair(8, 36)
     with pytest.raises(ValueError, match="Tikhonov"):
-        run_interval(prob, z0, v0, SolverConfig(algorithm="interval", max_iters=1))
+        run(prob, z0, v0, SolverConfig(algorithm="interval", max_iters=1))
 
 
 def test_interval_endpoint_selection():
     prob = synthesize_problem(8, seed=37)
     z0, v0 = np_pair(8, 38)
     cfg = SolverConfig(algorithm="interval", max_iters=100, gamma_grid=2)
-    res = run_interval(prob, z0, v0, cfg)
+    res = run(prob, z0, v0, cfg)
     for step in res.interval_steps:
         assert step.gamma in (0.0, 1.0)
         assert step.loss_selected == min(step.loss_object_endpoint,
@@ -424,7 +435,7 @@ def test_interval_decrease_bounds():
     z0, v0 = np_pair(16, 40)
     cfg = SolverConfig(algorithm="interval", max_iters=200, gamma_grid=5,
                        record_iterates=True)
-    res = run_interval(prob, z0, v0, cfg)
+    res = run(prob, z0, v0, cfg)
     for rec, step, (z, v) in zip(res.trace, res.interval_steps, res.iterates):
         tol = 1e-9 * (1 + rec.J)
         object_curv, window_curv = partial_lipschitz(prob, z, v)
@@ -441,12 +452,12 @@ def test_interval_decrease_bounds():
 def test_interval_finer_grid_never_worse():
     prob = synthesize_problem(8, seed=41)
     z0, v0 = np_pair(8, 42)
-    coarse = run_interval(prob, z0, v0,
-                          SolverConfig(algorithm="interval", max_iters=1,
-                                       gamma_grid=2))
-    fine = run_interval(prob, z0, v0,
-                        SolverConfig(algorithm="interval", max_iters=1,
-                                     gamma_grid=9))
+    coarse = run(prob, z0, v0,
+                 SolverConfig(algorithm="interval", max_iters=1,
+                              gamma_grid=2))
+    fine = run(prob, z0, v0,
+               SolverConfig(algorithm="interval", max_iters=1,
+                            gamma_grid=9))
     assert fine.interval_steps[0].loss_selected <= \
         coarse.interval_steps[0].loss_selected + 1e-12
 
@@ -465,7 +476,7 @@ def test_run_dispatch():
 def test_trace_csv_format():
     prob = synthesize_problem(8, seed=45)
     z0, v0 = np_pair(8, 46)
-    res = run_gd(prob, z0, v0, SolverConfig(algorithm="gd", max_iters=3))
+    res = run(prob, z0, v0, SolverConfig(algorithm="gd", max_iters=3))
     text = trace_to_csv(res.trace)
     lines = text.strip().split("\n")
     assert lines[0] == TRACE_HEADER
