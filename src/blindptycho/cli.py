@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -116,21 +117,17 @@ def _cmd_synth(args) -> int:
         epsilon=args.epsilon, alpha=args.alpha, beta=args.beta, p=p,
         batch_size=args.batch_size)
     if args.drop_truth:
-        import dataclasses
-        problem = dataclasses.replace(problem, truth=None)
+        problem = replace(problem, truth=None)
     save_problem(args.out, problem)
     return 0
 
 
 def _cmd_run(args) -> int:
     problem = load_problem(args.problem)
-    solver = SolverConfig(
-        algorithm=args.algo, max_iters=args.iters, seed=args.seed,
-        grad_tol=args.grad_tol, step_mode=args.step_mode, theta=args.theta,
-        kappa=args.kappa, mu=args.mu, nu=args.nu,
-        sgd_step_rule=args.sgd_step_rule, epie_alpha=args.epie_alpha,
-        epie_beta=args.epie_beta, epie_schedule=args.epie_schedule,
-        gamma_grid=args.gamma_grid)
+    # the flags named after SolverConfig fields (all but the first two)
+    options = {f.name: getattr(args, f.name) for f in fields(SolverConfig)
+               if hasattr(args, f.name)}
+    solver = SolverConfig(algorithm=args.algo, max_iters=args.iters, **options)
     solver.validate()
     experiment = ExperimentConfig(
         problem=problem, solvers=[solver], repetitions=args.reps,

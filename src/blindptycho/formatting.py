@@ -1,7 +1,9 @@
-"""Number formatting shared by the JSON and CSV emitters.
+"""Number formatting for the CSV writers (trace and report tables).
 
-Every float written to disk goes through :func:`g17` so that files are
+Every float in a CSV goes through :func:`g17` so that files are
 byte-reproducible across runs and round-trip to the exact same double.
+JSON documents are written by ``json.dumps``, whose shortest-repr floats
+round-trip as well.
 """
 
 

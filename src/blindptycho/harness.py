@@ -4,8 +4,9 @@ run summaries and repetition matrices.
 
 from __future__ import annotations
 
+import json
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -108,44 +109,16 @@ def summarize(problem: Problem, result: SolverRun) -> Summary:
                    wall_ns=trace[-1].wall_ns)
 
 
-def _opt(x) -> str:
-    return "null" if x is None else g17(x)
-
-
 def summary_to_json(summary: Summary, config: SolverConfig,
                     problem: Problem) -> str:
     """Summary document; solver defaults are materialized for provenance."""
-    cfg = [
-        f'"algorithm": "{config.algorithm}"',
-        f'"max_iters": {config.max_iters}',
-        f'"seed": {config.seed}',
-        f'"grad_tol": {g17(config.grad_tol)}',
-        f'"step_mode": "{config.step_mode}"',
-        f'"theta": {g17(config.theta)}',
-        f'"kappa": {g17(config.kappa)}',
-        f'"mu": {g17(config.mu)}',
-        f'"nu": {g17(config.nu)}',
-        f'"sgd_step_rule": "{config.sgd_step_rule}"',
-        f'"epie_alpha": {g17(config.epie_alpha)}',
-        f'"epie_beta": {g17(config.epie_beta)}',
-        f'"epie_schedule": "{config.epie_schedule}"',
-        f'"gamma_grid": {config.gamma_grid}',
-        f'"d": {problem.d}',
-        f'"mode": "{problem.shifts.mode}"',
-        f'"epsilon": {g17(problem.epsilon)}',
-        f'"alpha_T": {g17(problem.alpha)}',
-        f'"beta_T": {g17(problem.beta)}',
-        f'"K": {problem.batch_size}',
-    ]
-    lines = [
-        f'"final_J": {g17(summary.final_J)}',
-        f'"min_grad_sq": {g17(summary.min_grad_sq)}',
-        f'"decay_slope": {_opt(summary.decay_slope)}',
-        f'"recon_error": {_opt(summary.recon_error)}',
-        f'"wall_ns": {summary.wall_ns}',
-        '"config": {' + ", ".join(cfg) + "}",
-    ]
-    return "{\n  " + ",\n  ".join(lines) + "\n}\n"
+    cfg = {key: value.item() if isinstance(value, np.generic) else value
+           for key, value in asdict(config).items() if key != "record_iterates"}
+    cfg.update(d=int(problem.d), mode=problem.shifts.mode,
+               epsilon=float(problem.epsilon), alpha_T=float(problem.alpha),
+               beta_T=float(problem.beta), K=int(problem.batch_size))
+    doc = {**asdict(summary), "config": cfg}
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
 @dataclass
@@ -194,8 +167,7 @@ def run_experiment(config: ExperimentConfig) -> list[tuple[Path, Path, Summary]]
             summary = summarize(config.problem, result)
             summary.wall_ns = elapsed
             write_trace(trace_path, result.trace)
-            with open(summary_path, "w") as fh:
-                fh.write(summary_to_json(summary, solver, config.problem))
+            summary_path.write_text(summary_to_json(summary, solver, config.problem))
             results.append((trace_path, summary_path, summary))
     return results
 
@@ -204,22 +176,23 @@ REPORT_HEADER = "file,algorithm,seed,final_J,min_grad_sq,decay_slope,recon_error
 
 
 def aggregate_summaries(paths) -> str:
-    """Collect summary documents into one CSV table."""
-    import json
-
+    """Collect summary documents into one CSV table; a field that is missing
+    or not a number raises ValueError naming it."""
     lines = [REPORT_HEADER]
     for path in paths:
-        with open(path) as fh:
-            data = json.load(fh)
-        cfg = data.get("config", {})
-        lines.append(",".join([
-            Path(path).name,
-            str(cfg.get("algorithm", "")),
-            str(cfg.get("seed", "")),
-            g17(data["final_J"]),
-            g17(data["min_grad_sq"]),
-            "" if data.get("decay_slope") is None else g17(data["decay_slope"]),
-            "" if data.get("recon_error") is None else g17(data["recon_error"]),
-            str(data["wall_ns"]),
-        ]))
+        data = json.loads(Path(path).read_text())
+        cfg = data.get("config", {}) if isinstance(data, dict) else None
+        if not isinstance(cfg, dict):
+            raise ValueError(f"{path}: not a summary document")
+        row = [Path(path).name, str(cfg.get("algorithm", "")),
+               str(cfg.get("seed", ""))]
+        for key in REPORT_HEADER.split(",")[3:]:
+            value = data.get(key)
+            if value is None and key in ("decay_slope", "recon_error"):
+                row.append("")
+            elif type(value) not in (int, float):
+                raise ValueError(f"{path}: summary field {key!r} is missing or not a number")
+            else:
+                row.append(str(value) if key == "wall_ns" else g17(value))
+        lines.append(",".join(row))
     return "\n".join(lines) + "\n"

@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
+from pathlib import Path
 
 import numpy as np
 
-from .formatting import g17
 from .fourier import CIRCULAR, ShiftSet, dft, shift_stack
 from .rng import Rng
 
@@ -111,8 +111,8 @@ class Problem:
             raise ValueError("measurement columns must equal d")
         if self.epsilon < 0 or not np.isfinite(self.epsilon):
             raise ValueError("epsilon must be finite and >= 0")
-        if self.alpha < 0 or self.beta < 0:
-            raise ValueError("alpha and beta must be >= 0")
+        if not (0 <= self.alpha < np.inf and 0 <= self.beta < np.inf):
+            raise ValueError("alpha and beta must be finite and >= 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         offsets = self.shifts.offsets
@@ -122,8 +122,8 @@ class Problem:
         p = np.array(self.p, dtype=np.float64)
         if p.shape != (len(offsets),):
             raise ValueError("p must have one entry per shift")
-        if np.any(p <= 0):
-            raise ValueError("p entries must be strictly positive")
+        if not np.all((p > 0) & np.isfinite(p)):
+            raise ValueError("p entries must be finite and strictly positive")
         if abs(p.sum() - 1.0) > 1e-12:
             raise ValueError("p must sum to 1 within 1e-12")
         p.setflags(write=False)
@@ -133,6 +133,8 @@ class Problem:
             w = np.array(self.truth[1], dtype=np.complex128)
             if x.shape != (self.d,) or w.shape != (self.d,):
                 raise ValueError("truth vectors must have length d")
+            if not (np.all(np.isfinite(x)) and np.all(np.isfinite(w))):
+                raise ValueError("truth vectors must be finite")
             x.setflags(write=False)
             w.setflags(write=False)
             object.__setattr__(self, "truth", (x, w))
@@ -199,58 +201,61 @@ def synthesize_problem(d: int,
 
 # ---------------------------------------------------------------------------
 # serialization
-#
-# One JSON document per problem with a fixed key order; floats carry 17
-# significant digits so a written file reloads to identical doubles.
-
-def _complex_rows(vec: np.ndarray) -> str:
-    return "[" + ", ".join(f"[{g17(c.real)}, {g17(c.imag)}]" for c in vec) + "]"
-
 
 def problem_to_json(problem: Problem) -> str:
-    lines = [
-        f'"d": {problem.d}',
-        f'"mode": "{problem.shifts.mode}"',
-        '"offsets": [' + ", ".join(str(o) for o in problem.offsets) + "]",
-        f'"epsilon": {g17(problem.epsilon)}',
-        f'"alpha_T": {g17(problem.alpha)}',
-        f'"beta_T": {g17(problem.beta)}',
-        '"p": [' + ", ".join(g17(v) for v in problem.p) + "]",
-        f'"K": {problem.batch_size}',
-        '"y": [' + ", ".join(
-            "[" + ", ".join(g17(v) for v in row) + "]" for row in problem.y) + "]",
-    ]
+    """One JSON document with a fixed key order; ``x`` and ``w`` are lists of
+    [re, im] pairs.  Floats are written in shortest exact form, so a file
+    reloads to the same bits, signed zeros included."""
+    doc = {"d": int(problem.d), "mode": problem.shifts.mode,
+           "offsets": list(problem.offsets), "epsilon": float(problem.epsilon),
+           "alpha_T": float(problem.alpha), "beta_T": float(problem.beta),
+           "p": problem.p.tolist(), "K": int(problem.batch_size),
+           "y": problem.y.tolist()}
     if problem.truth is not None:
-        x, w = problem.truth
-        lines.append('"x": ' + _complex_rows(x))
-        lines.append('"w": ' + _complex_rows(w))
-    return "{\n  " + ",\n  ".join(lines) + "\n}\n"
+        for key, vec in zip(("x", "w"), problem.truth):
+            doc[key] = vec.view(np.float64).reshape(-1, 2).tolist()
+    return json.dumps(doc, allow_nan=False) + "\n"
+
+
+def _complex_pairs(value) -> np.ndarray:
+    pairs = np.array(value, dtype=np.float64)
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise ValueError("expected a list of [re, im] pairs")
+    return pairs.view(np.complex128)[:, 0]
+
+
+_floats = partial(np.array, dtype=np.float64)
+# document field -> conversion; x and w (the truth) are optional
+_FIELDS = {"d": int, "mode": str, "offsets": lambda v: tuple(int(o) for o in v),
+           "epsilon": float, "alpha_T": float, "beta_T": float, "p": _floats,
+           "K": int, "y": _floats, "x": _complex_pairs, "w": _complex_pairs}
 
 
 def problem_from_json(text: str) -> Problem:
+    """Inverse of problem_to_json; a missing field, or one of the wrong type
+    or shape, raises ValueError naming it."""
     data = json.loads(text)
-    required = ("d", "mode", "offsets", "epsilon", "alpha_T", "beta_T", "p", "K", "y")
-    for key in required:
+    if not isinstance(data, dict):
+        raise ValueError("problem document must be a JSON object")
+    keys = list(_FIELDS) if "x" in data and "w" in data else list(_FIELDS)[:-2]
+    values = {}
+    for key in keys:
         if key not in data:
             raise ValueError(f"problem document is missing field {key!r}")
-    shifts = ShiftSet(tuple(data["offsets"]), data["mode"])
-    measurements = MeasurementSet(np.array(data["y"], dtype=np.float64), shifts)
-    truth = None
-    if "x" in data and "w" in data:
-        x = np.array([complex(re, im) for re, im in data["x"]])
-        w = np.array([complex(re, im) for re, im in data["w"]])
-        truth = (x, w)
-    return Problem(d=int(data["d"]), measurements=measurements,
-                   epsilon=float(data["epsilon"]), alpha=float(data["alpha_T"]),
-                   beta=float(data["beta_T"]), p=np.array(data["p"], dtype=np.float64),
-                   batch_size=int(data["K"]), truth=truth)
+        try:
+            values[key] = _FIELDS[key](data[key])
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"problem field {key!r}: {exc}") from None
+    shifts = ShiftSet(values["offsets"], values["mode"])
+    return Problem(d=values["d"], measurements=MeasurementSet(values["y"], shifts),
+                   epsilon=values["epsilon"], alpha=values["alpha_T"],
+                   beta=values["beta_T"], p=values["p"], batch_size=values["K"],
+                   truth=(values["x"], values["w"]) if "x" in values else None)
 
 
 def save_problem(path, problem: Problem) -> None:
-    with open(path, "w") as fh:
-        fh.write(problem_to_json(problem))
+    Path(path).write_text(problem_to_json(problem))
 
 
 def load_problem(path) -> Problem:
-    with open(path) as fh:
-        return problem_from_json(fh.read())
+    return problem_from_json(Path(path).read_text())

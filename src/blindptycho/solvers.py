@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -93,6 +94,10 @@ class SolverConfig:
             raise ValueError(f"unknown algorithm: {self.algorithm!r}")
         if self.max_iters < 0:
             raise ValueError("max_iters must be >= 0")
+        for name in ("grad_tol", "theta", "kappa", "mu", "nu", "epie_alpha",
+                     "epie_beta"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.grad_tol < 0:
             raise ValueError("grad_tol must be >= 0")
         if not 0.0 <= self.theta < 1.0:
@@ -200,12 +205,12 @@ def run(problem: Problem, z0, v0, config: SolverConfig) -> SolverRun:
 # ---------------------------------------------------------------------------
 # gradient descent
 
-def gd_step_sizes(problem: Problem, z, v, grad: GradientPair,
+def gd_step_sizes(problem: Problem, z, v, gz: float, gv: float,
                   step_mode: str = "rate", mu: float = 1.0,
                   nu: float = 1.0) -> tuple[float, float]:
-    """Joint-descent step sizes; infinite branches drop out of the minimum."""
+    """Joint-descent step sizes from the gradient norms (gz, gv) at (z, v);
+    infinite branches drop out of the minimum."""
     bound = step_curvature_bound(problem, z, v)
-    gz, gv = grad.norms()
     scale = (15.0 * problem.d / 4.0) ** (-1.0 / 3.0)
     candidates = []
     if bound > 0:
@@ -222,7 +227,7 @@ def gd_step_sizes(problem: Problem, z, v, grad: GradientPair,
 
 def _gd(problem: Problem, config: SolverConfig):
     def step(z, v, t, ev, gz, gv):
-        mu_t, nu_t = gd_step_sizes(problem, z, v, ev.grad, config.step_mode,
+        mu_t, nu_t = gd_step_sizes(problem, z, v, gz, gv, config.step_mode,
                                    config.mu, config.nu)
         return z - mu_t * ev.grad.z, v - nu_t * ev.grad.v, mu_t, nu_t
     return step, None
@@ -406,19 +411,12 @@ def trace_to_csv(trace: list[TraceRecord]) -> str:
 
 
 def write_trace(path, trace: list[TraceRecord]) -> None:
-    with open(path, "w") as fh:
-        fh.write(trace_to_csv(trace))
+    Path(path).write_text(trace_to_csv(trace))
 
 
 def read_trace(path) -> list[TraceRecord]:
-    records = []
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != TRACE_HEADER:
-            raise ValueError(f"unexpected trace header: {header!r}")
-        for line in fh:
-            parts = line.strip().split(",")
-            records.append(TraceRecord(
-                int(parts[0]), float(parts[1]), float(parts[2]), float(parts[3]),
-                float(parts[4]), float(parts[5]), float(parts[6]), int(parts[7])))
-    return records
+    header, *rows = Path(path).read_text().splitlines() or [""]
+    if header.rstrip() != TRACE_HEADER:
+        raise ValueError(f"unexpected trace header: {header!r}")
+    return [TraceRecord(int(t), *map(float, columns), int(wall_ns))
+            for t, *columns, wall_ns in (row.split(",") for row in rows)]

@@ -14,7 +14,7 @@ imaginary coordinate, assembled as (d/dRe + i d/dIm)/2.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -36,14 +36,9 @@ class CheckReport:
     passed: bool
     detail: str
 
-    def to_dict(self) -> dict:
-        return {"name": self.name, "samples": self.samples,
-                "worst_slack": self.worst_slack, "passed": self.passed,
-                "detail": self.detail}
-
 
 def reports_to_json(reports: list[CheckReport]) -> str:
-    return json.dumps([r.to_dict() for r in reports], indent=2) + "\n"
+    return json.dumps([asdict(r) for r in reports], indent=2) + "\n"
 
 
 def _report(name, samples, worst, tol, extra=""):

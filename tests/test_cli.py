@@ -132,6 +132,38 @@ def test_usage_errors_exit_2(tmp_path):
                  "--out", str(tmp_path / "y.json")]) == 2
 
 
+def _problem_with(tmp_path, **fields):
+    path = tmp_path / "p.json"
+    main(["synth", "--d", "8", "--out", str(path)])
+    path.write_text(json.dumps({**json.loads(path.read_text()), **fields}))
+    return path
+
+
+@pytest.mark.parametrize("case", ["x-not-pairs", "offsets-not-a-list",
+                                  "report-on-a-problem", "grad-tol-inf",
+                                  "grad-tol-nan", "kappa-nan"])
+def test_bad_input_exit_2_one_line(tmp_path, capsys, case):
+    bad = {"x-not-pairs": {"x": [1, 2]}, "offsets-not-a-list": {"offsets": 5}}
+    problem = str(_problem_with(tmp_path, **bad.get(case, {})))
+    out_dir, table = tmp_path / "out", tmp_path / "table.csv"
+    run = ["run", "--problem", problem, "--algo", "sgd", "--iters", "2",
+           "--out-dir", str(out_dir)]
+    argv, named = {
+        "x-not-pairs": (run, "'x'"),
+        "offsets-not-a-list": (run, "'offsets'"),
+        "report-on-a-problem": (["report", problem, "--out", str(table)], "'final_J'"),
+        "grad-tol-inf": (run + ["--grad-tol", "inf"], "grad_tol"),
+        "grad-tol-nan": (run + ["--grad-tol", "nan"], "grad_tol"),
+        "kappa-nan": (run + ["--kappa", "nan"], "kappa"),
+    }[case]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert named in err
+    assert not out_dir.exists() and not table.exists()
+
+
 def test_run_missing_problem_file(tmp_path):
     assert main(["run", "--problem", str(tmp_path / "nope.json"),
                  "--algo", "gd"]) == 2

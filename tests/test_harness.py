@@ -86,6 +86,17 @@ def test_summarize_and_json(tmp_path):
     assert data["decay_slope"] is None
     assert data["config"]["algorithm"] == "gd"
     assert data["config"]["theta"] == 0.5  # defaults materialized
+    assert list(data) == ["final_J", "min_grad_sq", "decay_slope",
+                          "recon_error", "wall_ns", "config"]
+    assert list(data["config"]) == [
+        "algorithm", "max_iters", "seed", "grad_tol", "step_mode", "theta",
+        "kappa", "mu", "nu", "sgd_step_rule", "epie_alpha", "epie_beta",
+        "epie_schedule", "gamma_grid", "d", "mode", "epsilon", "alpha_T",
+        "beta_T", "K"]
+    # settings given as numpy scalars are written as plain numbers
+    numpy_cfg = SolverConfig(algorithm="gd", max_iters=np.int64(30),
+                             seed=np.int64(8), theta=np.float32(0.5))
+    assert json.loads(summary_to_json(summary, numpy_cfg, prob))["config"] == data["config"]
 
 
 def test_run_experiment_and_report(tmp_path):

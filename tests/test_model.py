@@ -1,9 +1,14 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blindptycho import (MeasurementSet, NoiseModel, Problem, Rng, ShiftSet,
                          add_noise, forward_intensities, loss, q_apply,
                          synthesize_problem)
+from blindptycho.fourier import MODES
 from blindptycho.model import problem_from_json, problem_to_json
 
 from conftest import np_pair
@@ -120,6 +125,19 @@ def test_problem_validation_messages():
                 beta=0.0, p=np.full(4, 0.25), batch_size=0)
     with pytest.raises(ValueError, match="one entry per shift"):
         synthesize_problem(4, seed=0, p=np.array([1.0]))
+    with pytest.raises(ValueError, match="p entries"):
+        Problem(d=4, measurements=prob.measurements, epsilon=0.0, alpha=0.0,
+                beta=0.0, p=[np.nan, 0.5, 0.25, 0.25], batch_size=1)
+    for alpha, beta in ((np.inf, 0.0), (0.0, np.inf), (np.nan, 0.0), (0.0, np.nan)):
+        with pytest.raises(ValueError, match="alpha and beta"):
+            Problem(d=4, measurements=prob.measurements, epsilon=0.0,
+                    alpha=alpha, beta=beta, p=np.full(4, 0.25), batch_size=1)
+    x, w = prob.truth
+    for bad in ((np.where(np.arange(4) == 1, np.nan, x), w),
+                (x, np.where(np.arange(4) == 2, np.inf, w))):
+        with pytest.raises(ValueError, match="truth vectors must be finite"):
+            Problem(d=4, measurements=prob.measurements, epsilon=0.0, alpha=0.0,
+                    beta=0.0, p=np.full(4, 0.25), batch_size=1, truth=bad)
 
 
 def test_json_round_trip_bitwise():
@@ -139,3 +157,75 @@ def test_json_round_trip_bitwise():
 def test_json_missing_field():
     with pytest.raises(ValueError, match="offsets"):
         problem_from_json('{"d": 2, "mode": "circular"}')
+
+
+SPECIALS = (-0.0, 5e-324, 1.7976931348623157e308)
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.integers(1, 32), mode=st.sampled_from(MODES),
+       with_truth=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_json_round_trip_property(d, mode, with_truth, seed):
+    # magnitudes over the whole double range, with signed zeros, the
+    # smallest subnormal and the largest double planted in y, x and w
+    rng = np.random.default_rng(seed)
+
+    def planted(shape, signed):
+        a = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+        a = a if signed else np.abs(a)
+        for value in SPECIALS:
+            a.flat[rng.integers(a.size)] = value
+            if signed:
+                a.flat[rng.integers(a.size)] = -value
+        return a
+
+    shifts = ShiftSet.all_shifts(d, mode)
+    truth = None
+    if with_truth:
+        truth = tuple(planted((d, 2), True).view(np.complex128)[:, 0]
+                      for _ in range(2))
+    prob = Problem(d=d, measurements=MeasurementSet(planted((d, d), False), shifts),
+                   epsilon=-0.0, alpha=5e-324, beta=1.7976931348623157e308,
+                   p=np.full(d, 1.0 / d), batch_size=1, truth=truth)
+    text = problem_to_json(prob)
+    back = problem_from_json(text)
+    assert (back.d, back.shifts) == (d, shifts)
+    for a, b in ((back.y, prob.y), (back.p, prob.p),
+                 (np.array([back.epsilon, back.alpha, back.beta]),
+                  np.array([prob.epsilon, prob.alpha, prob.beta]))):
+        assert a.tobytes() == b.tobytes()
+    if with_truth:
+        assert back.truth[0].tobytes() == prob.truth[0].tobytes()
+        assert back.truth[1].tobytes() == prob.truth[1].tobytes()
+    else:
+        assert back.truth is None
+    assert problem_to_json(back) == text
+
+
+# written by the 17-significant-digit serializer that preceded json.dumps
+LEGACY_DOC = """{
+  "d": 2,
+  "mode": "circular",
+  "offsets": [0, 1],
+  "epsilon": 1e-08,
+  "alpha_T": 0.001,
+  "beta_T": 0.001,
+  "p": [0.5, 0.5],
+  "K": 1,
+  "y": [[0.38338009576913712, 0.5462720300336259], [0.17624805415314765, 0.020191417888039298]],
+  "x": [[-0.01997558703117705, -0.75350546534583218], [-0.16116344018450687, 0.058756450003255696]],
+  "w": [[0.072896311015961307, -0.89778663890613852], [-0.35794033375121365, -0.052244547285762645]]
+}
+"""
+
+
+def test_json_legacy_17_digit_document_loads():
+    back = problem_from_json(LEGACY_DOC)
+    prob = synthesize_problem(2, seed=1)
+    assert back.y.tobytes() == prob.y.tobytes()
+    assert back.p.tobytes() == prob.p.tobytes()
+    assert back.truth[0].tobytes() == prob.truth[0].tobytes()
+    assert back.truth[1].tobytes() == prob.truth[1].tobytes()
+    assert problem_to_json(back) == problem_to_json(prob)
+    # the shortest form keeps the key order of the old one
+    assert list(json.loads(problem_to_json(back))) == list(json.loads(LEGACY_DOC))

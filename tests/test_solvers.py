@@ -3,9 +3,10 @@ import pytest
 
 from blindptycho import (ALGORITHMS, DivergenceError, Rng, ShiftSet,
                          SolverConfig, gd_step_sizes, gradient,
-                         gradient_region, partial_lipschitz, run,
+                         gradient_region, partial_lipschitz, read_trace, run,
                          sample_indices, sgd_max_step, step_curvature_bound,
-                         stochastic_gradient, synthesize_problem, trace_to_csv)
+                         stochastic_gradient, synthesize_problem, trace_to_csv,
+                         write_trace)
 from blindptycho.objective import GradientPair
 from blindptycho.solvers import TRACE_HEADER
 
@@ -19,7 +20,7 @@ def test_gd_step_zero_gradient_uses_curvature_bound():
     prob = synthesize_problem(8, seed=1, alpha=0.2, beta=0.1)
     z, v = np_pair(8, 2)
     zero = GradientPair(np.zeros(8, complex), np.zeros(8, complex))
-    mu, nu = gd_step_sizes(prob, z, v, zero)
+    mu, nu = gd_step_sizes(prob, z, v, *zero.norms())
     assert mu == nu == pytest.approx(1.0 / step_curvature_bound(prob, z, v))
 
 
@@ -35,7 +36,7 @@ def test_gd_step_gradient_branch():
     g = np.zeros(4, complex)
     g[0] = 2.0
     pair = GradientPair(g, 0.5 * g)
-    mu, nu = gd_step_sizes(prob, zeros, zeros, pair)
+    mu, nu = gd_step_sizes(prob, zeros, zeros, *pair.norms())
     scale = (15.0 * 4 / 4.0) ** (-1 / 3)
     assert mu == pytest.approx(scale * 2.0 ** (-2 / 3), rel=1e-12)
     assert nu == mu
@@ -49,7 +50,7 @@ def test_gd_step_arithmetic_example():
                    p=base.p, batch_size=1)
     zeros = np.zeros(4, complex)
     pair = GradientPair(zeros, zeros)
-    mu, _ = gd_step_sizes(prob, zeros, zeros, pair)
+    mu, _ = gd_step_sizes(prob, zeros, zeros, *pair.norms())
     assert mu == pytest.approx(1.0 / 3.0)
     assert mu <= 1.0 / 3.0 + 1e-15
 
@@ -339,6 +340,11 @@ def test_sgd_config_validation():
         SolverConfig(algorithm="sgd", theta=0.5, kappa=0.4).validate()
     with pytest.raises(ValueError, match="mu"):
         SolverConfig(algorithm="sgd", mu=1.5).validate()
+    for name in ("grad_tol", "theta", "kappa", "mu", "nu", "epie_alpha",
+                 "epie_beta"):
+        for value in (np.inf, -np.inf, np.nan):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                SolverConfig(algorithm="sgd", **{name: value}).validate()
 
 
 # ---------------------------------------------------------------------------
@@ -484,3 +490,15 @@ def test_trace_csv_format():
     first = lines[1].split(",")
     assert first[0] == "0"
     assert float(first[1]) == res.trace[0].J
+
+
+def test_trace_file_round_trip(tmp_path):
+    prob = synthesize_problem(8, seed=47)
+    z0, v0 = np_pair(8, 48)
+    res = run(prob, z0, v0, SolverConfig(algorithm="interval", max_iters=5))
+    path = tmp_path / "trace.csv"
+    write_trace(path, res.trace)
+    assert read_trace(path) == res.trace
+    path.write_text(path.read_text().replace("grad_z_norm", "gz", 1))
+    with pytest.raises(ValueError, match="unexpected trace header"):
+        read_trace(path)
