@@ -42,6 +42,19 @@ def _parse_shifts(text: str, d: int, mode: str) -> ShiftSet:
     return ShiftSet(tuple(int(tok) for tok in text.split(",")), mode)
 
 
+# the SolverConfig fields that `run` takes as flags named after them
+_RUN_FIELDS = [f for f in fields(SolverConfig)
+               if f.name not in ("algorithm", "max_iters", "record_iterates")]
+_RUN_HELP = {
+    "seed": "seed of repetition 0 (repetition i uses seed + i) for its "
+            "starting pair and solver stream; a problem synthesized with the "
+            "same seed starts at its ground truth at --init-scale 1",
+    "grad_tol": "stop at the first iterate whose joint gradient norm is at "
+                "most this, with a closing row (0: off)",
+    **dict.fromkeys(("mu", "nu"), "factor in (0, 1] on gd's and bounded sgd's step"),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="blindptycho")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -67,28 +80,12 @@ def _build_parser() -> argparse.ArgumentParser:
     runp.add_argument("--problem", required=True)
     runp.add_argument("--algo", required=True, choices=ALGORITHMS)
     runp.add_argument("--iters", type=int, default=500)
-    runp.add_argument("--seed", type=int, default=0,
-                      help="seed of repetition 0 (repetition i uses seed + i) "
-                           "for its starting pair and solver stream; a problem "
-                           "synthesized with the same seed starts at its "
-                           "ground truth at --init-scale 1")
+    for f in _RUN_FIELDS:
+        runp.add_argument("--" + f.name.replace("_", "-"), type=type(f.default),
+                          default=f.default, choices=SolverConfig.CHOICES.get(f.name),
+                          help=_RUN_HELP.get(f.name))
     runp.add_argument("--reps", type=int, default=1)
     runp.add_argument("--init-scale", type=float, default=1.0)
-    runp.add_argument("--grad-tol", type=float, default=0.0,
-                      help="stop at the first iterate whose joint gradient "
-                           "norm is at most this, with a closing row (0: off)")
-    runp.add_argument("--step-mode", default="rate", choices=("rate", "cap"))
-    runp.add_argument("--theta", type=float, default=0.5)
-    runp.add_argument("--kappa", type=float, default=0.2)
-    runp.add_argument("--mu", type=float, default=1.0)
-    runp.add_argument("--nu", type=float, default=1.0)
-    runp.add_argument("--sgd-step-rule", default="bounded",
-                      choices=("bounded", "epie_scaled"))
-    runp.add_argument("--epie-alpha", type=float, default=1.0)
-    runp.add_argument("--epie-beta", type=float, default=1.0)
-    runp.add_argument("--epie-schedule", default="iid",
-                      choices=("iid", "shuffled"))
-    runp.add_argument("--gamma-grid", type=int, default=2)
     runp.add_argument("--out-dir", default=".")
 
     ver = sub.add_parser("verify", help="run inequality checker suites")
@@ -124,9 +121,7 @@ def _cmd_synth(args) -> int:
 
 def _cmd_run(args) -> int:
     problem = load_problem(args.problem)
-    # the flags named after SolverConfig fields (all but the first two)
-    options = {f.name: getattr(args, f.name) for f in fields(SolverConfig)
-               if hasattr(args, f.name)}
+    options = {f.name: getattr(args, f.name) for f in _RUN_FIELDS}
     solver = SolverConfig(algorithm=args.algo, max_iters=args.iters, **options)
     solver.validate()
     experiment = ExperimentConfig(

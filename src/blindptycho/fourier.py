@@ -95,6 +95,8 @@ class ShiftSet:
 
     def __post_init__(self):
         offsets = tuple(int(o) for o in self.offsets)
+        if offsets != tuple(self.offsets):
+            raise ValueError(f"offsets must be integers: {tuple(self.offsets)!r}")
         object.__setattr__(self, "offsets", offsets)
         if len(offsets) == 0:
             raise ValueError("offsets must contain at least one shift")

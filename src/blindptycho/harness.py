@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -142,6 +142,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
+        if not np.isfinite(self.init_scale):
+            raise ValueError("init_scale must be finite")
 
 
 def run_experiment(config: ExperimentConfig) -> list[tuple[Path, Path, Summary]]:
@@ -150,8 +152,7 @@ def run_experiment(config: ExperimentConfig) -> list[tuple[Path, Path, Summary]]
     results = []
     for template in config.solvers:
         for rep in range(config.repetitions):
-            solver = SolverConfig(**{**template.__dict__,
-                                     "seed": config.base_seed + rep})
+            solver = replace(template, seed=config.base_seed + rep)
             z0, v0 = initial_guess(config.problem.d, solver.seed,
                                    config.init_scale)
             stem = f"{solver.algorithm}_run{rep:03d}"

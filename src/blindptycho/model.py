@@ -224,11 +224,18 @@ def _complex_pairs(value) -> np.ndarray:
     return pairs.view(np.complex128)[:, 0]
 
 
+def _integer(value) -> int:
+    """An integral number as int; 2.0 loads, 2.9 is rejected, not truncated."""
+    if int(value) != value:
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
 _floats = partial(np.array, dtype=np.float64)
 # document field -> conversion; x and w (the truth) are optional
-_FIELDS = {"d": int, "mode": str, "offsets": lambda v: tuple(int(o) for o in v),
+_FIELDS = {"d": _integer, "mode": str, "offsets": lambda v: tuple(map(_integer, v)),
            "epsilon": float, "alpha_T": float, "beta_T": float, "p": _floats,
-           "K": int, "y": _floats, "x": _complex_pairs, "w": _complex_pairs}
+           "K": _integer, "y": _floats, "x": _complex_pairs, "w": _complex_pairs}
 
 
 def problem_from_json(text: str) -> Problem:
@@ -244,7 +251,7 @@ def problem_from_json(text: str) -> Problem:
             raise ValueError(f"problem document is missing field {key!r}")
         try:
             values[key] = _FIELDS[key](data[key])
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"problem field {key!r}: {exc}") from None
     shifts = ShiftSet(values["offsets"], values["mode"])
     return Problem(d=values["d"], measurements=MeasurementSet(values["y"], shifts),

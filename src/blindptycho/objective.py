@@ -194,8 +194,8 @@ def partial_lipschitz(problem: Problem, z, v) -> tuple[float, float]:
     """
     z, v = _as_iterate(problem, z, v)
     d = problem.d
-    win_energy = np.sum(np.abs(shift_stack(v, problem.shifts)) ** 2, axis=0)
-    obj_energy = np.sum(np.abs(neg_shift_stack(z, problem.shifts)) ** 2, axis=0)
+    win_energy = np.sum(shift_stack(np.abs(v) ** 2, problem.shifts), axis=0)
+    obj_energy = np.sum(neg_shift_stack(np.abs(z) ** 2, problem.shifts), axis=0)
     object_step = d * float(np.max(win_energy)) + problem.alpha
     window_step = d * float(np.max(obj_energy)) + problem.beta
     return object_step, window_step

@@ -16,16 +16,18 @@ solvers own a fresh ``Rng(config.seed)``, so runs are bit-reproducible from
 
 Step-size policies:
 
-* gd:        mu_t = nu_t = min( 1/B,  (15d/4)^(-1/3) ||g_z||^(-2/3),
-                                 (15d/4)^(-1/3) ||g_v||^(-2/3) ),
-  where B is the joint curvature bound; "cap" mode scales the minimum by
-  user factors <= 1.  A vanished branch (zero gradient or zero bound) is
-  treated as +infinity, i.e. dropped from the minimum.
+* gd:        mu_t = mu * m_t and nu_t = nu * m_t with
+  m_t = min( 1/B,  (15d/4)^(-1/3) ||g_z||^(-2/3),  (15d/4)^(-1/3) ||g_v||^(-2/3) ),
+  where B is the joint curvature bound and mu, nu in (0, 1] (default 1).
+  A vanished branch (zero gradient or zero bound) is treated as +infinity,
+  i.e. dropped from the minimum.
 * sgd:       mu_t = mu * m_t and nu_t = nu * m_t with
   m_t = min( (1+t)^(kappa-1) B^(-1/(1-theta)), b_z^(-2/(3-theta)),
-             b_v^(-2/(3-theta)), (1 - 1/K)^(-1/theta) );
+             b_v^(-2/(3-theta)), (1 - 1/K)^(-1/theta) ), K the batch size;
   the last branch enforces m_t^theta (1 - 1/K) <= 1 and is dropped when
   K = 1 (it is infinite) or theta = 0 (the condition it guards is vacuous).
+  These steps certify convergence but barely move J; the practical
+  stochastic path is ``sgd_step_rule="epie_scaled"`` (the engine's steps).
 * epie:      magnitude projection of one region's exit wave followed by the
   decoupling updates with factors alpha_t / ||v||_inf^2, beta_t / ||z||_inf^2.
   With uniform sampling, K = 1, eps = 0 and no Tikhonov terms, it coincides
@@ -39,6 +41,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
@@ -68,30 +71,36 @@ class DivergenceError(RuntimeError):
 
 @dataclass
 class SolverConfig:
+    """Solver settings; ``validate`` checks each range whatever the algorithm."""
+
     algorithm: str = "gd"
     max_iters: int = 100
     seed: int = 0
     grad_tol: float = 0.0
-    # gd
-    step_mode: str = "rate"            # "rate": exact minimum; "cap": scaled
     # sgd
     theta: float = 0.5
     kappa: float = 0.2
+    # gd and bounded sgd: factors on the certified step
     mu: float = 1.0
     nu: float = 1.0
-    sgd_step_rule: str = "bounded"     # "bounded" or "epie_scaled"
-    # epie
+    sgd_step_rule: str = "bounded"
+    # epie, and sgd with epie_scaled steps
     epie_alpha: float = 1.0
     epie_beta: float = 1.0
-    epie_schedule: str = "iid"         # "iid" or "shuffled"
+    epie_schedule: str = "iid"
     # interval
     gamma_grid: int = 2
     # diagnostics
     record_iterates: bool = False
 
+    CHOICES: ClassVar[dict[str, tuple[str, ...]]] = {
+        "algorithm": ALGORITHMS, "sgd_step_rule": ("bounded", "epie_scaled"),
+        "epie_schedule": ("iid", "shuffled")}
+
     def validate(self) -> None:
-        if self.algorithm not in ALGORITHMS:
-            raise ValueError(f"unknown algorithm: {self.algorithm!r}")
+        for name, allowed in self.CHOICES.items():
+            if getattr(self, name) not in allowed:
+                raise ValueError(f"unknown {name}: {getattr(self, name)!r}")
         if self.max_iters < 0:
             raise ValueError("max_iters must be >= 0")
         for name in ("grad_tol", "theta", "kappa", "mu", "nu", "epie_alpha",
@@ -100,25 +109,14 @@ class SolverConfig:
                 raise ValueError(f"{name} must be finite")
         if self.grad_tol < 0:
             raise ValueError("grad_tol must be >= 0")
-        if not 0.0 <= self.theta < 1.0:
-            raise ValueError("theta must lie in [0, 1)")
+        if not 0.0 < self.theta < 1.0:
+            raise ValueError("theta must lie in (0, 1)")
+        if not 0.0 <= self.kappa < self.theta / (1.0 + self.theta):
+            raise ValueError("kappa must lie in [0, theta / (1 + theta))")
         if not (0.0 < self.mu <= 1.0 and 0.0 < self.nu <= 1.0):
             raise ValueError("mu and nu must lie in (0, 1]")
-        if self.step_mode not in ("rate", "cap"):
-            raise ValueError(f"unknown step_mode: {self.step_mode!r}")
-        if self.sgd_step_rule not in ("bounded", "epie_scaled"):
-            raise ValueError(f"unknown sgd_step_rule: {self.sgd_step_rule!r}")
-        if self.epie_schedule not in ("iid", "shuffled"):
-            raise ValueError(f"unknown epie_schedule: {self.epie_schedule!r}")
-        if self.algorithm == "sgd" and self.sgd_step_rule == "bounded":
-            if self.theta <= 0.0:
-                raise ValueError("sgd with bounded steps requires theta > 0")
-            if self.kappa < 0.0:
-                raise ValueError("sgd with bounded steps requires kappa >= 0")
-            if self.kappa >= self.theta / (1.0 + self.theta):
-                raise ValueError("kappa must be below theta / (1 + theta)")
-        if self.algorithm == "epie" and (self.epie_alpha <= 0 or self.epie_beta <= 0):
-            raise ValueError("epie step factors must be positive")
+        if self.epie_alpha <= 0 or self.epie_beta <= 0:
+            raise ValueError("epie_alpha and epie_beta must be positive")
         if self.gamma_grid < 2:
             raise ValueError("gamma_grid must be >= 2")
 
@@ -174,6 +172,8 @@ def run(problem: Problem, z0, v0, config: SolverConfig) -> SolverRun:
     v = np.array(v0, dtype=np.complex128)
     if z.shape != (problem.d,) or v.shape != (problem.d,):
         raise ValueError("starting pair must be 1-d arrays of length d")
+    if not (np.all(np.isfinite(z)) and np.all(np.isfinite(v))):
+        raise ValueError("starting pair must be finite")
     step, interval_steps = _FACTORIES[config.algorithm](problem, config)
     trace: list[TraceRecord] = []
     iterates = [(z.copy(), v.copy())] if config.record_iterates else None
@@ -206,10 +206,9 @@ def run(problem: Problem, z0, v0, config: SolverConfig) -> SolverRun:
 # gradient descent
 
 def gd_step_sizes(problem: Problem, z, v, gz: float, gv: float,
-                  step_mode: str = "rate", mu: float = 1.0,
-                  nu: float = 1.0) -> tuple[float, float]:
-    """Joint-descent step sizes from the gradient norms (gz, gv) at (z, v);
-    infinite branches drop out of the minimum."""
+                  mu: float = 1.0, nu: float = 1.0) -> tuple[float, float]:
+    """Joint-descent step sizes (mu m, nu m) from the gradient norms
+    (gz, gv) at (z, v); infinite branches drop out of the minimum m."""
     bound = step_curvature_bound(problem, z, v)
     scale = (15.0 * problem.d / 4.0) ** (-1.0 / 3.0)
     candidates = []
@@ -220,15 +219,12 @@ def gd_step_sizes(problem: Problem, z, v, gz: float, gv: float,
     if gv > 0:
         candidates.append(scale * gv ** (-2.0 / 3.0))
     m = min(candidates) if candidates else 0.0
-    if step_mode == "cap":
-        return mu * m, nu * m
-    return m, m
+    return mu * m, nu * m
 
 
 def _gd(problem: Problem, config: SolverConfig):
     def step(z, v, t, ev, gz, gv):
-        mu_t, nu_t = gd_step_sizes(problem, z, v, gz, gv, config.step_mode,
-                                   config.mu, config.nu)
+        mu_t, nu_t = gd_step_sizes(problem, z, v, gz, gv, config.mu, config.nu)
         return z - mu_t * ev.grad.z, v - nu_t * ev.grad.v, mu_t, nu_t
     return step, None
 
@@ -276,9 +272,10 @@ def stochastic_gradient(problem: Problem, z, v, indices) -> GradientPair:
     return _evaluate(problem, z, v, rows, _importance_weights(problem, rows)).grad
 
 
-def sgd_max_step(problem: Problem, z, v, t: int, theta: float, kappa: float,
-                 k: int) -> float:
-    """Largest admissible SGD step at iteration t (see module docstring)."""
+def sgd_max_step(problem: Problem, z, v, t: int, theta: float,
+                 kappa: float) -> float:
+    """Largest admissible SGD step at iteration t for the problem's batch
+    size K (see module docstring)."""
     bound = step_curvature_bound(problem, z, v)
     b_z, b_v = stochastic_gradient_bounds(problem, z, v)
     candidates = []
@@ -288,17 +285,21 @@ def sgd_max_step(problem: Problem, z, v, t: int, theta: float, kappa: float,
         candidates.append(b_z ** (-2.0 / (3.0 - theta)))
     if b_v > 0:
         candidates.append(b_v ** (-2.0 / (3.0 - theta)))
-    if k > 1 and theta > 0:
-        candidates.append((1.0 - 1.0 / k) ** (-1.0 / theta))
+    if problem.batch_size > 1 and theta > 0:
+        candidates.append((1.0 - 1.0 / problem.batch_size) ** (-1.0 / theta))
     return min(candidates) if candidates else 0.0
 
 
-def _sup_sq(z, v, t) -> tuple[float, float]:
-    """(||v||_inf^2, ||z||_inf^2), the engine's step denominators."""
+def _epie_steps(problem: Problem, config: SolverConfig, z, v, t, row):
+    """The engine's step denominators (||v||_inf^2, ||z||_inf^2) for region
+    ``row`` and its sgd steps alpha p_r / (d ||v||_inf^2), beta p_r / (d ||z||_inf^2)."""
     linf_v, linf_z = float(np.max(np.abs(v))), float(np.max(np.abs(z)))
     if linf_v == 0.0 or linf_z == 0.0:
         raise DivergenceError(f"epie step undefined at iteration {t}: zero iterate")
-    return linf_v ** 2, linf_z ** 2
+    sq_v, sq_z = linf_v ** 2, linf_z ** 2
+    share = float(problem.p[row])
+    return (sq_v, sq_z, config.epie_alpha * share / (problem.d * sq_v),
+            config.epie_beta * share / (problem.d * sq_z))
 
 
 def _sgd(problem: Problem, config: SolverConfig):
@@ -313,15 +314,11 @@ def _sgd(problem: Problem, config: SolverConfig):
         g = _gradient(problem, z, v, ev.windows[rows], ev.back[rows], rows,
                       _importance_weights(problem, rows))
         if config.sgd_step_rule == "bounded":
-            m = sgd_max_step(problem, z, v, t, config.theta, config.kappa,
-                             problem.batch_size)
+            m = sgd_max_step(problem, z, v, t, config.theta, config.kappa)
             mu_t = config.mu * m
             nu_t = config.nu * m
         else:
-            sq_v, sq_z = _sup_sq(z, v, t)
-            share = float(problem.p[rows[0]])
-            mu_t = config.epie_alpha * share / (problem.d * sq_v)
-            nu_t = config.epie_beta * share / (problem.d * sq_z)
+            _, _, mu_t, nu_t = _epie_steps(problem, config, z, v, t, rows[0])
         return z - mu_t * g.z, v - nu_t * g.v, mu_t, nu_t
     return step, None
 
@@ -343,7 +340,7 @@ def _epie(problem: Problem, config: SolverConfig):
                 schedule.extend(range(problem.n_regions))
                 rng.shuffle(schedule)
             row = schedule.pop()
-        sq_v, sq_z = _sup_sq(z, v, t)
+        sq_v, sq_z, mu_t, nu_t = _epie_steps(problem, config, z, v, t, row)
         # the monitor's row equals shift and dft of this region bit for bit
         sv = ev.windows[row]
         exit_wave = z * sv
@@ -355,9 +352,6 @@ def _epie(problem: Problem, config: SolverConfig):
                           out=np.zeros_like(mag), where=mag > 1e-300)
         corrected = scale * spectrum
         delta = idft(corrected) - exit_wave
-        share = float(problem.p[row])
-        mu_t = config.epie_alpha * share / (problem.d * sq_v)
-        nu_t = config.epie_beta * share / (problem.d * sq_z)
         r = problem.offsets[row]
         z_new = z + config.epie_alpha * np.conj(sv) * delta / sq_v
         v_new = v + config.epie_beta * shift(np.conj(z) * delta, -r, mode) / sq_z

@@ -141,9 +141,13 @@ def _problem_with(tmp_path, **fields):
 
 @pytest.mark.parametrize("case", ["x-not-pairs", "offsets-not-a-list",
                                   "report-on-a-problem", "grad-tol-inf",
-                                  "grad-tol-nan", "kappa-nan"])
+                                  "grad-tol-nan", "kappa-nan",
+                                  "K-not-integral", "offsets-not-integral",
+                                  "init-scale-nan", "epie-alpha-negative-sgd"])
 def test_bad_input_exit_2_one_line(tmp_path, capsys, case):
-    bad = {"x-not-pairs": {"x": [1, 2]}, "offsets-not-a-list": {"offsets": 5}}
+    bad = {"x-not-pairs": {"x": [1, 2]}, "offsets-not-a-list": {"offsets": 5},
+           "K-not-integral": {"K": 2.9},
+           "offsets-not-integral": {"offsets": [o + 0.6 for o in range(8)]}}
     problem = str(_problem_with(tmp_path, **bad.get(case, {})))
     out_dir, table = tmp_path / "out", tmp_path / "table.csv"
     run = ["run", "--problem", problem, "--algo", "sgd", "--iters", "2",
@@ -155,6 +159,11 @@ def test_bad_input_exit_2_one_line(tmp_path, capsys, case):
         "grad-tol-inf": (run + ["--grad-tol", "inf"], "grad_tol"),
         "grad-tol-nan": (run + ["--grad-tol", "nan"], "grad_tol"),
         "kappa-nan": (run + ["--kappa", "nan"], "kappa"),
+        "K-not-integral": (run, "'K'"),
+        "offsets-not-integral": (run, "'offsets'"),
+        "init-scale-nan": (run + ["--init-scale", "nan"], "init_scale"),
+        "epie-alpha-negative-sgd": (run + ["--sgd-step-rule", "epie_scaled",
+                                           "--epie-alpha", "-1"], "epie_alpha"),
     }[case]
     capsys.readouterr()
     assert main(argv) == 2
@@ -162,6 +171,20 @@ def test_bad_input_exit_2_one_line(tmp_path, capsys, case):
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert named in err
     assert not out_dir.exists() and not table.exists()
+
+
+def test_run_mu_nu_scale_gd_steps(tmp_path):
+    problem_path = tmp_path / "p.json"
+    main(["synth", "--d", "8", "--seed", "12", "--out", str(problem_path)])
+    run = ["run", "--problem", str(problem_path), "--algo", "gd", "--iters",
+           "3", "--seed", "13"]
+    assert main(run + ["--out-dir", str(tmp_path / "a")]) == 0
+    assert main(run + ["--mu", "0.5", "--nu", "0.25",
+                       "--out-dir", str(tmp_path / "b")]) == 0
+    rows = [(tmp_path / name / "gd_run000_trace.csv").read_text().split("\n")[1]
+            for name in ("a", "b")]
+    (mu, nu), (mu_b, nu_b) = [map(float, row.split(",")[5:7]) for row in rows]
+    assert (mu_b, nu_b) == (0.5 * mu, 0.25 * nu)
 
 
 def test_run_missing_problem_file(tmp_path):

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blindptycho import (ShiftSet, dft, dft_direct, idft, q_apply, shift,
                          shift_stack)
-from blindptycho.fourier import dft_adjoint, neg_shift_stack, unshift_sum
+from blindptycho.fourier import MODES, dft_adjoint, neg_shift_stack, unshift_sum
 
 from conftest import np_pair
 
@@ -92,6 +94,9 @@ def test_shift_set_validation():
     with pytest.raises(ValueError):
         ShiftSet((0, 8)).validate_for_dim(8)  # 8 == 0 (mod 8)
     ShiftSet((0, 8), mode="zero-padded").validate_for_dim(8)
+    with pytest.raises(ValueError, match="offsets must be integers"):
+        ShiftSet((0.6, 1.6, 2.2))                     # not truncated to (0, 1, 2)
+    assert ShiftSet((0.0, np.int64(2))).offsets == (0, 2)
 
 
 @pytest.mark.parametrize("mode", ["circular", "zero-padded"])
@@ -130,6 +135,26 @@ def test_unshift_sum_is_rowwise_adjoint(mode):
     expected = sum(shift(rows[i], -r, mode)
                    for i, r in enumerate(shifts.offsets))
     assert np.allclose(unshift_sum(rows, shifts), expected, rtol=1e-15, atol=0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), d=st.integers(1, 32), mode=st.sampled_from(MODES),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_shift_stack_unshift_sum_adjoint_property(data, d, mode, seed):
+    # <shift_stack(u), W> = <u, unshift_sum(W)> for any distinct offsets
+    # (beyond +-d too) and any row selection, repeats allowed
+    offsets = data.draw(st.lists(st.integers(-2 * d, 2 * d), min_size=1,
+                                 max_size=12, unique=True))
+    select = data.draw(st.none() | st.lists(st.integers(0, len(offsets) - 1),
+                                            min_size=1, max_size=12))
+    shifts = ShiftSet(tuple(offsets), mode)
+    n = len(offsets) if select is None else len(select)
+    rng = np.random.default_rng(seed)
+    u = rng.normal(size=d) + 1j * rng.normal(size=d)
+    w = rng.normal(size=(n, d)) + 1j * rng.normal(size=(n, d))
+    lhs = np.vdot(shift_stack(u, shifts, select), w)
+    rhs = np.vdot(u, unshift_sum(w, shifts, select))
+    assert abs(lhs - rhs) <= 1e-12 * np.linalg.norm(u) * np.linalg.norm(w)
 
 
 def test_q_apply_hand_values():

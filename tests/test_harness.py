@@ -89,7 +89,7 @@ def test_summarize_and_json(tmp_path):
     assert list(data) == ["final_J", "min_grad_sq", "decay_slope",
                           "recon_error", "wall_ns", "config"]
     assert list(data["config"]) == [
-        "algorithm", "max_iters", "seed", "grad_tol", "step_mode", "theta",
+        "algorithm", "max_iters", "seed", "grad_tol", "theta",
         "kappa", "mu", "nu", "sgd_step_rule", "epie_alpha", "epie_beta",
         "epie_schedule", "gamma_grid", "d", "mode", "epsilon", "alpha_T",
         "beta_T", "K"]

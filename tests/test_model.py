@@ -159,6 +159,18 @@ def test_json_missing_field():
         problem_from_json('{"d": 2, "mode": "circular"}')
 
 
+def test_json_integer_fields_not_truncated():
+    doc = json.loads(problem_to_json(synthesize_problem(4, seed=2)))
+    for key, value in (("d", 4.7), ("K", 2.9), ("offsets", [0, 1.6, 2, 3]),
+                       ("K", float("inf"))):
+        with pytest.raises(ValueError, match=f"'{key}'"):
+            problem_from_json(json.dumps({**doc, key: value}))
+    # integral floats still load
+    back = problem_from_json(json.dumps({**doc, "d": 4.0, "K": 2.0,
+                                         "offsets": [0.0, 1.0, 2.0, 3.0]}))
+    assert (back.d, back.batch_size, back.offsets) == (4, 2, (0, 1, 2, 3))
+
+
 SPECIALS = (-0.0, 5e-324, 1.7976931348623157e308)
 
 

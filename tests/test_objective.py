@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blindptycho import (ShiftSet, gradient, gradient_region, loss,
                          loss_and_gradient, loss_region, partial_lipschitz,
                          q_apply, shift, step_curvature_bound,
                          stochastic_gradient_bounds, synthesize_problem)
+from blindptycho.fourier import MODES
 from blindptycho.verify import fd_wirtinger_gradient
 
 from conftest import np_pair
@@ -133,6 +136,30 @@ def test_gradient_region_sums_to_gradient(small_problem):
     norm = 1 + max(np.max(np.abs(full.z)), np.max(np.abs(full.v)))
     assert np.max(np.abs(acc_z - full.z)) / norm < 1e-12
     assert np.max(np.abs(acc_v - full.v)) / norm < 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), d=st.integers(1, 32), mode=st.sampled_from(MODES),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_gradient_region_sum_property(data, d, mode, seed):
+    # any offset set and sampling distribution: the region gradients, each
+    # with its p_r share of the Tikhonov terms, sum to the full gradient
+    pool = range(d) if mode == "circular" else range(1 - d, d)
+    offsets = sorted(data.draw(st.sets(st.sampled_from(pool), min_size=1,
+                                       max_size=2 * d)))
+    rng = np.random.default_rng(seed)
+    p = rng.uniform(0.5, 2.0, len(offsets))
+    prob = synthesize_problem(d, shifts=ShiftSet(tuple(offsets), mode),
+                              seed=seed, epsilon=1e-3, alpha=0.1, beta=0.2,
+                              p=p / p.sum())
+    z, v = np_pair(d, seed)
+    parts = [gradient_region(prob, z, v, r) for r in offsets]
+    full = gradient(prob, z, v)
+    for name in ("z", "v"):
+        terms = np.array([getattr(g, name) for g in parts])
+        scale = np.max(np.abs(terms).sum(axis=0))
+        assert np.max(np.abs(terms.sum(axis=0) - getattr(full, name))) \
+            <= 1e-12 * scale
 
 
 def test_single_region_problem_gradient_region_equals_gradient():

@@ -97,7 +97,7 @@ def test_gd_cap_mode_scales_steps_and_still_descends():
     z0, v0 = np_pair(8, 90)
     rate = run(prob, z0, v0, SolverConfig(algorithm="gd", max_iters=50))
     cap = run(prob, z0, v0, SolverConfig(algorithm="gd", max_iters=50,
-                                         step_mode="cap", mu=0.5, nu=0.25))
+                                         mu=0.5, nu=0.25))
     assert cap.trace[0].mu_t == pytest.approx(0.5 * rate.trace[0].mu_t)
     assert cap.trace[0].nu_t == pytest.approx(0.25 * rate.trace[0].nu_t)
     for a, b in zip(cap.trace, cap.trace[1:]):
@@ -122,11 +122,17 @@ def test_grad_tol_stop(algo):
 
 def test_gd_divergence_diagnostic():
     prob = synthesize_problem(4, seed=9)
-    bad = np.full(4, np.nan, dtype=complex)
-    with pytest.raises(DivergenceError, match="iteration 0") as excinfo:
-        run(prob, bad, bad, SolverConfig(algorithm="gd", max_iters=3))
+    huge = np.full(4, 1e200, dtype=complex)   # finite, but J overflows
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(DivergenceError, match="iteration 0") as excinfo:
+        run(prob, huge, huge, SolverConfig(algorithm="gd", max_iters=3))
     partial = excinfo.value.run           # the partial run travels with it
-    assert partial.trace == [] and np.all(np.isnan(partial.z))
+    assert partial.trace == [] and np.array_equal(partial.z, huge)
+    # a non-finite start is a usage error, not a divergence
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="starting pair must be finite"):
+            run(prob, np.full(4, bad, dtype=complex), huge,
+                SolverConfig(algorithm="gd", max_iters=3))
 
 
 # ---------------------------------------------------------------------------
@@ -205,14 +211,17 @@ def test_sgd_max_step_cases():
     b_z, b_v = stochastic_gradient_bounds(prob, z, v)
     theta = 0.5
     # K = 1 drops the (1 - 1/K) branch
-    m = sgd_max_step(prob, z, v, t=0, theta=theta, kappa=0.2, k=1)
+    m = sgd_max_step(prob, z, v, t=0, theta=theta, kappa=0.2)
     expected = min(bound ** (-2.0), b_z ** (-0.8), b_v ** (-0.8))
     assert m == pytest.approx(expected, rel=1e-12)
-    # K = 2, theta = 1/2: the last branch equals 4
-    m2 = sgd_max_step(prob, z, v, t=0, theta=theta, kappa=0.2, k=2)
-    assert m2 == pytest.approx(min(expected, 4.0), rel=1e-12)
+    # K = 2, theta = 1/2: the last branch equals 4; the envelopes are K's own
+    prob2 = synthesize_problem(8, seed=17, batch_size=2)
+    b2_z, b2_v = stochastic_gradient_bounds(prob2, z, v)
+    m2 = sgd_max_step(prob2, z, v, t=0, theta=theta, kappa=0.2)
+    assert m2 == pytest.approx(min(bound ** (-2.0), b2_z ** (-0.8),
+                                   b2_v ** (-0.8), 4.0), rel=1e-12)
     # t scales only the curvature branch
-    m_t = sgd_max_step(prob, z, v, t=9, theta=theta, kappa=0.2, k=1)
+    m_t = sgd_max_step(prob, z, v, t=9, theta=theta, kappa=0.2)
     expected_t = min(10 ** (-0.8) * bound ** (-2.0), b_z ** (-0.8), b_v ** (-0.8))
     assert m_t == pytest.approx(expected_t, rel=1e-12)
 
@@ -222,15 +231,15 @@ def test_sgd_max_step_zero_branches_drop_out():
     # envelopes; only the curvature branch survives
     prob = synthesize_problem(8, seed=44, alpha=0.0, beta=0.0)
     zeros = np.zeros(8, complex)
-    m = sgd_max_step(prob, zeros, zeros, t=0, theta=0.5, kappa=0.2, k=1)
+    m = sgd_max_step(prob, zeros, zeros, t=0, theta=0.5, kappa=0.2)
     assert m == pytest.approx(step_curvature_bound(prob, zeros, zeros) ** -2.0,
                               rel=1e-12)
 
 
 def test_sgd_max_step_theta_zero_drops_last_branch():
-    prob = synthesize_problem(8, seed=19)
+    prob = synthesize_problem(8, seed=19, batch_size=4)
     z, v = np_pair(8, 20)
-    m = sgd_max_step(prob, z, v, t=0, theta=0.0, kappa=-0.5, k=4)
+    m = sgd_max_step(prob, z, v, t=0, theta=0.0, kappa=-0.5)
     bound = step_curvature_bound(prob, z, v)
     from blindptycho import stochastic_gradient_bounds
     b_z, b_v = stochastic_gradient_bounds(prob, z, v)
@@ -340,11 +349,24 @@ def test_sgd_config_validation():
         SolverConfig(algorithm="sgd", theta=0.5, kappa=0.4).validate()
     with pytest.raises(ValueError, match="mu"):
         SolverConfig(algorithm="sgd", mu=1.5).validate()
+    # every range holds whatever the algorithm, epie_scaled sgd included
+    for algo, bad in [("gd", {"theta": 0.0}), ("epie", {"kappa": -0.1}),
+                      ("sgd", {"epie_alpha": -1.0}), ("interval", {"epie_beta": 0.0})]:
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            SolverConfig(algorithm=algo, sgd_step_rule="epie_scaled", **bad).validate()
     for name in ("grad_tol", "theta", "kappa", "mu", "nu", "epie_alpha",
                  "epie_beta"):
         for value in (np.inf, -np.inf, np.nan):
             with pytest.raises(ValueError, match=f"{name} must be finite"):
                 SolverConfig(algorithm="sgd", **{name: value}).validate()
+
+
+@pytest.mark.parametrize("name", sorted(SolverConfig.CHOICES))
+def test_config_choices_reject_unknown(name):
+    for value in SolverConfig.CHOICES[name]:
+        SolverConfig(**{name: value}).validate()
+    with pytest.raises(ValueError, match=f"unknown {name}: 'bogus'"):
+        SolverConfig(**{name: "bogus"}).validate()
 
 
 # ---------------------------------------------------------------------------
