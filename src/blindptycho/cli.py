@@ -123,7 +123,6 @@ def _cmd_run(args) -> int:
     problem = load_problem(args.problem)
     options = {f.name: getattr(args, f.name) for f in _RUN_FIELDS}
     solver = SolverConfig(algorithm=args.algo, max_iters=args.iters, **options)
-    solver.validate()
     experiment = ExperimentConfig(
         problem=problem, solvers=[solver], repetitions=args.reps,
         base_seed=args.seed, init_scale=args.init_scale, out_dir=args.out_dir)

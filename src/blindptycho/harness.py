@@ -128,8 +128,9 @@ class ExperimentConfig:
     Repetition i of each solver runs with seed ``base_seed + i`` (used both
     for the starting pair and the solver's own stream) and writes
     ``<algo>_run<i>_trace.csv`` plus ``<algo>_run<i>_summary.json`` into
-    ``out_dir``.  A run that diverges writes the trace rows it reached and
-    re-raises its ``DivergenceError``.
+    ``out_dir``, created at the first write (a rejected run leaves none).
+    A run that diverges writes the trace rows it reached and re-raises its
+    ``DivergenceError``.
     """
 
     problem: Problem
@@ -148,7 +149,6 @@ class ExperimentConfig:
 
 def run_experiment(config: ExperimentConfig) -> list[tuple[Path, Path, Summary]]:
     out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     results = []
     for template in config.solvers:
         for rep in range(config.repetitions):
@@ -162,11 +162,13 @@ def run_experiment(config: ExperimentConfig) -> list[tuple[Path, Path, Summary]]
             try:
                 result = run(config.problem, z0, v0, solver)
             except DivergenceError as exc:
+                out_dir.mkdir(parents=True, exist_ok=True)
                 write_trace(trace_path, exc.run.trace)
                 raise
             elapsed = time.monotonic_ns() - started
             summary = summarize(config.problem, result)
             summary.wall_ns = elapsed
+            out_dir.mkdir(parents=True, exist_ok=True)
             write_trace(trace_path, result.trace)
             summary_path.write_text(summary_to_json(summary, solver, config.problem))
             results.append((trace_path, summary_path, summary))

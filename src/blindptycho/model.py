@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property, partial
+from numbers import Integral
 from pathlib import Path
 
 import numpy as np
@@ -105,6 +106,11 @@ class Problem:
     truth: tuple[np.ndarray, np.ndarray] | None = None
 
     def __post_init__(self):
+        for name in ("d", "batch_size"):
+            value = getattr(self, name)
+            if not _integral(value):
+                raise ValueError(f"{name} must be an integer: {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.d < 1:
             raise ValueError("d must be >= 1")
         if self.measurements.values.shape[1] != self.d:
@@ -224,15 +230,20 @@ def _complex_pairs(value) -> np.ndarray:
     return pairs.view(np.complex128)[:, 0]
 
 
+def _integral(value) -> bool:
+    """An int, or a float with no fraction (2.0 yes; 2.9, nan and inf no)."""
+    return isinstance(value, Integral) or isinstance(value, float) and value.is_integer()
+
+
 def _integer(value) -> int:
     """An integral number as int; 2.0 loads, 2.9 is rejected, not truncated."""
-    if int(value) != value:
+    if not _integral(value):
         raise ValueError(f"{value!r} is not an integer")
     return int(value)
 
 
 _floats = partial(np.array, dtype=np.float64)
-# document field -> conversion; x and w (the truth) are optional
+# document field -> conversion; x and w (the truth) are optional as a pair
 _FIELDS = {"d": _integer, "mode": str, "offsets": lambda v: tuple(map(_integer, v)),
            "epsilon": float, "alpha_T": float, "beta_T": float, "p": _floats,
            "K": _integer, "y": _floats, "x": _complex_pairs, "w": _complex_pairs}
@@ -244,7 +255,7 @@ def problem_from_json(text: str) -> Problem:
     data = json.loads(text)
     if not isinstance(data, dict):
         raise ValueError("problem document must be a JSON object")
-    keys = list(_FIELDS) if "x" in data and "w" in data else list(_FIELDS)[:-2]
+    keys = list(_FIELDS) if "x" in data or "w" in data else list(_FIELDS)[:-2]
     values = {}
     for key in keys:
         if key not in data:

@@ -1,10 +1,11 @@
 """Iteration schemes: joint gradient descent, stochastic gradient descent,
 the ptychographic iterative engine, and interval descent.
 
-``run`` is the one solver loop.  At each t it evaluates the iterate in full
-(the trace monitor; a non-finite loss or gradient raises DivergenceError).
-At t = max_iters, or once grad_tol > 0 and ||grad J|| <= grad_tol, it writes
-a closing row with zero step sizes and stops; otherwise it writes the row of
+``run`` is the one solver loop; its SolverConfig was checked when built.  At
+each t it evaluates the iterate in full (the trace monitor; a non-finite
+loss or gradient norm raises DivergenceError).  At t = max_iters, or once
+grad_tol > 0 and ||grad J|| <= grad_tol, it writes a closing row with zero
+step sizes and stops; otherwise it writes the row of
 ``step(z, v, t, ev, gz, gv) -> (z_new, v_new, mu_t, nu_t)`` and moves on.
 The factories ``_gd/_sgd/_epie/_interval(problem, config)`` check the
 problem, build the algorithm's state and return (step, interval_steps or
@@ -69,9 +70,9 @@ class DivergenceError(RuntimeError):
         self.run = run
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverConfig:
-    """Solver settings; ``validate`` checks each range whatever the algorithm."""
+    """Solver settings, each range checked when built whatever the algorithm."""
 
     algorithm: str = "gd"
     max_iters: int = 100
@@ -97,7 +98,7 @@ class SolverConfig:
         "algorithm": ALGORITHMS, "sgd_step_rule": ("bounded", "epie_scaled"),
         "epie_schedule": ("iid", "shuffled")}
 
-    def validate(self) -> None:
+    def __post_init__(self):
         for name, allowed in self.CHOICES.items():
             if getattr(self, name) not in allowed:
                 raise ValueError(f"unknown {name}: {getattr(self, name)!r}")
@@ -167,7 +168,6 @@ class SolverRun:
 
 def run(problem: Problem, z0, v0, config: SolverConfig) -> SolverRun:
     """The solver loop shared by every algorithm (see module docstring)."""
-    config.validate()
     z = np.array(z0, dtype=np.complex128)
     v = np.array(v0, dtype=np.complex128)
     if z.shape != (problem.d,) or v.shape != (problem.d,):
@@ -181,10 +181,10 @@ def run(problem: Problem, z0, v0, config: SolverConfig) -> SolverRun:
     for t in range(config.max_iters + 1):
         try:
             ev = _evaluate(problem, z, v)
-            if not np.isfinite(ev.J) or not np.all(np.isfinite(ev.grad.z)) \
-                    or not np.all(np.isfinite(ev.grad.v)):
-                raise DivergenceError(f"non-finite loss or gradient at iteration {t}")
             gz, gv = ev.grad.norms()
+            # a non-finite gradient entry makes its norm non-finite
+            if not (np.isfinite(ev.J) and np.isfinite(gz) and np.isfinite(gv)):
+                raise DivergenceError(f"non-finite loss or gradient at iteration {t}")
             last = t == config.max_iters or \
                 (config.grad_tol > 0 and np.hypot(gz, gv) <= config.grad_tol)
             z_new, v_new, mu_t, nu_t = (z, v, 0.0, 0.0) if last else \
@@ -232,31 +232,16 @@ def _gd(problem: Problem, config: SolverConfig):
 # ---------------------------------------------------------------------------
 # stochastic gradient descent
 
-def _sampling_table(p, offsets):
-    """Check p and build its inverse-CDF table over ascending offsets: the
-    positions that sort the offsets, and the cumulative sums of p in them."""
-    p = np.asarray(p, dtype=np.float64)
-    if p.shape != (len(offsets),):
-        raise ValueError("p must have one entry per offset")
-    if np.any(p < 0) or abs(float(p.sum()) - 1.0) > 1e-12:
-        raise ValueError("p must be a probability vector")
-    order = np.array(sorted(range(len(offsets)), key=offsets.__getitem__),
-                     dtype=np.intp)
-    return order, np.cumsum(p[order])
-
-
-def _draw_rows(table, k: int, rng: Rng) -> np.ndarray:
-    """k i.i.d. positions into the offsets, one ``rng.uniform()`` each."""
-    order, cum = table
+def _draw_rows(cdf: np.ndarray, k: int, rng: Rng) -> np.ndarray:
+    """k i.i.d. rows by inverse CDF over ``cdf = cumsum(problem.p)`` (the
+    offsets ascend), one ``rng.uniform()`` each."""
     u = [rng.uniform() for _ in range(k)]
-    idx = np.searchsorted(cum, u, side="right")
-    return order[np.minimum(idx, len(order) - 1)]
+    return np.minimum(np.searchsorted(cdf, u, side="right"), len(cdf) - 1)
 
 
-def sample_indices(p: np.ndarray, offsets, k: int, rng: Rng) -> list[int]:
-    """Draw k offsets i.i.d. by inverse CDF over ascending offsets."""
-    offsets = tuple(offsets)
-    return [offsets[i] for i in _draw_rows(_sampling_table(p, offsets), k, rng)]
+def sample_indices(problem: Problem, k: int, rng: Rng) -> list[int]:
+    """Draw k offsets of the problem i.i.d. from its distribution p."""
+    return [problem.offsets[i] for i in _draw_rows(np.cumsum(problem.p), k, rng)]
 
 
 def _importance_weights(problem: Problem, rows: np.ndarray) -> np.ndarray:
@@ -306,10 +291,10 @@ def _sgd(problem: Problem, config: SolverConfig):
     if config.sgd_step_rule == "epie_scaled" and problem.batch_size != 1:
         raise ValueError("epie_scaled steps require batch_size 1")
     rng = Rng(config.seed)
-    table = _sampling_table(problem.p, problem.offsets)
+    cdf = np.cumsum(problem.p)
 
     def step(z, v, t, ev, gz, gv):
-        rows = _draw_rows(table, problem.batch_size, rng)
+        rows = _draw_rows(cdf, problem.batch_size, rng)
         # the step reuses the monitor's rows: no transform of its own
         g = _gradient(problem, z, v, ev.windows[rows], ev.back[rows], rows,
                       _importance_weights(problem, rows))
@@ -328,13 +313,13 @@ def _sgd(problem: Problem, config: SolverConfig):
 
 def _epie(problem: Problem, config: SolverConfig):
     rng = Rng(config.seed)
-    table = _sampling_table(problem.p, problem.offsets)
+    cdf = np.cumsum(problem.p)
     mode = problem.shifts.mode
     schedule: list[int] = []
 
     def step(z, v, t, ev, gz, gv):
         if config.epie_schedule == "iid":
-            row = int(_draw_rows(table, 1, rng)[0])
+            row = int(_draw_rows(cdf, 1, rng)[0])
         else:
             if not schedule:
                 schedule.extend(range(problem.n_regions))

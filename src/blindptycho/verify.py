@@ -38,7 +38,7 @@ class CheckReport:
 
 
 def reports_to_json(reports: list[CheckReport]) -> str:
-    return json.dumps([asdict(r) for r in reports], indent=2) + "\n"
+    return json.dumps([asdict(r) for r in reports], indent=2, allow_nan=False) + "\n"
 
 
 def _report(name, samples, worst, tol, extra=""):
@@ -161,7 +161,7 @@ def check_gradient_bounds(problem: Problem, n_samples: int, rng: Rng,
     for _ in range(n_samples):
         z = rng.complex_normal_vector(problem.d)
         v = rng.complex_normal_vector(problem.d)
-        drawn = sample_indices(problem.p, problem.offsets, problem.batch_size, rng)
+        drawn = sample_indices(problem, problem.batch_size, rng)
         g = stochastic_gradient(problem, z, v, drawn)
         b_z, b_v = stochastic_gradient_bounds(problem, z, v)
         gz, gv = g.norms()
@@ -227,6 +227,8 @@ SUITES = ("gradient_fd", "descent", "unbiasedness", "gradient_bounds",
 def run_suite(names, problem: Problem | None = None, seed: int = 0,
               samples: int = 100) -> list[CheckReport]:
     """Run named checkers on a default-style instance."""
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
     if problem is None:
         problem = synthesize_problem(d=8, seed=seed, epsilon=1e-3)
     rng = Rng(seed + 1)

@@ -1,5 +1,6 @@
 import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -143,12 +144,19 @@ def _problem_with(tmp_path, **fields):
                                   "report-on-a-problem", "grad-tol-inf",
                                   "grad-tol-nan", "kappa-nan",
                                   "K-not-integral", "offsets-not-integral",
-                                  "init-scale-nan", "epie-alpha-negative-sgd"])
+                                  "init-scale-nan", "epie-alpha-negative-sgd",
+                                  "interval-no-tikhonov", "epie-scaled-batch",
+                                  "truth-half"])
 def test_bad_input_exit_2_one_line(tmp_path, capsys, case):
     bad = {"x-not-pairs": {"x": [1, 2]}, "offsets-not-a-list": {"offsets": 5},
            "K-not-integral": {"K": 2.9},
-           "offsets-not-integral": {"offsets": [o + 0.6 for o in range(8)]}}
+           "offsets-not-integral": {"offsets": [o + 0.6 for o in range(8)]},
+           "interval-no-tikhonov": {"alpha_T": 0}, "epie-scaled-batch": {"K": 2}}
     problem = str(_problem_with(tmp_path, **bad.get(case, {})))
+    if case == "truth-half":
+        doc = json.loads(Path(problem).read_text())
+        del doc["w"]
+        Path(problem).write_text(json.dumps(doc))
     out_dir, table = tmp_path / "out", tmp_path / "table.csv"
     run = ["run", "--problem", problem, "--algo", "sgd", "--iters", "2",
            "--out-dir", str(out_dir)]
@@ -164,6 +172,9 @@ def test_bad_input_exit_2_one_line(tmp_path, capsys, case):
         "init-scale-nan": (run + ["--init-scale", "nan"], "init_scale"),
         "epie-alpha-negative-sgd": (run + ["--sgd-step-rule", "epie_scaled",
                                            "--epie-alpha", "-1"], "epie_alpha"),
+        "interval-no-tikhonov": (run[:4] + ["interval"] + run[5:], "Tikhonov"),
+        "epie-scaled-batch": (run + ["--sgd-step-rule", "epie_scaled"], "batch_size 1"),
+        "truth-half": (run, "'w'"),
     }[case]
     capsys.readouterr()
     assert main(argv) == 2
@@ -171,6 +182,15 @@ def test_bad_input_exit_2_one_line(tmp_path, capsys, case):
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert named in err
     assert not out_dir.exists() and not table.exists()
+
+
+def test_verify_zero_samples_exit_2(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    capsys.readouterr()
+    assert main(["verify", "--samples", "0", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["error: samples must be >= 1"]
+    assert not out.exists()
 
 
 def test_run_mu_nu_scale_gd_steps(tmp_path):
@@ -195,6 +215,8 @@ def test_run_missing_problem_file(tmp_path):
 @pytest.mark.parametrize("algo_args,rows", [
     (["--algo", "gd", "--iters", "5", "--init-scale", "1e200"], 0),
     (["--algo", "epie", "--iters", "50", "--epie-alpha", "1e300"], 1),
+    # finite loss and gradient entries, but the gradient norm overflows
+    (["--algo", "gd", "--init-scale", "1e70"], 0),
 ])
 def test_run_divergence_exit_3_keeps_partial_trace(tmp_path, capsys,
                                                    algo_args, rows):

@@ -125,6 +125,16 @@ def test_problem_validation_messages():
                 beta=0.0, p=np.full(4, 0.25), batch_size=0)
     with pytest.raises(ValueError, match="one entry per shift"):
         synthesize_problem(4, seed=0, p=np.array([1.0]))
+    with pytest.raises(ValueError, match="batch_size must be an integer"):
+        synthesize_problem(8, batch_size=2.5)
+    for bad in (4.5, np.nan, np.inf, "4"):
+        with pytest.raises(ValueError, match="d must be an integer"):
+            Problem(d=bad, measurements=prob.measurements, epsilon=0.0,
+                    alpha=0.0, beta=0.0, p=np.full(4, 0.25))
+    # integral floats load as ints
+    whole = Problem(d=4.0, measurements=prob.measurements, epsilon=0.0,
+                    alpha=0.0, beta=0.0, p=np.full(4, 0.25), batch_size=2.0)
+    assert (type(whole.d), type(whole.batch_size)) == (int, int)
     with pytest.raises(ValueError, match="p entries"):
         Problem(d=4, measurements=prob.measurements, epsilon=0.0, alpha=0.0,
                 beta=0.0, p=[np.nan, 0.5, 0.25, 0.25], batch_size=1)

@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError, replace
+
 import numpy as np
 import pytest
 
@@ -140,14 +142,14 @@ def test_gd_divergence_diagnostic():
 
 def test_sample_indices_point_mass_and_k1():
     rng = Rng(0)
-    assert sample_indices(np.array([1.0]), (5,), 4, rng) == [5, 5, 5, 5]
-    assert len(sample_indices(np.array([0.5, 0.5]), (0, 1), 1, rng)) == 1
+    point = synthesize_problem(8, shifts=ShiftSet((5,)))
+    assert sample_indices(point, 4, rng) == [5, 5, 5, 5]
+    assert len(sample_indices(synthesize_problem(2), 1, rng)) == 1
 
 
 def test_sample_indices_frequencies():
     rng = Rng(11)
-    p = np.full(8, 1.0 / 8)
-    draws = sample_indices(p, tuple(range(8)), 100_000, rng)
+    draws = sample_indices(synthesize_problem(8), 100_000, rng)
     counts = np.bincount(draws, minlength=8) / 100_000
     sigma = np.sqrt((1 / 8) * (7 / 8) / 100_000)
     assert np.all(np.abs(counts - 1 / 8) < 5 * sigma)
@@ -156,16 +158,27 @@ def test_sample_indices_frequencies():
 def test_sample_indices_nonuniform():
     rng = Rng(12)
     p = np.array([0.7, 0.2, 0.1])
-    draws = sample_indices(p, (0, 1, 2), 50_000, rng)
+    draws = sample_indices(synthesize_problem(3, p=p), 50_000, rng)
     freq = np.bincount(draws, minlength=3) / 50_000
     assert np.all(np.abs(freq - p) < 0.01)
 
 
 def test_sample_indices_deterministic():
-    p = np.full(4, 0.25)
-    a = sample_indices(p, (0, 1, 2, 3), 50, Rng(13))
-    b = sample_indices(p, (0, 1, 2, 3), 50, Rng(13))
+    prob = synthesize_problem(4)
+    a = sample_indices(prob, 50, Rng(13))
+    b = sample_indices(prob, 50, Rng(13))
     assert a == b
+
+
+def test_sample_indices_pinned_draws():
+    # the inverse-CDF draw stream, one uniform per draw, for a zero-padded
+    # problem with ramped p and K = 4
+    offsets = tuple(range(-6, 16, 2))
+    p = np.linspace(1.0, 3.0, len(offsets))
+    prob = synthesize_problem(16, shifts=ShiftSet(offsets, "zero-padded"),
+                              seed=3, p=p / p.sum(), batch_size=4)
+    draws = [sample_indices(prob, prob.batch_size, Rng(s)) for s in range(3)]
+    assert draws == [[14, 6, -6, 14], [8, 12, 14, 6], [8, 12, 8, 12]]
 
 
 def test_stochastic_gradient_k1_uniform_scaling(small_problem):
@@ -286,7 +299,7 @@ def test_sgd_update_norm_identity():
     rng = Rng(7)
     z, v = np.array(z0), np.array(v0)
     for t in range(30):
-        drawn = sample_indices(prob.p, prob.offsets, 1, rng)
+        drawn = sample_indices(prob, 1, rng)
         g = stochastic_gradient(prob, z, v, drawn)
         gz = float(np.linalg.norm(g.z))
         # recovering the step from iterate differences cancels ~1e-11 of
@@ -312,7 +325,7 @@ def test_sgd_step_is_public_stochastic_gradient(mode, d, k, rule):
     rng = Rng(8)
     for t, row in enumerate(res.trace[:-1]):
         z, v = res.iterates[t]
-        g = stochastic_gradient(prob, z, v, sample_indices(prob.p, prob.offsets, k, rng))
+        g = stochastic_gradient(prob, z, v, sample_indices(prob, k, rng))
         z_next, v_next = res.iterates[t + 1]
         assert np.max(np.abs(z_next - (z - row.mu_t * g.z))) \
             <= 1e-13 * row.mu_t * np.max(np.abs(g.z))
@@ -327,7 +340,7 @@ def test_stochastic_gradient_repeated_draws_match_region_sum():
     prob = synthesize_problem(100, shifts=ShiftSet(offsets, "zero-padded"),
                               seed=51, epsilon=1e-3, p=p / p.sum(), batch_size=4)
     z, v = np_pair(100, 52)
-    drawn = sample_indices(prob.p, prob.offsets, 4, Rng(8))
+    drawn = sample_indices(prob, 4, Rng(8))
     assert len(set(drawn)) < len(drawn)
     g = stochastic_gradient(prob, z, v, drawn)
     acc_z = np.zeros(100, complex)
@@ -344,29 +357,40 @@ def test_stochastic_gradient_repeated_draws_match_region_sum():
 
 def test_sgd_config_validation():
     with pytest.raises(ValueError, match="theta"):
-        SolverConfig(algorithm="sgd", theta=0.0).validate()
+        SolverConfig(algorithm="sgd", theta=0.0)
     with pytest.raises(ValueError, match="kappa"):
-        SolverConfig(algorithm="sgd", theta=0.5, kappa=0.4).validate()
+        SolverConfig(algorithm="sgd", theta=0.5, kappa=0.4)
     with pytest.raises(ValueError, match="mu"):
-        SolverConfig(algorithm="sgd", mu=1.5).validate()
+        SolverConfig(algorithm="sgd", mu=1.5)
     # every range holds whatever the algorithm, epie_scaled sgd included
     for algo, bad in [("gd", {"theta": 0.0}), ("epie", {"kappa": -0.1}),
                       ("sgd", {"epie_alpha": -1.0}), ("interval", {"epie_beta": 0.0})]:
         with pytest.raises(ValueError, match=next(iter(bad))):
-            SolverConfig(algorithm=algo, sgd_step_rule="epie_scaled", **bad).validate()
+            SolverConfig(algorithm=algo, sgd_step_rule="epie_scaled", **bad)
     for name in ("grad_tol", "theta", "kappa", "mu", "nu", "epie_alpha",
                  "epie_beta"):
         for value in (np.inf, -np.inf, np.nan):
             with pytest.raises(ValueError, match=f"{name} must be finite"):
-                SolverConfig(algorithm="sgd", **{name: value}).validate()
+                SolverConfig(algorithm="sgd", **{name: value})
+
+
+def test_solver_config_checked_when_built_and_frozen():
+    with pytest.raises(ValueError, match="theta"):
+        SolverConfig(theta=0.0)
+    cfg = SolverConfig()
+    with pytest.raises(FrozenInstanceError):
+        cfg.theta = 0.0
+    # a derived config is checked again
+    with pytest.raises(ValueError, match="mu"):
+        replace(cfg, mu=2.0)
 
 
 @pytest.mark.parametrize("name", sorted(SolverConfig.CHOICES))
 def test_config_choices_reject_unknown(name):
     for value in SolverConfig.CHOICES[name]:
-        SolverConfig(**{name: value}).validate()
+        SolverConfig(**{name: value})
     with pytest.raises(ValueError, match=f"unknown {name}: 'bogus'"):
-        SolverConfig(**{name: "bogus"}).validate()
+        SolverConfig(**{name: "bogus"})
 
 
 # ---------------------------------------------------------------------------
