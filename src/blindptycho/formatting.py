@@ -1,12 +1,13 @@
 """Number formatting for the CSV writers (trace and report tables).
 
-Every float in a CSV goes through :func:`g17` so that files are
-byte-reproducible across runs and round-trip to the exact same double.
-JSON documents are written by ``json.dumps``, whose shortest-repr floats
-round-trip as well.
+Every number in a CSV is written by the :func:`cell` format of its dataclass
+field, so files are byte-reproducible and floats round-trip to the same
+double.  JSON documents are written by ``json.dumps``, whose shortest-repr
+floats round-trip as well.
 """
 
 
-def g17(x: float) -> str:
-    """Decimal form with up to 17 significant digits (lossless for float64)."""
-    return format(float(x), ".17g")
+def cell(field) -> str:
+    """%-format of a field's CSV cell, read by name from a mapping: an ``int``
+    field as it is, any other with up to 17 significant digits (lossless)."""
+    return f"%({field.name})" + ("s" if field.type in (int, "int") else ".17g")

@@ -5,14 +5,13 @@ run summaries and repetition matrices.
 from __future__ import annotations
 
 import json
-import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from .formatting import g17
-from .model import Problem
+from .formatting import cell
+from .model import Problem, _require_integers
 from .rng import Rng
 from .solvers import (DivergenceError, SolverConfig, SolverRun, TraceRecord,
                       run, write_trace)
@@ -141,6 +140,7 @@ class ExperimentConfig:
     out_dir: str | Path = "."
 
     def __post_init__(self):
+        _require_integers(self, "repetitions")
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
         if not np.isfinite(self.init_scale):
@@ -158,16 +158,13 @@ def run_experiment(config: ExperimentConfig) -> list[tuple[Path, Path, Summary]]
             stem = f"{solver.algorithm}_run{rep:03d}"
             trace_path = out_dir / f"{stem}_trace.csv"
             summary_path = out_dir / f"{stem}_summary.json"
-            started = time.monotonic_ns()
             try:
                 result = run(config.problem, z0, v0, solver)
             except DivergenceError as exc:
                 out_dir.mkdir(parents=True, exist_ok=True)
                 write_trace(trace_path, exc.run.trace)
                 raise
-            elapsed = time.monotonic_ns() - started
             summary = summarize(config.problem, result)
-            summary.wall_ns = elapsed
             out_dir.mkdir(parents=True, exist_ok=True)
             write_trace(trace_path, result.trace)
             summary_path.write_text(summary_to_json(summary, solver, config.problem))
@@ -175,7 +172,7 @@ def run_experiment(config: ExperimentConfig) -> list[tuple[Path, Path, Summary]]
     return results
 
 
-REPORT_HEADER = "file,algorithm,seed,final_J,min_grad_sq,decay_slope,recon_error,wall_ns"
+REPORT_HEADER = ",".join(["file", "algorithm", "seed", *(f.name for f in fields(Summary))])
 
 
 def aggregate_summaries(paths) -> str:
@@ -189,13 +186,14 @@ def aggregate_summaries(paths) -> str:
             raise ValueError(f"{path}: not a summary document")
         row = [Path(path).name, str(cfg.get("algorithm", "")),
                str(cfg.get("seed", ""))]
-        for key in REPORT_HEADER.split(",")[3:]:
-            value = data.get(key)
-            if value is None and key in ("decay_slope", "recon_error"):
+        for f in fields(Summary):
+            value = data.get(f.name)
+            if value is None and str(f.type).endswith("None"):
                 row.append("")
             elif type(value) not in (int, float):
-                raise ValueError(f"{path}: summary field {key!r} is missing or not a number")
+                raise ValueError(
+                    f"{path}: summary field {f.name!r} is missing or not a number")
             else:
-                row.append(str(value) if key == "wall_ns" else g17(value))
+                row.append(cell(f) % data)
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"

@@ -74,15 +74,10 @@ def add_noise(measurements: MeasurementSet, model: NoiseModel, rng: Rng) -> Meas
     values = measurements.values
     if model.kind == "none":
         return MeasurementSet(values.copy(), measurements.shifts)
-    out = np.empty_like(values)
-    rows, cols = values.shape
-    for i in range(rows):
-        for j in range(cols):
-            if model.kind == "poisson":
-                out[i, j] = float(rng.poisson(values[i, j]))
-            else:
-                out[i, j] = max(0.0, values[i, j] + model.sigma * rng.normal())
-    return MeasurementSet(out, measurements.shifts)
+    draw = rng.poisson if model.kind == "poisson" else \
+        lambda y: max(0.0, y + model.sigma * rng.normal())
+    out = np.fromiter(map(draw, values.flat), np.float64, values.size)
+    return MeasurementSet(out.reshape(values.shape), measurements.shifts)
 
 
 @dataclass(frozen=True)
@@ -106,11 +101,7 @@ class Problem:
     truth: tuple[np.ndarray, np.ndarray] | None = None
 
     def __post_init__(self):
-        for name in ("d", "batch_size"):
-            value = getattr(self, name)
-            if not _integral(value):
-                raise ValueError(f"{name} must be an integer: {value!r}")
-            object.__setattr__(self, name, int(value))
+        _require_integers(self, "d", "batch_size")
         if self.d < 1:
             raise ValueError("d must be >= 1")
         if self.measurements.values.shape[1] != self.d:
@@ -233,6 +224,16 @@ def _complex_pairs(value) -> np.ndarray:
 def _integral(value) -> bool:
     """An int, or a float with no fraction (2.0 yes; 2.9, nan and inf no)."""
     return isinstance(value, Integral) or isinstance(value, float) and value.is_integer()
+
+
+def _require_integers(obj, *names) -> None:
+    """Store each named field of ``obj`` as an int; a non-integral value
+    raises ValueError naming the field."""
+    for name in names:
+        value = getattr(obj, name)
+        if not _integral(value):
+            raise ValueError(f"{name} must be an integer: {value!r}")
+        object.__setattr__(obj, name, int(value))
 
 
 def _integer(value) -> int:

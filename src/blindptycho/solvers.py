@@ -20,8 +20,8 @@ Step-size policies:
 * gd:        mu_t = mu * m_t and nu_t = nu * m_t with
   m_t = min( 1/B,  (15d/4)^(-1/3) ||g_z||^(-2/3),  (15d/4)^(-1/3) ||g_v||^(-2/3) ),
   where B is the joint curvature bound and mu, nu in (0, 1] (default 1).
-  A vanished branch (zero gradient or zero bound) is treated as +infinity,
-  i.e. dropped from the minimum.
+  Here and in sgd, ``_branch_min`` drops a vanished branch (zero gradient,
+  bound or envelope) as +infinity; m_t = 0 when every branch vanished.
 * sgd:       mu_t = mu * m_t and nu_t = nu * m_t with
   m_t = min( (1+t)^(kappa-1) B^(-1/(1-theta)), b_z^(-2/(3-theta)),
              b_v^(-2/(3-theta)), (1 - 1/K)^(-1/theta) ), K the batch size;
@@ -40,24 +40,23 @@ Step-size policies:
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import ClassVar
 
 import numpy as np
 
-from .formatting import g17
+from .formatting import cell
 # dft, gradient_region and loss_and_gradient are not called here but stay
 # bound: perfbench/tracing.py wraps them under these names.
 from .fourier import dft, idft, shift  # noqa: F401
-from .model import Problem
-from .objective import (GradientPair, _evaluate, _gradient, gradient_region,  # noqa: F401
-                        loss, loss_and_gradient, partial_lipschitz,
+from .model import Problem, _require_integers
+from .objective import (_TINY, GradientPair, _evaluate, _gradient,  # noqa: F401
+                        gradient_region, loss, loss_and_gradient, partial_lipschitz,
                         step_curvature_bound, stochastic_gradient_bounds)
 from .rng import Rng
 
 ALGORITHMS = ("gd", "sgd", "epie", "interval")
-TRACE_HEADER = "t,J,L_eps,grad_z_norm,grad_v_norm,mu_t,nu_t,wall_ns"
 
 
 class DivergenceError(RuntimeError):
@@ -102,6 +101,7 @@ class SolverConfig:
         for name, allowed in self.CHOICES.items():
             if getattr(self, name) not in allowed:
                 raise ValueError(f"unknown {name}: {getattr(self, name)!r}")
+        _require_integers(self, "max_iters", "seed", "gamma_grid")
         if self.max_iters < 0:
             raise ValueError("max_iters must be >= 0")
         for name in ("grad_tol", "theta", "kappa", "mu", "nu", "epie_alpha",
@@ -134,6 +134,10 @@ class TraceRecord:
     mu_t: float
     nu_t: float
     wall_ns: int
+
+
+TRACE_HEADER = ",".join(f.name for f in fields(TraceRecord))
+_TRACE_ROW = ",".join(map(cell, fields(TraceRecord)))
 
 
 @dataclass
@@ -205,20 +209,25 @@ def run(problem: Problem, z0, v0, config: SolverConfig) -> SolverRun:
 # ---------------------------------------------------------------------------
 # gradient descent
 
+_INF = float("inf")
+
+
+def _branch_min(*branches: float) -> float:
+    """The step rules' minimum m_t: a vanished branch is passed as +inf and
+    drops out; 0.0 when every branch vanished."""
+    m = min(branches)
+    return m if m < _INF else 0.0
+
+
 def gd_step_sizes(problem: Problem, z, v, gz: float, gv: float,
                   mu: float = 1.0, nu: float = 1.0) -> tuple[float, float]:
     """Joint-descent step sizes (mu m, nu m) from the gradient norms
     (gz, gv) at (z, v); infinite branches drop out of the minimum m."""
     bound = step_curvature_bound(problem, z, v)
     scale = (15.0 * problem.d / 4.0) ** (-1.0 / 3.0)
-    candidates = []
-    if bound > 0:
-        candidates.append(1.0 / bound)
-    if gz > 0:
-        candidates.append(scale * gz ** (-2.0 / 3.0))
-    if gv > 0:
-        candidates.append(scale * gv ** (-2.0 / 3.0))
-    m = min(candidates) if candidates else 0.0
+    m = _branch_min(1.0 / bound if bound > 0 else _INF,
+                    scale * gz ** (-2.0 / 3.0) if gz > 0 else _INF,
+                    scale * gv ** (-2.0 / 3.0) if gv > 0 else _INF)
     return mu * m, nu * m
 
 
@@ -263,16 +272,12 @@ def sgd_max_step(problem: Problem, z, v, t: int, theta: float,
     size K (see module docstring)."""
     bound = step_curvature_bound(problem, z, v)
     b_z, b_v = stochastic_gradient_bounds(problem, z, v)
-    candidates = []
-    if bound > 0:
-        candidates.append((1.0 + t) ** (-1.0 + kappa) * bound ** (-1.0 / (1.0 - theta)))
-    if b_z > 0:
-        candidates.append(b_z ** (-2.0 / (3.0 - theta)))
-    if b_v > 0:
-        candidates.append(b_v ** (-2.0 / (3.0 - theta)))
-    if problem.batch_size > 1 and theta > 0:
-        candidates.append((1.0 - 1.0 / problem.batch_size) ** (-1.0 / theta))
-    return min(candidates) if candidates else 0.0
+    k = problem.batch_size
+    return _branch_min(
+        (1.0 + t) ** (-1.0 + kappa) * bound ** (-1.0 / (1.0 - theta)) if bound > 0 else _INF,
+        b_z ** (-2.0 / (3.0 - theta)) if b_z > 0 else _INF,
+        b_v ** (-2.0 / (3.0 - theta)) if b_v > 0 else _INF,
+        (1.0 - 1.0 / k) ** (-1.0 / theta) if k > 1 and theta > 0 else _INF)
 
 
 def _epie_steps(problem: Problem, config: SolverConfig, z, v, t, row):
@@ -334,7 +339,7 @@ def _epie(problem: Problem, config: SolverConfig):
         # for bit; coefficients at exactly zero stay zero after correction
         mag = np.sqrt(np.abs(spectrum) ** 2)
         scale = np.divide(np.sqrt(problem.y[row]), mag,
-                          out=np.zeros_like(mag), where=mag > 1e-300)
+                          out=np.zeros_like(mag), where=mag > _TINY)
         corrected = scale * spectrum
         delta = idft(corrected) - exit_wave
         r = problem.offsets[row]
@@ -380,13 +385,7 @@ _FACTORIES = {"gd": _gd, "sgd": _sgd, "epie": _epie, "interval": _interval}
 
 
 def trace_to_csv(trace: list[TraceRecord]) -> str:
-    lines = [TRACE_HEADER]
-    for r in trace:
-        lines.append(",".join([
-            str(r.t), g17(r.J), g17(r.L_eps), g17(r.grad_z_norm),
-            g17(r.grad_v_norm), g17(r.mu_t), g17(r.nu_t), str(r.wall_ns),
-        ]))
-    return "\n".join(lines) + "\n"
+    return "\n".join([TRACE_HEADER, *[_TRACE_ROW % vars(r) for r in trace]]) + "\n"
 
 
 def write_trace(path, trace: list[TraceRecord]) -> None:

@@ -9,6 +9,11 @@ tolerances are scale free.
 The finite-difference gradient here is the ground truth the analytic
 gradient is checked against: central differences in every real and
 imaginary coordinate, assembled as (d/dRe + i d/dIm)/2.
+
+``run_suite`` runs suites by name from one table, in the order of
+``SUITES``: gradient_fd (at most 10 points), descent (scales 0.1, 1, 10),
+unbiasedness, gradient_bounds, bilinear (circular and zero-padded, at most
+25 points) and lipschitz.
 """
 
 from __future__ import annotations
@@ -42,10 +47,17 @@ def reports_to_json(reports: list[CheckReport]) -> str:
 
 
 def _report(name, samples, worst, tol, extra=""):
-    detail = f"tolerance={tol:g} (relative slack)"
-    if extra:
-        detail += "; " + extra
+    detail = f"tolerance={tol:g} (relative slack)" + (f"; {extra}" if extra else "")
     return CheckReport(name, samples, float(worst), bool(worst >= -tol), detail)
+
+
+def _sampled(name, n_samples, slack, tol, extra=""):
+    """Report the worst of ``slack()`` over n_samples calls, each of which
+    draws its own point."""
+    worst = np.inf
+    for _ in range(n_samples):
+        worst = min(worst, slack())
+    return _report(name, n_samples, worst, tol, extra)
 
 
 # ---------------------------------------------------------------------------
@@ -58,46 +70,35 @@ def fd_wirtinger_gradient(problem: Problem, z, v, h_step: float | None = None):
     z = np.asarray(z, dtype=np.complex128)
     v = np.asarray(v, dtype=np.complex128)
 
-    def value(a, b):
-        return loss(problem, a, b)[0]
-
-    def fd_one(base, other, is_object, h):
+    def fd_one(base, value):
+        h = h_step if h_step is not None else \
+            1e-6 * (1.0 + float(np.max(np.abs(base), initial=0.0)))
         out = np.zeros(problem.d, dtype=np.complex128)
         for j in range(problem.d):
-            for part, direction in ((1.0, 1.0), (1j, 1j)):
-                plus = base.copy()
-                minus = base.copy()
+            for direction in (1.0, 1j):
+                plus, minus = base.copy(), base.copy()
                 plus[j] += h * direction
                 minus[j] -= h * direction
-                if is_object:
-                    diff = (value(plus, other) - value(minus, other)) / (2.0 * h)
-                else:
-                    diff = (value(other, plus) - value(other, minus)) / (2.0 * h)
-                if part == 1.0:
-                    out[j] += 0.5 * diff
-                else:
-                    out[j] += 0.5j * diff
+                diff = (value(plus) - value(minus)) / (2.0 * h)
+                out[j] += 0.5 * direction * diff
         return out
 
-    h_z = h_step if h_step is not None else 1e-6 * (1.0 + float(np.max(np.abs(z), initial=0.0)))
-    h_v = h_step if h_step is not None else 1e-6 * (1.0 + float(np.max(np.abs(v), initial=0.0)))
-    return GradientPair(fd_one(z, v, True, h_z), fd_one(v, z, False, h_v))
+    return GradientPair(fd_one(z, lambda a: loss(problem, a, v)[0]),
+                        fd_one(v, lambda b: loss(problem, z, b)[0]))
 
 
 def check_gradient_fd(problem: Problem, n_samples: int, rng: Rng,
                       tol: float = 1e-6) -> CheckReport:
     """Analytic gradient against the finite-difference oracle."""
-    worst = np.inf
-    for _ in range(n_samples):
+    def slack():
         z = rng.complex_normal_vector(problem.d)
         v = rng.complex_normal_vector(problem.d)
         exact = gradient(problem, z, v)
         approx = fd_wirtinger_gradient(problem, z, v)
         scale = max(float(np.max(np.abs(exact.z))), float(np.max(np.abs(exact.v))), 1e-12)
-        err = max(float(np.max(np.abs(exact.z - approx.z))),
-                  float(np.max(np.abs(exact.v - approx.v)))) / scale
-        worst = min(worst, -err)
-    return _report("gradient_fd", n_samples, worst, tol)
+        return -(max(float(np.max(np.abs(exact.z - approx.z))),
+                     float(np.max(np.abs(exact.v - approx.v)))) / scale)
+    return _sampled("gradient_fd", n_samples, slack, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -124,17 +125,11 @@ def descent_upper_bound(problem: Problem, z, v, u, h) -> float:
 def check_descent_lemma(problem: Problem, n_samples: int, scale: float,
                         rng: Rng, tol: float = DEFAULT_TOL) -> CheckReport:
     """J(z+u, v+h) never exceeds the quartic upper expansion around (z, v)."""
-    worst = np.inf
-    for _ in range(n_samples):
-        z = scale * rng.complex_normal_vector(problem.d)
-        v = scale * rng.complex_normal_vector(problem.d)
-        u = scale * rng.complex_normal_vector(problem.d)
-        h = scale * rng.complex_normal_vector(problem.d)
+    def slack():
+        z, v, u, h = (scale * rng.complex_normal_vector(problem.d) for _ in range(4))
         rhs = descent_upper_bound(problem, z, v, u, h)
-        lhs = loss(problem, z + u, v + h)[0]
-        worst = min(worst, (rhs - lhs) / (1.0 + abs(rhs)))
-    return _report("descent_lemma", n_samples, worst, tol,
-                   extra=f"scale={scale:g}")
+        return (rhs - loss(problem, z + u, v + h)[0]) / (1.0 + abs(rhs))
+    return _sampled("descent_lemma", n_samples, slack, tol, extra=f"scale={scale:g}")
 
 
 def check_unbiasedness(problem: Problem, z, v, tol: float = 1e-12) -> CheckReport:
@@ -156,26 +151,25 @@ def check_unbiasedness(problem: Problem, z, v, tol: float = 1e-12) -> CheckRepor
 def check_gradient_bounds(problem: Problem, n_samples: int, rng: Rng,
                           tol: float = DEFAULT_TOL) -> CheckReport:
     """(15 d / 4) ||g||^2 stays below the deterministic envelopes squared."""
-    worst = np.inf
     factor = 15.0 * problem.d / 4.0
-    for _ in range(n_samples):
+
+    def slack():
         z = rng.complex_normal_vector(problem.d)
         v = rng.complex_normal_vector(problem.d)
         drawn = sample_indices(problem, problem.batch_size, rng)
-        g = stochastic_gradient(problem, z, v, drawn)
+        gz, gv = stochastic_gradient(problem, z, v, drawn).norms()
         b_z, b_v = stochastic_gradient_bounds(problem, z, v)
-        gz, gv = g.norms()
-        worst = min(worst, (b_z * b_z - factor * gz * gz) / (1.0 + b_z * b_z))
-        worst = min(worst, (b_v * b_v - factor * gv * gv) / (1.0 + b_v * b_v))
-    return _report("gradient_bounds", n_samples, worst, tol)
+        return min((b_z * b_z - factor * gz * gz) / (1.0 + b_z * b_z),
+                   (b_v * b_v - factor * gv * gv) / (1.0 + b_v * b_v))
+    return _sampled("gradient_bounds", n_samples, slack, tol)
 
 
 def check_bilinear_bound(d: int, shifts: ShiftSet, n_samples: int, rng: Rng,
                          tol: float = DEFAULT_TOL) -> CheckReport:
     """sum_{r,k} |q(z, v, r, k)|^2 <= d ||z||^2 ||v||^2, any shift mode."""
     shifts.validate_for_dim(d)
-    worst = np.inf
-    for _ in range(n_samples):
+
+    def slack():
         z = rng.complex_normal_vector(d)
         v = rng.complex_normal_vector(d)
         total = 0.0
@@ -183,8 +177,8 @@ def check_bilinear_bound(d: int, shifts: ShiftSet, n_samples: int, rng: Rng,
             for k in range(d):
                 total += abs(q_apply(z, v, r, k, shifts.mode)) ** 2
         bound = d * float(np.vdot(z, z).real) * float(np.vdot(v, v).real)
-        worst = min(worst, (bound - total) / (1.0 + bound))
-    return _report(f"bilinear_bound[{shifts.mode}]", n_samples, worst, tol)
+        return (bound - total) / (1.0 + bound)
+    return _sampled(f"bilinear_bound[{shifts.mode}]", n_samples, slack, tol)
 
 
 def check_lipschitz(problem: Problem, n_samples: int, rng: Rng,
@@ -196,12 +190,9 @@ def check_lipschitz(problem: Problem, n_samples: int, rng: Rng,
     d = problem.d
     ymass = np.sqrt(problem.y_total / d)
     peak = np.sqrt(float(np.max(problem.y)) + eps) / np.sqrt(eps)
-    worst = np.inf
-    for _ in range(n_samples):
-        z1 = rng.complex_normal_vector(d)
-        v1 = rng.complex_normal_vector(d)
-        z2 = rng.complex_normal_vector(d)
-        v2 = rng.complex_normal_vector(d)
+
+    def slack():
+        z1, v1, z2, v2 = (rng.complex_normal_vector(d) for _ in range(4))
         g1 = gradient(problem, z1, v1)
         g2 = gradient(problem, z2, v2)
         lhs = np.sqrt(float(np.vdot(g1.z - g2.z, g1.z - g2.z).real)
@@ -213,45 +204,40 @@ def check_lipschitz(problem: Problem, n_samples: int, rng: Rng,
                        + float(np.vdot(v1 - v2, v1 - v2).real))
         rhs = np.sqrt(2.0 * smooth * smooth
                       + 2.0 * max(problem.alpha, problem.beta) ** 2) * dist
-        worst = min(worst, (rhs - lhs) / (1.0 + rhs))
-    return _report("lipschitz", n_samples, worst, tol)
+        return (rhs - lhs) / (1.0 + rhs)
+    return _sampled("lipschitz", n_samples, slack, tol)
 
 
 # ---------------------------------------------------------------------------
 # suites
 
-SUITES = ("gradient_fd", "descent", "unbiasedness", "gradient_bounds",
-          "bilinear", "lipschitz")
+# suite name -> (problem, rng, samples) -> its reports, in the order they run
+_SUITES = {
+    "gradient_fd": lambda problem, rng, n: [check_gradient_fd(problem, min(n, 10), rng)],
+    "descent": lambda problem, rng, n: [check_descent_lemma(problem, n, scale, rng)
+                                        for scale in (0.1, 1.0, 10.0)],
+    "unbiasedness": lambda problem, rng, n: [check_unbiasedness(
+        problem, rng.complex_normal_vector(problem.d), rng.complex_normal_vector(problem.d))],
+    "gradient_bounds": lambda problem, rng, n: [check_gradient_bounds(problem, n, rng)],
+    "bilinear": lambda problem, rng, n: [
+        check_bilinear_bound(problem.d, ShiftSet(problem.offsets, mode), min(n, 25), rng)
+        for mode in ("circular", "zero-padded")],
+    "lipschitz": lambda problem, rng, n: [check_lipschitz(problem, n, rng)],
+}
+SUITES = tuple(_SUITES)
 
 
 def run_suite(names, problem: Problem | None = None, seed: int = 0,
               samples: int = 100) -> list[CheckReport]:
-    """Run named checkers on a default-style instance."""
+    """Run named checkers on a default-style instance; an unknown name is
+    rejected before any check runs."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    try:
+        suites = [_SUITES[name] for name in names]
+    except KeyError as exc:
+        raise ValueError(f"unknown check suite: {exc.args[0]!r}") from None
     if problem is None:
         problem = synthesize_problem(d=8, seed=seed, epsilon=1e-3)
     rng = Rng(seed + 1)
-    reports = []
-    for name in names:
-        if name == "gradient_fd":
-            reports.append(check_gradient_fd(problem, min(samples, 10), rng))
-        elif name == "descent":
-            for scale in (0.1, 1.0, 10.0):
-                reports.append(check_descent_lemma(problem, samples, scale, rng))
-        elif name == "unbiasedness":
-            z = rng.complex_normal_vector(problem.d)
-            v = rng.complex_normal_vector(problem.d)
-            reports.append(check_unbiasedness(problem, z, v))
-        elif name == "gradient_bounds":
-            reports.append(check_gradient_bounds(problem, samples, rng))
-        elif name == "bilinear":
-            for mode in ("circular", "zero-padded"):
-                shifts = ShiftSet(problem.offsets, mode)
-                reports.append(check_bilinear_bound(problem.d, shifts,
-                                                    min(samples, 25), rng))
-        elif name == "lipschitz":
-            reports.append(check_lipschitz(problem, samples, rng))
-        else:
-            raise ValueError(f"unknown check suite: {name!r}")
-    return reports
+    return [report for suite in suites for report in suite(problem, rng, samples)]

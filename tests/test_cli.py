@@ -146,7 +146,7 @@ def _problem_with(tmp_path, **fields):
                                   "K-not-integral", "offsets-not-integral",
                                   "init-scale-nan", "epie-alpha-negative-sgd",
                                   "interval-no-tikhonov", "epie-scaled-batch",
-                                  "truth-half"])
+                                  "truth-half", "verify-unknown-suite"])
 def test_bad_input_exit_2_one_line(tmp_path, capsys, case):
     bad = {"x-not-pairs": {"x": [1, 2]}, "offsets-not-a-list": {"offsets": 5},
            "K-not-integral": {"K": 2.9},
@@ -175,6 +175,8 @@ def test_bad_input_exit_2_one_line(tmp_path, capsys, case):
         "interval-no-tikhonov": (run[:4] + ["interval"] + run[5:], "Tikhonov"),
         "epie-scaled-batch": (run + ["--sgd-step-rule", "epie_scaled"], "batch_size 1"),
         "truth-half": (run, "'w'"),
+        "verify-unknown-suite": (["verify", "--suite", "unbiasedness,nope",
+                                  "--out", str(table)], "'nope'"),
     }[case]
     capsys.readouterr()
     assert main(argv) == 2

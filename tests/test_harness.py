@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from blindptycho import (SolverConfig, TraceRecord, aggregate_summaries,
-                         fit_decay_slope, initial_guess, reconstruction_error,
-                         run, summarize, summary_to_json,
-                         synthesize_problem)
+                         fit_decay_slope, initial_guess, read_trace,
+                         reconstruction_error, run, summarize,
+                         summary_to_json, synthesize_problem)
 from blindptycho.harness import ExperimentConfig, run_experiment
 
 from conftest import np_pair
@@ -117,3 +117,24 @@ def test_run_experiment_and_report(tmp_path):
     lines = table.strip().split("\n")
     assert lines[0].startswith("file,algorithm,seed,final_J")
     assert len(lines) == 3
+
+
+def test_experiment_summary_wall_ns_is_trace_closing_row(tmp_path):
+    prob = synthesize_problem(8, seed=10)
+    cfg = ExperimentConfig(problem=prob, solvers=[SolverConfig(max_iters=5)],
+                           out_dir=tmp_path)
+    [(trace_path, summary_path, summary)] = run_experiment(cfg)
+    closing = read_trace(trace_path)[-1].wall_ns
+    assert summary.wall_ns == closing
+    assert json.loads(summary_path.read_text())["wall_ns"] == closing
+
+
+def test_experiment_config_integral_repetitions(tmp_path):
+    prob = synthesize_problem(8, seed=11)
+    for value in (1.5, np.nan, "2"):
+        with pytest.raises(ValueError, match="repetitions must be an integer"):
+            ExperimentConfig(problem=prob, solvers=[], repetitions=value)
+    cfg = ExperimentConfig(problem=prob, solvers=[SolverConfig(max_iters=2)],
+                           repetitions=2.0, out_dir=tmp_path)
+    assert cfg.repetitions == 2 and type(cfg.repetitions) is int
+    assert len(run_experiment(cfg)) == 2

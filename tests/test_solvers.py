@@ -372,6 +372,13 @@ def test_sgd_config_validation():
         for value in (np.inf, -np.inf, np.nan):
             with pytest.raises(ValueError, match=f"{name} must be finite"):
                 SolverConfig(algorithm="sgd", **{name: value})
+    # integral settings: a fraction is rejected, not truncated; 2.0 is kept as 2
+    for algo, name in [("gd", "max_iters"), ("sgd", "seed"), ("interval", "gamma_grid")]:
+        for value in (2.5, np.nan, np.inf, "3"):
+            with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                SolverConfig(algorithm=algo, **{name: value})
+        kept = getattr(SolverConfig(algorithm=algo, **{name: 2.0}), name)
+        assert kept == 2 and type(kept) is int
 
 
 def test_solver_config_checked_when_built_and_frozen():

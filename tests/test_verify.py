@@ -10,6 +10,7 @@ from blindptycho import (Rng, ShiftSet, check_bilinear_bound,
                          fd_wirtinger_gradient, gradient, loss,
                          reports_to_json, run_suite, stochastic_gradient,
                          synthesize_problem)
+from blindptycho.verify import SUITES
 
 from conftest import np_pair
 
@@ -159,3 +160,32 @@ def test_run_suite_all_pass():
     reports = run_suite(("unbiasedness", "bilinear", "gradient_bounds"),
                         seed=1, samples=20)
     assert reports and all(r.passed for r in reports)
+
+
+def test_run_suite_pinned_draws():
+    # literal worst slacks of the reports above rounding level (None: at
+    # rounding level); a change to the checkers' draws or arithmetic moves them
+    expected = [
+        ("gradient_fd", None),
+        ("descent_lemma", 0.02550245073563167),
+        ("descent_lemma", 0.7536025419870396),
+        ("descent_lemma", 0.4828265590818514),
+        ("unbiasedness", None),
+        ("gradient_bounds", 0.9945487496235119),
+        ("bilinear_bound[circular]", None),
+        ("bilinear_bound[zero-padded]", 0.23062258118147336),
+        ("lipschitz", 0.9991648785640243),
+    ]
+    reports = run_suite(SUITES, seed=0, samples=12)
+    assert [r.name for r in reports] == [name for name, _ in expected]
+    assert all(r.passed and r.samples >= 1 for r in reports)
+    for report, (_, slack) in zip(reports, expected):
+        if slack is not None:
+            assert report.worst_slack == pytest.approx(slack, rel=1e-9)
+
+
+def test_run_suite_rejects_unknown_before_running():
+    # gradient_fd would raise on epsilon = 0; the unknown name is caught first
+    prob = synthesize_problem(8, seed=31, epsilon=0.0)
+    with pytest.raises(ValueError, match="unknown check suite: 'nope'"):
+        run_suite(("gradient_fd", "nope"), problem=prob)
