@@ -119,34 +119,44 @@ class ShiftSet:
         return ShiftSet(tuple(range(d)), mode)
 
 
+def _flat_index(idx: np.ndarray, d: int) -> np.ndarray:
+    """Index into the flat view of an n x d stack such that row i of
+    ``stack.reshape(-1)[flat]`` is row i of the stack gathered by row i of
+    ``idx``."""
+    return idx + np.arange(0, d * len(idx), d)[:, np.newaxis]
+
+
 @lru_cache(maxsize=None)
 def _gather_plan(offsets: tuple[int, ...], d: int, mode: str, sign: int):
-    """Index matrix such that row i of v[idx] is S_{sign*offsets[i]} v."""
+    """Index matrix such that row i of v[idx] is S_{sign*offsets[i]} v, the
+    boundary mask (None when circular) and the full stack's flat index."""
     offs = np.asarray(offsets, dtype=np.intp).reshape(-1, 1)
     pos = np.arange(d, dtype=np.intp).reshape(1, -1)
     src = pos - sign * offs
     if mode == CIRCULAR:
-        idx = np.mod(src, d)
-        idx.setflags(write=False)
-        return idx, None
-    valid = (src >= 0) & (src < d)
-    idx = np.clip(src, 0, d - 1)
-    idx.setflags(write=False)
-    valid.setflags(write=False)
-    return idx, valid
+        idx, valid = np.mod(src, d), None
+    else:
+        valid = (src >= 0) & (src < d)
+        idx = np.clip(src, 0, d - 1)
+    flat = _flat_index(idx, d)
+    for a in (idx, valid, flat):
+        if a is not None:
+            a.setflags(write=False)
+    return idx, valid, flat
 
 
 def _plan(shifts: ShiftSet, d: int, sign: int, select):
-    """Gather plan restricted to the rows ``select`` (all rows when None)."""
-    idx, valid = _gather_plan(shifts.offsets, d, shifts.mode, sign)
+    """Gather plan restricted to the rows ``select`` (all rows when None);
+    the flat index is None when restricted."""
+    idx, valid, flat = _gather_plan(shifts.offsets, d, shifts.mode, sign)
     if select is None:
-        return idx, valid
-    return idx[select], None if valid is None else valid[select]
+        return idx, valid, flat
+    return idx.take(select, 0), None if valid is None else valid.take(select, 0), None
 
 
 def _stack(v, shifts: ShiftSet, sign: int, select):
     v = np.asarray(v)
-    idx, valid = _plan(shifts, v.shape[-1], sign, select)
+    idx, valid, _ = _plan(shifts, v.shape[-1], sign, select)
     rows = v[idx]
     return rows if valid is None else np.where(valid, rows, 0)
 
@@ -174,10 +184,14 @@ def unshift_sum(rows: np.ndarray, shifts: ShiftSet, select=None) -> np.ndarray:
     index ``select[i]``, as for ``shift_stack(v, shifts, select)``.
     """
     rows = np.asarray(rows)
-    n, d = rows.shape
-    idx, valid = _plan(shifts, d, -1, select)
+    d = rows.shape[1]
+    idx, valid, flat = _plan(shifts, d, -1, select)
+    if flat is None:
+        flat = _flat_index(idx, d)
+    if len(rows) != len(flat):
+        raise ValueError("rows must hold one row per selected offset")
     # one flat gather: row i of the result reads row i of ``rows``
-    gathered = rows.reshape(-1)[idx + d * np.arange(n)[:, np.newaxis]]
+    gathered = rows.reshape(-1)[flat]
     if valid is not None:
         gathered = np.where(valid, gathered, 0)
     return gathered.sum(axis=0)

@@ -22,7 +22,14 @@ overflow).
 
 Every value and gradient comes from one kernel, ``_evaluate``, over any
 subset of regions (repeats allowed).  Reductions run in row order, so the
-decomposition identities are reproducible run to run.
+decomposition identities are reproducible run to run.  The kernel takes
+complex128 vectors of length d unchecked (the public wrappers check them)
+and keeps ||z||^2 and ||v||^2 for the curvature bound.
+
+The bound formulas are written once, on ``_Bounds``, which computes the
+per-problem constants sqrt(||y||_1 / d), 3 max(alpha, beta), sqrt(15d/4)
+and sqrt(K) min p when built: once per run by a solver, once per call by
+the public ``step_curvature_bound`` and ``stochastic_gradient_bounds``.
 """
 
 from __future__ import annotations
@@ -46,7 +53,18 @@ class GradientPair:
     v: np.ndarray
 
     def norms(self) -> tuple[float, float]:
-        return float(np.linalg.norm(self.z)), float(np.linalg.norm(self.v))
+        return _norm(self.z), _norm(self.v)
+
+
+def _norm(x: np.ndarray) -> float:
+    """||x|| as the trace and the sgd envelopes take it; its bits can differ
+    from sqrt(_sq_norm(x))."""
+    return float(np.linalg.norm(x))
+
+
+def _sq_norm(x: np.ndarray) -> float:
+    """||x||^2 as the Tikhonov terms and the curvature bound take it."""
+    return float(np.vdot(x, x).real)
 
 
 def _as_iterate(problem: Problem, z, v):
@@ -69,6 +87,8 @@ class _Evaluation:
     windows: np.ndarray            # S_r v
     spectrum: np.ndarray           # dft(z * S_r v)
     back: np.ndarray | None        # F^* (I - D) spectrum
+    z_sq: float                    # ||z||^2
+    v_sq: float                    # ||v||^2
 
 
 def _evaluate(problem: Problem, z, v, rows=None, weights=None,
@@ -80,9 +100,8 @@ def _evaluate(problem: Problem, z, v, rows=None, weights=None,
     where L_i is the data misfit of the region with offset index rows[i]
     (repeats allowed; all regions when None) and weights default to one.
     L_eps is the weighted data sum.  One forward and one back transform
-    cover all the rows.
+    cover all the rows.  z and v must already be complex128 of length d.
     """
-    z, v = _as_iterate(problem, z, v)
     windows = shift_stack(v, problem.shifts, rows)
     spectrum = dft(z * windows)
     target = problem.y_amplitude if rows is None else problem.y_amplitude[rows]
@@ -90,16 +109,20 @@ def _evaluate(problem: Problem, z, v, rows=None, weights=None,
     misfit = (amp - target) ** 2
     if weights is not None:
         misfit = weights[:, np.newaxis] * misfit
-    data = float(np.sum(misfit))
-    total = data + problem.alpha * tikhonov * float(np.vdot(z, z).real) \
-        + problem.beta * tikhonov * float(np.vdot(v, v).real)
+    data = float(misfit.sum())
+    z_sq, v_sq = _sq_norm(z), _sq_norm(v)
+    total = data + problem.alpha * tikhonov * z_sq + problem.beta * tikhonov * v_sq
     if not grad:
-        return _Evaluation(total, data, None, windows, spectrum, None)
-    # (I - D) spectrum with the eps = 0 zero convention, then F^*.
-    ratio = np.divide(target, amp, out=np.zeros_like(amp), where=amp > _TINY)
+        return _Evaluation(total, data, None, windows, spectrum, None, z_sq, v_sq)
+    # (I - D) spectrum, then F^*.  With eps > 0 every amplitude is at least
+    # sqrt(eps) > _TINY; with eps = 0 a vanished coefficient gets ratio 0.
+    if problem.epsilon > 0:
+        ratio = target / amp
+    else:
+        ratio = np.divide(target, amp, out=np.zeros_like(amp), where=amp > _TINY)
     back = dft_adjoint((1.0 - ratio) * spectrum)
     g = _gradient(problem, z, v, windows, back, rows, weights, tikhonov)
-    return _Evaluation(total, data, g, windows, spectrum, back)
+    return _Evaluation(total, data, g, windows, spectrum, back, z_sq, v_sq)
 
 
 def _gradient(problem: Problem, z, v, windows, back, rows, weights=None,
@@ -107,7 +130,7 @@ def _gradient(problem: Problem, z, v, windows, back, rows, weights=None,
     """The gradient reduction of ``_evaluate`` from its per-row arrays."""
     if weights is not None:
         back = weights[:, np.newaxis] * back
-    g_z = np.sum(np.conj(windows) * back, axis=0) + tikhonov * problem.alpha * z
+    g_z = (np.conj(windows) * back).sum(axis=0) + tikhonov * problem.alpha * z
     g_v = unshift_sum(np.conj(z) * back, problem.shifts, rows) \
         + tikhonov * problem.beta * v
     return GradientPair(g_z, g_v)
@@ -115,23 +138,24 @@ def _gradient(problem: Problem, z, v, windows, back, rows, weights=None,
 
 def loss(problem: Problem, z, v) -> tuple[float, float]:
     """Evaluate the objective; returns (J, L_eps)."""
-    ev = _evaluate(problem, z, v, grad=False)
+    ev = _evaluate(problem, *_as_iterate(problem, z, v), grad=False)
     return ev.J, ev.L_eps
 
 
 def loss_region(problem: Problem, z, v, r: int) -> float:
     """Data misfit of the single region with offset r (no Tikhonov part)."""
-    return _evaluate(problem, z, v, [problem.offset_row[r]], grad=False).L_eps
+    return _evaluate(problem, *_as_iterate(problem, z, v), [problem.offset_row[r]],
+                     grad=False).L_eps
 
 
 def gradient(problem: Problem, z, v) -> GradientPair:
     """Wirtinger gradient of J, all regions reduced in listed order."""
-    return _evaluate(problem, z, v).grad
+    return _evaluate(problem, *_as_iterate(problem, z, v)).grad
 
 
 def loss_and_gradient(problem: Problem, z, v) -> tuple[float, float, GradientPair]:
     """Fused evaluation sharing one forward transform; returns (J, L_eps, grad)."""
-    ev = _evaluate(problem, z, v)
+    ev = _evaluate(problem, *_as_iterate(problem, z, v))
     return ev.J, ev.L_eps, ev.grad
 
 
@@ -143,11 +167,37 @@ def gradient_region(problem: Problem, z, v, r: int) -> GradientPair:
     regions in listed order.
     """
     row = problem.offset_row[r]
-    return _evaluate(problem, z, v, [row], tikhonov=float(problem.p[row])).grad
+    return _evaluate(problem, *_as_iterate(problem, z, v), [row],
+                     tikhonov=float(problem.p[row])).grad
 
 
 # ---------------------------------------------------------------------------
 # bound constants feeding the step-size rules
+
+class _Bounds:
+    """The curvature bound and the stochastic-gradient envelopes of one
+    problem, with every factor that depends on the problem alone computed
+    when built."""
+
+    def __init__(self, problem: Problem):
+        d = problem.d
+        self.d, self.alpha, self.beta = d, problem.alpha, problem.beta
+        self.ymass = np.sqrt(problem.y_total / d)
+        self.weight = 3.0 * max(problem.alpha, problem.beta)
+        self.scale = np.sqrt(15.0 * d / 4.0)
+        self.sampling = np.sqrt(problem.batch_size) * float(np.min(problem.p))
+
+    def curvature(self, z_sq: float, v_sq: float) -> float:
+        """``step_curvature_bound`` from ||z||^2 and ||v||^2."""
+        return 3.0 * self.d * ((10.0 / 3.0) * (z_sq + v_sq) + self.ymass) + self.weight
+
+    def envelopes(self, nz: float, nv: float) -> tuple[float, float]:
+        """``stochastic_gradient_bounds`` from ||z|| and ||v||."""
+        shared = (nz * nv + self.ymass) / self.sampling
+        b_z = self.scale * (self.d * nv * shared + self.alpha * nz)
+        b_v = self.scale * (self.d * nz * shared + self.beta * nv)
+        return float(b_z), float(b_v)
+
 
 def step_curvature_bound(problem: Problem, z, v) -> float:
     """Uniform curvature bound for joint descent steps.
@@ -156,11 +206,7 @@ def step_curvature_bound(problem: Problem, z, v) -> float:
     its reciprocal is the norm-independent branch of the step-size rule.
     """
     z, v = _as_iterate(problem, z, v)
-    nz2 = float(np.vdot(z, z).real)
-    nv2 = float(np.vdot(v, v).real)
-    d = problem.d
-    return 3.0 * d * ((10.0 / 3.0) * (nz2 + nv2) + np.sqrt(problem.y_total / d)) \
-        + 3.0 * max(problem.alpha, problem.beta)
+    return _Bounds(problem).curvature(_sq_norm(z), _sq_norm(v))
 
 
 def stochastic_gradient_bounds(problem: Problem, z, v) -> tuple[float, float]:
@@ -171,16 +217,7 @@ def stochastic_gradient_bounds(problem: Problem, z, v) -> tuple[float, float]:
     looking at the sample.
     """
     z, v = _as_iterate(problem, z, v)
-    d = problem.d
-    nz = float(np.linalg.norm(z))
-    nv = float(np.linalg.norm(v))
-    scale = np.sqrt(15.0 * d / 4.0)
-    pmin = float(np.min(problem.p))
-    shared = (nz * nv + np.sqrt(problem.y_total / d)) \
-        / (np.sqrt(problem.batch_size) * pmin)
-    b_z = scale * (d * nv * shared + problem.alpha * nz)
-    b_v = scale * (d * nz * shared + problem.beta * nv)
-    return float(b_z), float(b_v)
+    return _Bounds(problem).envelopes(_norm(z), _norm(v))
 
 
 def partial_lipschitz(problem: Problem, z, v) -> tuple[float, float]:

@@ -15,6 +15,13 @@ on a degenerate iterate and ``run`` attaches the partial run.  Stochastic
 solvers own a fresh ``Rng(config.seed)``, so runs are bit-reproducible from
 (problem, initial pair, config).
 
+A factory computes once per run what depends only on the problem and the
+config: the step rules ``_gd_rule``/``_sgd_rule`` with their constants
+(``objective._Bounds``, (15d/4)^(-1/3), sgd's exponents and K-branch), the
+sampling CDF, the importance weights 1/(K p) and epie's sqrt(y).  A step
+passes the rule the monitor's ||z||^2, ||v||^2 and, for sgd, ||z||, ||v||.
+The public ``gd_step_sizes`` and ``sgd_max_step`` wrap the same rules.
+
 Step-size policies:
 
 * gd:        mu_t = mu * m_t and nu_t = nu * m_t with
@@ -39,6 +46,7 @@ Step-size policies:
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -47,12 +55,14 @@ from typing import ClassVar
 import numpy as np
 
 from .formatting import cell
-# dft, gradient_region and loss_and_gradient are not called here but stay
-# bound: perfbench/tracing.py wraps them under these names.
+# dft, gradient_region, loss_and_gradient, step_curvature_bound and
+# stochastic_gradient_bounds are not called here but stay bound:
+# perfbench/tracing.py wraps them under these names.
 from .fourier import dft, idft, shift  # noqa: F401
 from .model import Problem, _require_integers
-from .objective import (_TINY, GradientPair, _evaluate, _gradient,  # noqa: F401
-                        gradient_region, loss, loss_and_gradient, partial_lipschitz,
+from .objective import (_TINY, GradientPair, _as_iterate, _Bounds,  # noqa: F401
+                        _evaluate, _gradient, _norm, _sq_norm, gradient_region,
+                        loss, loss_and_gradient, partial_lipschitz,
                         step_curvature_bound, stochastic_gradient_bounds)
 from .rng import Rng
 
@@ -187,7 +197,7 @@ def run(problem: Problem, z0, v0, config: SolverConfig) -> SolverRun:
             ev = _evaluate(problem, z, v)
             gz, gv = ev.grad.norms()
             # a non-finite gradient entry makes its norm non-finite
-            if not (np.isfinite(ev.J) and np.isfinite(gz) and np.isfinite(gv)):
+            if not (math.isfinite(ev.J) and math.isfinite(gz) and math.isfinite(gv)):
                 raise DivergenceError(f"non-finite loss or gradient at iteration {t}")
             last = t == config.max_iters or \
                 (config.grad_tol > 0 and np.hypot(gz, gv) <= config.grad_tol)
@@ -219,21 +229,35 @@ def _branch_min(*branches: float) -> float:
     return m if m < _INF else 0.0
 
 
+def _gd_rule(problem: Problem):
+    """gd's m_t as a function of (||z||^2, ||v||^2, gz, gv), with the
+    problem's constants computed once."""
+    bounds = _Bounds(problem)
+    scale = (15.0 * problem.d / 4.0) ** (-1.0 / 3.0)
+
+    def rule(z_sq: float, v_sq: float, gz: float, gv: float) -> float:
+        bound = bounds.curvature(z_sq, v_sq)
+        return _branch_min(1.0 / bound if bound > 0 else _INF,
+                           scale * gz ** (-2.0 / 3.0) if gz > 0 else _INF,
+                           scale * gv ** (-2.0 / 3.0) if gv > 0 else _INF)
+    return rule
+
+
 def gd_step_sizes(problem: Problem, z, v, gz: float, gv: float,
                   mu: float = 1.0, nu: float = 1.0) -> tuple[float, float]:
     """Joint-descent step sizes (mu m, nu m) from the gradient norms
     (gz, gv) at (z, v); infinite branches drop out of the minimum m."""
-    bound = step_curvature_bound(problem, z, v)
-    scale = (15.0 * problem.d / 4.0) ** (-1.0 / 3.0)
-    m = _branch_min(1.0 / bound if bound > 0 else _INF,
-                    scale * gz ** (-2.0 / 3.0) if gz > 0 else _INF,
-                    scale * gv ** (-2.0 / 3.0) if gv > 0 else _INF)
+    z, v = _as_iterate(problem, z, v)
+    m = _gd_rule(problem)(_sq_norm(z), _sq_norm(v), gz, gv)
     return mu * m, nu * m
 
 
 def _gd(problem: Problem, config: SolverConfig):
+    rule = _gd_rule(problem)
+
     def step(z, v, t, ev, gz, gv):
-        mu_t, nu_t = gd_step_sizes(problem, z, v, gz, gv, config.mu, config.nu)
+        m = rule(ev.z_sq, ev.v_sq, gz, gv)
+        mu_t, nu_t = config.mu * m, config.nu * m
         return z - mu_t * ev.grad.z, v - nu_t * ev.grad.v, mu_t, nu_t
     return step, None
 
@@ -253,8 +277,9 @@ def sample_indices(problem: Problem, k: int, rng: Rng) -> list[int]:
     return [problem.offsets[i] for i in _draw_rows(np.cumsum(problem.p), k, rng)]
 
 
-def _importance_weights(problem: Problem, rows: np.ndarray) -> np.ndarray:
-    return 1.0 / (len(rows) * problem.p[rows])
+def _importance_weights(p: np.ndarray, k: int) -> np.ndarray:
+    """The weights 1 / (K p_r) of a batch of K draws with probabilities p."""
+    return 1.0 / (k * p)
 
 
 def stochastic_gradient(problem: Problem, z, v, indices) -> GradientPair:
@@ -263,21 +288,37 @@ def stochastic_gradient(problem: Problem, z, v, indices) -> GradientPair:
     rows = np.array([problem.offset_row[r] for r in indices], dtype=np.intp)
     if rows.size == 0:
         raise ValueError("indices must contain at least one offset")
-    return _evaluate(problem, z, v, rows, _importance_weights(problem, rows)).grad
+    return _evaluate(problem, *_as_iterate(problem, z, v), rows,
+                     _importance_weights(problem.p[rows], len(rows))).grad
+
+
+def _sgd_rule(problem: Problem, theta: float, kappa: float):
+    """Bounded sgd's m_t as a function of (||z||^2, ||v||^2, ||z||, ||v||, t),
+    with the constants of (problem, theta, kappa) computed once."""
+    bounds = _Bounds(problem)
+    decay, curvature_power = -1.0 + kappa, -1.0 / (1.0 - theta)
+    envelope_power = -2.0 / (3.0 - theta)
+    k = problem.batch_size
+    batch_branch = (1.0 - 1.0 / k) ** (-1.0 / theta) if k > 1 and theta > 0 else _INF
+
+    def rule(z_sq: float, v_sq: float, nz: float, nv: float, t: int) -> float:
+        bound = bounds.curvature(z_sq, v_sq)
+        b_z, b_v = bounds.envelopes(nz, nv)
+        return _branch_min(
+            (1.0 + t) ** decay * bound ** curvature_power if bound > 0 else _INF,
+            b_z ** envelope_power if b_z > 0 else _INF,
+            b_v ** envelope_power if b_v > 0 else _INF,
+            batch_branch)
+    return rule
 
 
 def sgd_max_step(problem: Problem, z, v, t: int, theta: float,
                  kappa: float) -> float:
     """Largest admissible SGD step at iteration t for the problem's batch
     size K (see module docstring)."""
-    bound = step_curvature_bound(problem, z, v)
-    b_z, b_v = stochastic_gradient_bounds(problem, z, v)
-    k = problem.batch_size
-    return _branch_min(
-        (1.0 + t) ** (-1.0 + kappa) * bound ** (-1.0 / (1.0 - theta)) if bound > 0 else _INF,
-        b_z ** (-2.0 / (3.0 - theta)) if b_z > 0 else _INF,
-        b_v ** (-2.0 / (3.0 - theta)) if b_v > 0 else _INF,
-        (1.0 - 1.0 / k) ** (-1.0 / theta) if k > 1 and theta > 0 else _INF)
+    z, v = _as_iterate(problem, z, v)
+    return _sgd_rule(problem, theta, kappa)(_sq_norm(z), _sq_norm(v),
+                                            _norm(z), _norm(v), t)
 
 
 def _epie_steps(problem: Problem, config: SolverConfig, z, v, t, row):
@@ -297,16 +338,18 @@ def _sgd(problem: Problem, config: SolverConfig):
         raise ValueError("epie_scaled steps require batch_size 1")
     rng = Rng(config.seed)
     cdf = np.cumsum(problem.p)
+    weights = _importance_weights(problem.p, problem.batch_size)
+    bounded = config.sgd_step_rule == "bounded"
+    rule = _sgd_rule(problem, config.theta, config.kappa)
 
     def step(z, v, t, ev, gz, gv):
         rows = _draw_rows(cdf, problem.batch_size, rng)
         # the step reuses the monitor's rows: no transform of its own
-        g = _gradient(problem, z, v, ev.windows[rows], ev.back[rows], rows,
-                      _importance_weights(problem, rows))
-        if config.sgd_step_rule == "bounded":
-            m = sgd_max_step(problem, z, v, t, config.theta, config.kappa)
-            mu_t = config.mu * m
-            nu_t = config.nu * m
+        g = _gradient(problem, z, v, ev.windows.take(rows, 0),
+                      ev.back.take(rows, 0), rows, weights[rows])
+        if bounded:
+            m = rule(ev.z_sq, ev.v_sq, _norm(z), _norm(v), t)
+            mu_t, nu_t = config.mu * m, config.nu * m
         else:
             _, _, mu_t, nu_t = _epie_steps(problem, config, z, v, t, rows[0])
         return z - mu_t * g.z, v - nu_t * g.v, mu_t, nu_t
@@ -320,6 +363,7 @@ def _epie(problem: Problem, config: SolverConfig):
     rng = Rng(config.seed)
     cdf = np.cumsum(problem.p)
     mode = problem.shifts.mode
+    magnitude = np.sqrt(problem.y)
     schedule: list[int] = []
 
     def step(z, v, t, ev, gz, gv):
@@ -338,7 +382,7 @@ def _epie(problem: Problem, config: SolverConfig):
         # magnitude via |.|^2 then sqrt to match the forward-model path bit
         # for bit; coefficients at exactly zero stay zero after correction
         mag = np.sqrt(np.abs(spectrum) ** 2)
-        scale = np.divide(np.sqrt(problem.y[row]), mag,
+        scale = np.divide(magnitude[row], mag,
                           out=np.zeros_like(mag), where=mag > _TINY)
         corrected = scale * spectrum
         delta = idft(corrected) - exit_wave
@@ -393,8 +437,19 @@ def write_trace(path, trace: list[TraceRecord]) -> None:
 
 
 def read_trace(path) -> list[TraceRecord]:
+    """Records of a trace CSV; a malformed row raises ValueError naming its line."""
     header, *rows = Path(path).read_text().splitlines() or [""]
     if header.rstrip() != TRACE_HEADER:
         raise ValueError(f"unexpected trace header: {header!r}")
-    return [TraceRecord(int(t), *map(float, columns), int(wall_ns))
-            for t, *columns, wall_ns in (row.split(",") for row in rows)]
+    records = []
+    for line, row in enumerate(rows, start=2):
+        cells = row.split(",")
+        try:
+            if len(cells) != len(fields(TraceRecord)):
+                raise ValueError(f"{len(cells)} columns")
+            t, *columns, wall_ns = cells
+            records.append(TraceRecord(int(t), *map(float, columns), int(wall_ns)))
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {line}: malformed trace row {row!r} "
+                             f"({exc})") from None
+    return records

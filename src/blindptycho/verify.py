@@ -19,6 +19,7 @@ unbiasedness, gradient_bounds, bilinear (circular and zero-padded, at most
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -43,7 +44,13 @@ class CheckReport:
 
 
 def reports_to_json(reports: list[CheckReport]) -> str:
-    return json.dumps([asdict(r) for r in reports], indent=2, allow_nan=False) + "\n"
+    """The reports as a JSON list; a worst slack that is not finite (NaN
+    when a sample could not be evaluated) is written as null."""
+    docs = [asdict(r) for r in reports]
+    for doc in docs:
+        if not math.isfinite(doc["worst_slack"]):
+            doc["worst_slack"] = None
+    return json.dumps(docs, indent=2, allow_nan=False) + "\n"
 
 
 def _report(name, samples, worst, tol, extra=""):
@@ -53,10 +60,9 @@ def _report(name, samples, worst, tol, extra=""):
 
 def _sampled(name, n_samples, slack, tol, extra=""):
     """Report the worst of ``slack()`` over n_samples calls, each of which
-    draws its own point."""
-    worst = np.inf
-    for _ in range(n_samples):
-        worst = min(worst, slack())
+    draws its own point.  A NaN slack (a side that could not be evaluated)
+    is the worst of all, so the check fails."""
+    worst = np.min([slack() for _ in range(n_samples)], initial=np.inf)
     return _report(name, n_samples, worst, tol, extra)
 
 

@@ -135,6 +135,11 @@ def test_unshift_sum_is_rowwise_adjoint(mode):
     expected = sum(shift(rows[i], -r, mode)
                    for i, r in enumerate(shifts.offsets))
     assert np.allclose(unshift_sum(rows, shifts), expected, rtol=1e-15, atol=0)
+    # one row per offset (or per selected offset), no more and no fewer
+    for bad, select in [(rows[:2], None), (np.vstack([rows, rows]), None),
+                        (rows[:1], [0, 2])]:
+        with pytest.raises(ValueError, match="one row per selected offset"):
+            unshift_sum(bad, shifts, select)
 
 
 @settings(max_examples=60, deadline=None)

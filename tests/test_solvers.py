@@ -80,18 +80,26 @@ def test_gd_monotone_descent_500_iters():
 
 
 def test_gd_update_rule_matches_trace():
-    prob = synthesize_problem(8, seed=7)
-    z0, v0 = np_pair(8, 70)
-    cfg = SolverConfig(algorithm="gd", max_iters=5, record_iterates=True)
-    res = run(prob, z0, v0, cfg)
-    z = np.array(z0)
-    v = np.array(v0)
-    for t, (zt, vt) in enumerate(res.iterates[1:]):
-        g = gradient(prob, z, v)
-        z = z - res.trace[t].mu_t * g.z
-        v = v - res.trace[t].nu_t * g.v
-        assert np.array_equal(z, zt)
-        assert np.array_equal(v, vt)
+    # the loop's rule takes the monitor's norms and per-run constants; its
+    # steps must be the public gd_step_sizes at the recorded iterate, bit for
+    # bit.  The ratio term branches on eps, so eps = 0 is covered too.
+    for epsilon, mu, nu in [(1e-8, 1.0, 1.0), (0.0, 0.5, 0.25)]:
+        prob = synthesize_problem(8, seed=7, epsilon=epsilon)
+        z0, v0 = np_pair(8, 70)
+        cfg = SolverConfig(algorithm="gd", max_iters=5, mu=mu, nu=nu,
+                           record_iterates=True)
+        res = run(prob, z0, v0, cfg)
+        z = np.array(z0)
+        v = np.array(v0)
+        for t, (zt, vt) in enumerate(res.iterates[1:]):
+            g = gradient(prob, z, v)
+            row = res.trace[t]
+            assert (row.mu_t, row.nu_t) == \
+                gd_step_sizes(prob, z, v, *g.norms(), mu, nu)
+            z = z - row.mu_t * g.z
+            v = v - row.nu_t * g.v
+            assert np.array_equal(z, zt)
+            assert np.array_equal(v, vt)
 
 
 def test_gd_cap_mode_scales_steps_and_still_descends():
@@ -313,24 +321,30 @@ def test_sgd_update_norm_identity():
                                             ("zero-padded", 16, 3, "bounded")])
 def test_sgd_step_is_public_stochastic_gradient(mode, d, k, rule):
     # the sgd step is built from the monitor's per-row arrays; it must be
-    # the public stochastic gradient at the recorded iterate times mu_t, nu_t
+    # the public stochastic gradient at the recorded iterate times mu_t, nu_t,
+    # and a bounded step the public sgd_max_step, bit for bit (eps = 0 and
+    # eps > 0: the ratio term branches on eps)
     offsets = tuple(range(-4, d, 3)) if mode == "zero-padded" else tuple(range(d))
     p = np.linspace(1.0, 2.0, len(offsets))
-    prob = synthesize_problem(d, shifts=ShiftSet(offsets, mode), seed=49,
-                              p=p / p.sum(), batch_size=k)
-    z0, v0 = np_pair(d, 50)
-    res = run(prob, z0, v0, SolverConfig(algorithm="sgd", max_iters=25,
-                                         seed=8, sgd_step_rule=rule,
-                                         record_iterates=True))
-    rng = Rng(8)
-    for t, row in enumerate(res.trace[:-1]):
-        z, v = res.iterates[t]
-        g = stochastic_gradient(prob, z, v, sample_indices(prob, k, rng))
-        z_next, v_next = res.iterates[t + 1]
-        assert np.max(np.abs(z_next - (z - row.mu_t * g.z))) \
-            <= 1e-13 * row.mu_t * np.max(np.abs(g.z))
-        assert np.max(np.abs(v_next - (v - row.nu_t * g.v))) \
-            <= 1e-13 * row.nu_t * np.max(np.abs(g.v))
+    for epsilon in (1e-8, 0.0):
+        prob = synthesize_problem(d, shifts=ShiftSet(offsets, mode), seed=49,
+                                  epsilon=epsilon, p=p / p.sum(), batch_size=k)
+        z0, v0 = np_pair(d, 50)
+        cfg = SolverConfig(algorithm="sgd", max_iters=25, seed=8,
+                           sgd_step_rule=rule, record_iterates=True)
+        res = run(prob, z0, v0, cfg)
+        rng = Rng(8)
+        for t, row in enumerate(res.trace[:-1]):
+            z, v = res.iterates[t]
+            g = stochastic_gradient(prob, z, v, sample_indices(prob, k, rng))
+            z_next, v_next = res.iterates[t + 1]
+            assert np.max(np.abs(z_next - (z - row.mu_t * g.z))) \
+                <= 1e-13 * row.mu_t * np.max(np.abs(g.z))
+            assert np.max(np.abs(v_next - (v - row.nu_t * g.v))) \
+                <= 1e-13 * row.nu_t * np.max(np.abs(g.v))
+            if rule == "bounded":
+                m = sgd_max_step(prob, z, v, t, cfg.theta, cfg.kappa)
+                assert (row.mu_t, row.nu_t) == (cfg.mu * m, cfg.nu * m)
 
 
 def test_stochastic_gradient_repeated_draws_match_region_sum():
@@ -508,6 +522,20 @@ def test_interval_decrease_bounds():
         assert step.decrease >= step.bound_matched - tol
 
 
+def test_interval_steps_match_partial_lipschitz():
+    # mu_t = gamma / L_z and nu_t = (1 - gamma) / L_v with the public
+    # curvature constants at the recorded iterate, bit for bit
+    for epsilon in (1e-8, 0.0):
+        prob = synthesize_problem(8, seed=45, epsilon=epsilon)
+        z0, v0 = np_pair(8, 46)
+        res = run(prob, z0, v0, SolverConfig(algorithm="interval", max_iters=20,
+                                             gamma_grid=5, record_iterates=True))
+        for rec, step, (z, v) in zip(res.trace, res.interval_steps, res.iterates):
+            object_curv, window_curv = partial_lipschitz(prob, z, v)
+            assert rec.mu_t == step.gamma / object_curv
+            assert rec.nu_t == (1.0 - step.gamma) / window_curv
+
+
 def test_interval_finer_grid_never_worse():
     prob = synthesize_problem(8, seed=41)
     z0, v0 = np_pair(8, 42)
@@ -554,4 +582,13 @@ def test_trace_file_round_trip(tmp_path):
     assert read_trace(path) == res.trace
     path.write_text(path.read_text().replace("grad_z_norm", "gz", 1))
     with pytest.raises(ValueError, match="unexpected trace header"):
+        read_trace(path)
+    # a row of the wrong width or with a non-numeric cell names its line
+    path.write_text(f"{TRACE_HEADER}\n0,1,2,3\n")
+    with pytest.raises(ValueError, match="line 2: malformed trace row '0,1,2,3'"):
+        read_trace(path)
+    lines = trace_to_csv(res.trace).splitlines()
+    lines[3] = lines[3].replace(",", ",J", 1)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="line 4: malformed trace row"):
         read_trace(path)

@@ -10,7 +10,7 @@ from blindptycho import (Rng, ShiftSet, check_bilinear_bound,
                          fd_wirtinger_gradient, gradient, loss,
                          reports_to_json, run_suite, stochastic_gradient,
                          synthesize_problem)
-from blindptycho.verify import SUITES
+from blindptycho.verify import DEFAULT_TOL, SUITES, _sampled
 
 from conftest import np_pair
 
@@ -154,6 +154,20 @@ def test_checker_determinism_and_json():
     assert parsed[0]["name"] == "descent_lemma"
     assert parsed[0]["passed"] is True
     assert "tolerance" in parsed[0]["detail"]
+
+
+def test_nan_sample_fails_the_check():
+    # at scale 1e160 both sides of the descent bound overflow (inf - inf), so
+    # every slack is NaN: the check fails and its report still writes
+    prob = synthesize_problem(8, seed=1, epsilon=1e-3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = check_descent_lemma(prob, 5, 1e160, Rng(2))
+    assert not report.passed
+    assert np.isnan(report.worst_slack)
+    assert json.loads(reports_to_json([report]))[0]["worst_slack"] is None
+    # one NaN among finite slacks is not skipped either
+    slacks = iter([0.5, float("nan"), 0.25])
+    assert not _sampled("mixed", 3, lambda: next(slacks), DEFAULT_TOL).passed
 
 
 def test_run_suite_all_pass():
