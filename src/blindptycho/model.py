@@ -14,13 +14,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property, partial
-from numbers import Integral
 from pathlib import Path
 
 import numpy as np
 
 from .fourier import CIRCULAR, ShiftSet, dft, shift_stack
-from .rng import Rng
+from .rng import Rng, _integral
 
 NOISE_KINDS = ("none", "poisson", "gaussian")
 
@@ -74,9 +73,12 @@ def add_noise(measurements: MeasurementSet, model: NoiseModel, rng: Rng) -> Meas
     values = measurements.values
     if model.kind == "none":
         return MeasurementSet(values.copy(), measurements.shifts)
-    draw = rng.poisson if model.kind == "poisson" else \
-        lambda y: max(0.0, y + model.sigma * rng.normal())
-    out = np.fromiter(map(draw, values.flat), np.float64, values.size)
+    if model.kind == "poisson":
+        out = np.fromiter(map(rng.poisson, values.flat), np.float64, values.size)
+    else:
+        noisy = values.reshape(-1) + model.sigma * rng.normal_vector(values.size)
+        # as max(0.0, .) per entry: -0.0 and NaN become 0.0
+        out = np.where(noisy > 0.0, noisy, 0.0)
     return MeasurementSet(out.reshape(values.shape), measurements.shifts)
 
 
@@ -219,11 +221,6 @@ def _complex_pairs(value) -> np.ndarray:
     if pairs.ndim != 2 or pairs.shape[1] != 2:
         raise ValueError("expected a list of [re, im] pairs")
     return pairs.view(np.complex128)[:, 0]
-
-
-def _integral(value) -> bool:
-    """An int, or a float with no fraction (2.0 yes; 2.9, nan and inf no)."""
-    return isinstance(value, Integral) or isinstance(value, float) and value.is_integer()
 
 
 def _require_integers(obj, *names) -> None:

@@ -12,6 +12,18 @@ single stream:
 * ``poisson``        product-of-uniforms inversion below mean 10,
                      Hormann's PTRS transformed rejection above
 
+Output i of the stream is the finalizer applied to seed + i * increment
+(mod 2**64), so ``next_u64_block`` computes n outputs at once in wrapping
+uint64 arithmetic and returns exactly what n ``next_u64`` calls would.
+``normal_vector`` and ``complex_normal_vector`` are built on it and keep the
+scalar draw order: entry j consumes outputs 2j (the uniform in (0, 1] under
+the logarithm) and 2j + 1 (the angle).  Their logarithms, cosines and sines
+go through ``math`` element by element, because numpy's SIMD versions may
+differ from ``math`` in the last bit (``np.log`` does on some CPUs); the
+square root and the products stay in numpy, which rounds them correctly.
+The scalar methods, ``shuffle`` and Poisson draws (which consume a variable
+number of outputs) are the reference the block path is tested against.
+
 An ``Rng`` is single-owner mutable state.  Solvers and synthesis routines
 each own their instance exclusively; never share one between concurrent
 callers.
@@ -20,6 +32,7 @@ callers.
 from __future__ import annotations
 
 import math
+from numbers import Integral
 
 import numpy as np
 
@@ -27,6 +40,13 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
+# the same constants as numpy scalars, for the block path
+_GOLDEN_U64, _MIX1_U64, _MIX2_U64 = (np.uint64(c) for c in (_GOLDEN, _MIX1, _MIX2))
+
+
+def _integral(value) -> bool:
+    """An int, or a float with no fraction (2.0 yes; 2.9, nan and inf no)."""
+    return isinstance(value, Integral) or isinstance(value, float) and value.is_integer()
 
 
 class Rng:
@@ -35,6 +55,8 @@ class Rng:
     __slots__ = ("_state",)
 
     def __init__(self, seed: int):
+        if not _integral(seed):
+            raise ValueError(f"seed must be an integer: {seed!r}")
         self._state = int(seed) & _MASK64
 
     def next_u64(self) -> int:
@@ -43,6 +65,23 @@ class Rng:
         z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
         z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
         return z ^ (z >> 31)
+
+    def next_u64_block(self, n: int) -> np.ndarray:
+        """The next n outputs of ``next_u64`` as a uint64 array."""
+        if n < 0:
+            raise ValueError(f"block length must be >= 0: {n!r}")
+        # Array arithmetic in uint64 wraps mod 2**64 without a warning; the
+        # state itself advances in Python ints.
+        z = np.arange(1, n + 1, dtype=np.uint64)
+        z *= _GOLDEN_U64
+        z += np.uint64(self._state)
+        self._state = (self._state + n * _GOLDEN) & _MASK64
+        z ^= z >> 30
+        z *= _MIX1_U64
+        z ^= z >> 27
+        z *= _MIX2_U64
+        z ^= z >> 31
+        return z
 
     def uniform(self) -> float:
         """Uniform draw in [0, 1)."""
@@ -63,11 +102,29 @@ class Rng:
         phi = 2.0 * math.pi * self.uniform()
         return complex(r * math.cos(phi), r * math.sin(phi))
 
+    def _polar_block(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        # log of the (0, 1] uniforms and the angles of n Box-Muller draws;
+        # k * 2**-53 + 2**-53 is (k + 1) * 2**-53 exactly, as k < 2**53
+        f = (self.next_u64_block(2 * n) >> 11).astype(np.float64)
+        f *= 2.0**-53
+        log_u = np.fromiter(map(math.log, (f[0::2] + 2.0**-53).tolist()), np.float64, n)
+        return log_u, 2.0 * math.pi * f[1::2]
+
     def normal_vector(self, n: int) -> np.ndarray:
-        return np.array([self.normal() for _ in range(n)], dtype=np.float64)
+        """n ``normal`` draws, the same bits in the same order."""
+        log_u, phi = self._polar_block(n)
+        return np.sqrt(-2.0 * log_u) * np.fromiter(map(math.cos, phi.tolist()), np.float64, n)
 
     def complex_normal_vector(self, n: int) -> np.ndarray:
-        return np.array([self.complex_normal() for _ in range(n)], dtype=np.complex128)
+        """n ``complex_normal`` draws, the same bits in the same order."""
+        log_u, phi = self._polar_block(n)
+        r = np.sqrt(-log_u)
+        angles = phi.tolist()
+        out = np.empty(n, dtype=np.complex128)
+        # set the parts separately: re + 1j * im would turn a -0.0 real part into +0.0
+        out.real = r * np.fromiter(map(math.cos, angles), np.float64, n)
+        out.imag = r * np.fromiter(map(math.sin, angles), np.float64, n)
+        return out
 
     def integer_below(self, n: int) -> int:
         """Integer in [0, n) by Lemire's multiply-shift (bias < n / 2**64)."""

@@ -61,7 +61,10 @@ def _report(name, samples, worst, tol, extra=""):
 def _sampled(name, n_samples, slack, tol, extra=""):
     """Report the worst of ``slack()`` over n_samples calls, each of which
     draws its own point.  A NaN slack (a side that could not be evaluated)
-    is the worst of all, so the check fails."""
+    is the worst of all, so the check fails.  Fewer than one sample would
+    check nothing, so it is rejected."""
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be >= 1: {n_samples!r}")
     worst = np.min([slack() for _ in range(n_samples)], initial=np.inf)
     return _report(name, n_samples, worst, tol, extra)
 

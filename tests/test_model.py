@@ -88,6 +88,26 @@ def test_add_noise_gaussian_clamps():
     assert np.all(out.values >= 0)
 
 
+def _add_noise_loop(values, sigma, rng):
+    # scalar reference: one normal per entry in row-major order, clamped at 0
+    return np.array([max(0.0, y + sigma * rng.normal()) for y in values.flat]
+                    ).reshape(values.shape)
+
+
+@pytest.mark.parametrize("sigma", [1e-3, 1.0, 50.0])
+def test_add_noise_gaussian_matches_scalar_loop(sigma):
+    # 40 zero-padded shifts at d=100; sigma = 50 clamps many entries to 0
+    x, w = np_pair(100, 4)
+    measured = forward_intensities(x, w, ShiftSet(tuple(range(-60, 100, 4)), "zero-padded"))
+    ref, rng = Rng(17), Rng(17)
+    expected = _add_noise_loop(measured.values, sigma, ref)
+    out = add_noise(measured, NoiseModel("gaussian", sigma), rng)
+    assert out.values.tobytes() == expected.tobytes()
+    assert rng.next_u64() == ref.next_u64()
+    if sigma == 50.0:
+        assert 0 < np.count_nonzero(expected == 0.0) < expected.size
+
+
 def test_add_noise_poisson_preserves_shape_and_sign(small_problem):
     out = add_noise(small_problem.measurements, NoiseModel("poisson"), Rng(5))
     assert out.values.shape == small_problem.y.shape

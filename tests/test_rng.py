@@ -3,7 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from blindptycho import Rng
+from blindptycho import Rng, initial_guess, synthesize_problem
+
+# seeds at both ends of the 64-bit range: -1 and 2**64 - 1 are the same state
+STREAM_SEEDS = [0, 1, -1, 2**64 - 1]
+# each stream: its scalar reference, its block method and the dtype of a block
+STREAMS = {
+    "next_u64": (Rng.next_u64, Rng.next_u64_block, np.uint64),
+    "normal": (Rng.normal, Rng.normal_vector, np.float64),
+    "complex_normal": (Rng.complex_normal, Rng.complex_normal_vector, np.complex128),
+}
 
 
 def test_equal_seeds_equal_streams():
@@ -72,3 +81,68 @@ def test_integer_below_and_shuffle_determinism():
     Rng(8).shuffle(a)
     Rng(8).shuffle(b)
     assert a == b and sorted(a) == list(range(12))
+
+
+def test_seed_must_be_integral():
+    assert Rng(2.0).next_u64() == Rng(2).next_u64() == Rng(np.int64(2)).next_u64()
+    assert Rng(np.uint64(2**64 - 1)).next_u64() == Rng(-1).next_u64()
+    for seed in (2.5, math.nan, math.inf, np.float64(2.5)):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            Rng(seed)
+    # synthesis and starting pairs no longer reuse a truncated seed
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        synthesize_problem(8, seed=2.5)
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        initial_guess(8, 2.5)
+
+
+@pytest.mark.filterwarnings("error")
+def test_published_splitmix64_vector():
+    expected = [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4,
+                0x06C45D188009454F, 0xF88BB8A8724C81EC]
+    rng = Rng(0)
+    assert [rng.next_u64() for _ in range(4)] == expected
+    assert Rng(0).next_u64_block(4).tolist() == expected
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("seed", STREAM_SEEDS)
+@pytest.mark.parametrize("stream", STREAMS)
+def test_block_stream_matches_scalar_stream(stream, seed):
+    # bit for bit, signed zeros included, and the state after the block
+    scalar, block, dtype = STREAMS[stream]
+    n = 100_000
+    ref, rng = Rng(seed), Rng(seed)
+    expected = np.array([scalar(ref) for _ in range(n)], dtype=dtype)
+    assert block(rng, n).tobytes() == expected.tobytes()
+    assert rng.next_u64() == ref.next_u64()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("seed", STREAM_SEEDS)
+def test_blocks_interleave_with_scalar_calls(seed):
+    ref, rng = Rng(seed), Rng(seed)
+    for n in (0, 1, 2, 7, 0, 1, 33):
+        for scalar, block, dtype in STREAMS.values():
+            expected = np.array([scalar(ref) for _ in range(n)], dtype=dtype)
+            got = block(rng, n)
+            assert got.dtype == dtype and got.shape == (n,)
+            assert got.tobytes() == expected.tobytes()
+            assert rng.uniform() == ref.uniform()
+    # a negative length is rejected and leaves the state as it was
+    with pytest.raises(ValueError, match="block length must be >= 0"):
+        rng.normal_vector(-1)
+    assert rng.next_u64() == ref.next_u64()
+
+
+@pytest.mark.filterwarnings("error")
+def test_block_keeps_signed_zeros():
+    # a seed whose first uniform in (0, 1] is exactly 1 (found by inverting the
+    # finalizer): the Box-Muller radius is sqrt(-0.0) = -0.0, so the draws are
+    # signed zeros, here -0.0 and -0.0 + 0.0j
+    seed = 0x8FF53ED1A44305A4
+    assert Rng(seed).next_u64() >> 11 == 2**53 - 1
+    expected = np.array([Rng(seed).normal(), Rng(seed).complex_normal()])
+    assert np.signbit(expected.real).all() and not np.signbit(expected.imag).any()
+    got = np.array([Rng(seed).normal_vector(1)[0], Rng(seed).complex_normal_vector(1)[0]])
+    assert got.tobytes() == expected.tobytes()

@@ -170,6 +170,21 @@ def test_nan_sample_fails_the_check():
     assert not _sampled("mixed", 3, lambda: next(slacks), DEFAULT_TOL).passed
 
 
+@pytest.mark.parametrize("check", [
+    lambda prob, n: check_gradient_fd(prob, n, Rng(0)),
+    lambda prob, n: check_descent_lemma(prob, n, 1.0, Rng(0)),
+    lambda prob, n: check_gradient_bounds(prob, n, Rng(0)),
+    lambda prob, n: check_bilinear_bound(prob.d, prob.shifts, n, Rng(0)),
+    lambda prob, n: check_lipschitz(prob, n, Rng(0)),
+], ids=["gradient_fd", "descent_lemma", "gradient_bounds", "bilinear_bound", "lipschitz"])
+@pytest.mark.parametrize("n_samples", [0, -1])
+def test_sampled_checkers_reject_no_samples(check, n_samples):
+    # zero samples would pass with worst_slack = inf without checking anything
+    prob = synthesize_problem(8, seed=1, epsilon=1e-3)
+    with pytest.raises(ValueError, match="n_samples must be >= 1"):
+        check(prob, n_samples)
+
+
 def test_run_suite_all_pass():
     reports = run_suite(("unbiasedness", "bilinear", "gradient_bounds"),
                         seed=1, samples=20)
