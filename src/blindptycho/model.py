@@ -64,7 +64,7 @@ def forward_intensities(x: np.ndarray, w: np.ndarray, shifts: ShiftSet) -> Measu
     if x.shape != w.shape or x.ndim != 1:
         raise ValueError("x and w must be 1-d arrays of equal length")
     shifts.validate_for_dim(x.shape[0])
-    spec = dft(x[np.newaxis, :] * shift_stack(w, shifts))
+    spec = dft(x * shift_stack(w, shifts))
     return MeasurementSet(np.abs(spec) ** 2, shifts)
 
 

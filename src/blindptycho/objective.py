@@ -24,7 +24,12 @@ Every value and gradient comes from one kernel, ``_evaluate``, over any
 subset of regions (repeats allowed).  Reductions run in row order, so the
 decomposition identities are reproducible run to run.  The kernel takes
 complex128 vectors of length d unchecked (the public wrappers check them)
-and keeps ||z||^2 and ||v||^2 for the curvature bound.
+and keeps ||z||^2 and ||v||^2 for the curvature bound.  It has two halves:
+the forward half (gather, transform, amplitudes, misfit and norms) is all
+that ``grad=False`` runs, and the back half (ratio, back transform and
+gradient reduction) runs on a forward half, either its own or one passed
+as ``forward=`` that an earlier ``grad=False`` call computed for the same
+arguments.
 
 The bound formulas are written once, on ``_Bounds``, which computes the
 per-problem constants sqrt(||y||_1 / d), 3 max(alpha, beta), sqrt(15d/4)
@@ -79,20 +84,23 @@ def _as_iterate(problem: Problem, z, v):
 class _Evaluation:
     """One pass of the residual kernel.  Row i of each array belongs to the
     offset with index ``rows[i]`` (every offset, in listed order, when
-    ``rows`` is None); ``back`` and ``grad`` are None without a gradient."""
+    ``rows`` is None); ``back`` and ``grad`` are None without a gradient,
+    ``amp`` (which only the back half reads) with one."""
 
     J: float
     L_eps: float
     grad: GradientPair | None
     windows: np.ndarray            # S_r v
     spectrum: np.ndarray           # dft(z * S_r v)
+    amp: np.ndarray | None         # sqrt(|spectrum|^2 + eps)
     back: np.ndarray | None        # F^* (I - D) spectrum
     z_sq: float                    # ||z||^2
     v_sq: float                    # ||v||^2
 
 
 def _evaluate(problem: Problem, z, v, rows=None, weights=None,
-              tikhonov: float = 1.0, grad: bool = True) -> _Evaluation:
+              tikhonov: float = 1.0, grad: bool = True,
+              forward: _Evaluation | None = None) -> _Evaluation:
     """The residual kernel: value and Wirtinger gradient of
 
         sum_i weights_i L_i(z, v) + tikhonov (alpha ||z||^2 + beta ||v||^2),
@@ -101,19 +109,29 @@ def _evaluate(problem: Problem, z, v, rows=None, weights=None,
     (repeats allowed; all regions when None) and weights default to one.
     L_eps is the weighted data sum.  One forward and one back transform
     cover all the rows.  z and v must already be complex128 of length d.
+
+    ``forward``, when given, must be the ``grad=False`` evaluation of the
+    same (z, v, rows, weights, tikhonov); the kernel then runs only its
+    back half, on those arrays, and returns value and gradient.
     """
-    windows = shift_stack(v, problem.shifts, rows)
-    spectrum = dft(z * windows)
     target = problem.y_amplitude if rows is None else problem.y_amplitude[rows]
-    amp = np.sqrt(np.abs(spectrum) ** 2 + problem.epsilon)
-    misfit = (amp - target) ** 2
-    if weights is not None:
-        misfit = weights[:, np.newaxis] * misfit
-    data = float(misfit.sum())
-    z_sq, v_sq = _sq_norm(z), _sq_norm(v)
-    total = data + problem.alpha * tikhonov * z_sq + problem.beta * tikhonov * v_sq
-    if not grad:
-        return _Evaluation(total, data, None, windows, spectrum, None, z_sq, v_sq)
+    if forward is None:
+        windows = shift_stack(v, problem.shifts, rows)
+        spectrum = dft(z * windows)
+        amp = np.sqrt(np.abs(spectrum) ** 2 + problem.epsilon)
+        misfit = (amp - target) ** 2
+        if weights is not None:
+            misfit = weights[:, np.newaxis] * misfit
+        data = float(misfit.sum())
+        z_sq, v_sq = _sq_norm(z), _sq_norm(v)
+        total = data + problem.alpha * tikhonov * z_sq + problem.beta * tikhonov * v_sq
+        if not grad:
+            return _Evaluation(total, data, None, windows, spectrum, amp, None,
+                               z_sq, v_sq)
+    else:
+        f = forward
+        total, data, windows, spectrum, amp, z_sq, v_sq = \
+            f.J, f.L_eps, f.windows, f.spectrum, f.amp, f.z_sq, f.v_sq
     # (I - D) spectrum, then F^*.  With eps > 0 every amplitude is at least
     # sqrt(eps) > _TINY; with eps = 0 a vanished coefficient gets ratio 0.
     if problem.epsilon > 0:
@@ -122,7 +140,9 @@ def _evaluate(problem: Problem, z, v, rows=None, weights=None,
         ratio = np.divide(target, amp, out=np.zeros_like(amp), where=amp > _TINY)
     back = dft_adjoint((1.0 - ratio) * spectrum)
     g = _gradient(problem, z, v, windows, back, rows, weights, tikhonov)
-    return _Evaluation(total, data, g, windows, spectrum, back, z_sq, v_sq)
+    # amp has no reader after the back half; a monitor that kept it would
+    # hold one more (R, d) array alive per iteration for every solver.
+    return _Evaluation(total, data, g, windows, spectrum, None, back, z_sq, v_sq)
 
 
 def _gradient(problem: Problem, z, v, windows, back, rows, weights=None,

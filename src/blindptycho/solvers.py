@@ -2,11 +2,15 @@
 the ptychographic iterative engine, and interval descent.
 
 ``run`` is the one solver loop; its SolverConfig was checked when built.  At
-each t it evaluates the iterate in full (the trace monitor; a non-finite
-loss or gradient norm raises DivergenceError).  At t = max_iters, or once
-grad_tol > 0 and ||grad J|| <= grad_tol, it writes a closing row with zero
-step sizes and stops; otherwise it writes the row of
-``step(z, v, t, ev, gz, gv) -> (z_new, v_new, mu_t, nu_t)`` and moves on.
+each t it evaluates value and gradient of the iterate over all regions (the
+trace monitor; a non-finite loss or gradient norm raises DivergenceError).
+At t = max_iters, or once grad_tol > 0 and ||grad J|| <= grad_tol, it
+writes a closing row with zero step sizes and stops; otherwise it writes
+the row of ``step(z, v, t, ev, gz, gv) -> (z_new, v_new, mu_t, nu_t, ahead)``
+and moves on.  ``ahead`` is None or the forward half of the next monitor,
+``_evaluate(problem, z_new, v_new, grad=False)``, which a step hands over
+when it already computed it (interval's selected trial); the monitor then
+runs only the kernel's back half.  gd, sgd and epie return None.
 The factories ``_gd/_sgd/_epie/_interval(problem, config)`` check the
 problem, build the algorithm's state and return (step, interval_steps or
 None).  ``ev`` is the monitor's evaluation, whose rows the sgd and epie
@@ -41,7 +45,8 @@ Step-size policies:
   With uniform sampling, K = 1, eps = 0 and no Tikhonov terms, it coincides
   with sgd under the mapping mu_t = alpha_t p_r / (d ||v||_inf^2).
 * interval:  minimize J over a gamma grid on the segment between the two
-  single-variable endpoint updates z - (1/L) grad_z J and v - (1/L) grad_v J.
+  single-variable endpoint updates z - (1/L) grad_z J and v - (1/L) grad_v J;
+  the selected trial's forward pass is the next monitor's.
 """
 
 from __future__ import annotations
@@ -55,7 +60,7 @@ from typing import ClassVar
 import numpy as np
 
 from .formatting import cell
-# dft, gradient_region, loss_and_gradient, step_curvature_bound and
+# dft, gradient_region, loss, loss_and_gradient, step_curvature_bound and
 # stochastic_gradient_bounds are not called here but stay bound:
 # perfbench/tracing.py wraps them under these names.
 from .fourier import dft, idft, shift  # noqa: F401
@@ -191,18 +196,19 @@ def run(problem: Problem, z0, v0, config: SolverConfig) -> SolverRun:
     step, interval_steps = _FACTORIES[config.algorithm](problem, config)
     trace: list[TraceRecord] = []
     iterates = [(z.copy(), v.copy())] if config.record_iterates else None
+    ahead = None
     start = time.monotonic_ns()
     for t in range(config.max_iters + 1):
         try:
-            ev = _evaluate(problem, z, v)
+            ev = _evaluate(problem, z, v, forward=ahead)
             gz, gv = ev.grad.norms()
             # a non-finite gradient entry makes its norm non-finite
             if not (math.isfinite(ev.J) and math.isfinite(gz) and math.isfinite(gv)):
                 raise DivergenceError(f"non-finite loss or gradient at iteration {t}")
             last = t == config.max_iters or \
                 (config.grad_tol > 0 and np.hypot(gz, gv) <= config.grad_tol)
-            z_new, v_new, mu_t, nu_t = (z, v, 0.0, 0.0) if last else \
-                step(z, v, t, ev, gz, gv)
+            z_new, v_new, mu_t, nu_t, ahead = (z, v, 0.0, 0.0, None) if last \
+                else step(z, v, t, ev, gz, gv)
         except DivergenceError as exc:
             exc.run = SolverRun(z, v, trace, iterates, interval_steps)
             raise
@@ -258,7 +264,7 @@ def _gd(problem: Problem, config: SolverConfig):
     def step(z, v, t, ev, gz, gv):
         m = rule(ev.z_sq, ev.v_sq, gz, gv)
         mu_t, nu_t = config.mu * m, config.nu * m
-        return z - mu_t * ev.grad.z, v - nu_t * ev.grad.v, mu_t, nu_t
+        return z - mu_t * ev.grad.z, v - nu_t * ev.grad.v, mu_t, nu_t, None
     return step, None
 
 
@@ -352,7 +358,7 @@ def _sgd(problem: Problem, config: SolverConfig):
             mu_t, nu_t = config.mu * m, config.nu * m
         else:
             _, _, mu_t, nu_t = _epie_steps(problem, config, z, v, t, rows[0])
-        return z - mu_t * g.z, v - nu_t * g.v, mu_t, nu_t
+        return z - mu_t * g.z, v - nu_t * g.v, mu_t, nu_t, None
     return step, None
 
 
@@ -389,7 +395,7 @@ def _epie(problem: Problem, config: SolverConfig):
         r = problem.offsets[row]
         z_new = z + config.epie_alpha * np.conj(sv) * delta / sq_v
         v_new = v + config.epie_beta * shift(np.conj(z) * delta, -r, mode) / sq_z
-        return z_new, v_new, mu_t, nu_t
+        return z_new, v_new, mu_t, nu_t, None
     return step, None
 
 
@@ -406,20 +412,30 @@ def _interval(problem: Problem, config: SolverConfig):
         object_curv, window_curv = partial_lipschitz(problem, z, v)
         dz = ev.grad.z / object_curv
         dv = ev.grad.v / window_curv
-        values = [loss(problem, z - g * dz, v - (1.0 - g) * dv)[0] for g in gammas]
-        best = int(np.argmin(values))
-        gamma = float(gammas[best])
+        # Only the running best trial is kept, with its forward pass, which
+        # the next monitor reuses; it is np.argmin's choice (the first NaN,
+        # else the first minimum).
+        values, best = [], None
+        for g in gammas:
+            z_g, v_g = z - g * dz, v - (1.0 - g) * dv
+            forward = _evaluate(problem, z_g, v_g, grad=False)
+            values.append(forward.J)
+            if best is None or not math.isnan(best[3].J) and (
+                    math.isnan(forward.J) or forward.J < best[3].J):
+                best = (g, z_g, v_g, forward)
+        gamma, z_new, v_new, forward = best
+        gamma = float(gamma)
         steps.append(IntervalStep(
             gamma=gamma,
             loss_object_endpoint=values[-1],
             loss_window_endpoint=values[0],
-            loss_selected=values[best],
-            decrease=ev.J - values[best],
+            loss_selected=forward.J,
+            decrease=ev.J - forward.J,
             bound_matched=0.5 * gz * gz / object_curv + 0.5 * gv * gv / window_curv,
             bound_crossed=0.5 * gz * gz / window_curv + 0.5 * gv * gv / object_curv,
         ))
-        return (z - gamma * dz, v - (1.0 - gamma) * dv,
-                gamma / object_curv, (1.0 - gamma) / window_curv)
+        return (z_new, v_new, gamma / object_curv, (1.0 - gamma) / window_curv,
+                forward)
     return step, steps
 
 

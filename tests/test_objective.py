@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from blindptycho import (ShiftSet, gradient, gradient_region, loss,
@@ -8,6 +8,7 @@ from blindptycho import (ShiftSet, gradient, gradient_region, loss,
                          q_apply, shift, step_curvature_bound,
                          stochastic_gradient_bounds, synthesize_problem)
 from blindptycho.fourier import MODES
+from blindptycho.objective import _evaluate
 from blindptycho.verify import fd_wirtinger_gradient
 
 from conftest import np_pair
@@ -162,6 +163,29 @@ def test_gradient_region_sum_property(data, d, mode, seed):
             <= 1e-12 * scale
 
 
+@st.composite
+def _shift_sets(draw):
+    """(d, mode, offsets): d <= 32 and any nonempty offset set of the mode."""
+    d = draw(st.integers(1, 32))
+    mode = draw(st.sampled_from(MODES))
+    pool = range(d) if mode == "circular" else range(1 - d, d)
+    return d, mode, tuple(sorted(draw(st.sets(st.sampled_from(pool), min_size=1))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(shape=_shift_sets(), seed=st.integers(0, 2 ** 32 - 1))
+@example(shape=(1, "circular", (0,)), seed=74)
+def test_zero_loss_and_gradient_at_noiseless_truth_property(shape, seed):
+    # the measurements and the kernel form the exit waves alike, so the
+    # truth fits noiseless data exactly, for every d (d = 1 included)
+    d, mode, offsets = shape
+    prob = synthesize_problem(d, shifts=ShiftSet(offsets, mode), seed=seed,
+                              epsilon=0.0, alpha=0.0, beta=0.0)
+    assert loss(prob, *prob.truth) == (0.0, 0.0)
+    g = gradient(prob, *prob.truth)
+    assert not np.any(g.z) and not np.any(g.v)
+
+
 def test_single_region_problem_gradient_region_equals_gradient():
     prob = synthesize_problem(8, shifts=ShiftSet((0,)), seed=19, epsilon=1e-3)
     z, v = np_pair(8, 20)
@@ -178,6 +202,21 @@ def test_loss_and_gradient_consistent(small_problem):
     g2 = gradient(small_problem, z, v)
     assert total == total2 and data == data2
     assert np.array_equal(g.z, g2.z) and np.array_equal(g.v, g2.v)
+
+
+@pytest.mark.parametrize("eps", [1e-8, 0.0])
+@pytest.mark.parametrize("mode", MODES)
+def test_evaluate_on_handed_over_forward_pass(eps, mode):
+    # the back half run on an earlier grad=False pass equals the full kernel
+    prob = synthesize_problem(8, shifts=ShiftSet.all_shifts(8, mode), seed=24,
+                              epsilon=eps)
+    z, v = np_pair(8, 25)
+    full = _evaluate(prob, z, v)
+    resumed = _evaluate(prob, z, v, forward=_evaluate(prob, z, v, grad=False))
+    assert (resumed.J, resumed.L_eps) == (full.J, full.L_eps)
+    for a, b in [(resumed.grad.z, full.grad.z), (resumed.grad.v, full.grad.v),
+                 (resumed.back, full.back)]:
+        assert np.array_equal(a, b)
 
 
 # ---------------------------------------------------------------------------

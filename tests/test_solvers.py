@@ -5,10 +5,10 @@ import pytest
 
 from blindptycho import (ALGORITHMS, DivergenceError, Rng, ShiftSet,
                          SolverConfig, gd_step_sizes, gradient,
-                         gradient_region, partial_lipschitz, read_trace, run,
-                         sample_indices, sgd_max_step, step_curvature_bound,
-                         stochastic_gradient, synthesize_problem, trace_to_csv,
-                         write_trace)
+                         gradient_region, loss_and_gradient, partial_lipschitz,
+                         read_trace, run, sample_indices, sgd_max_step,
+                         step_curvature_bound, stochastic_gradient,
+                         synthesize_problem, trace_to_csv, write_trace)
 from blindptycho.objective import GradientPair
 from blindptycho.solvers import TRACE_HEADER
 
@@ -503,6 +503,17 @@ def test_interval_endpoint_selection():
                                          step.loss_window_endpoint)
 
 
+def test_interval_tie_selects_first_gamma():
+    # at (0, 0) the gradient vanishes, so every trial is the starting point
+    # and the first minimum (gamma = 0) is selected, as np.argmin does
+    prob = synthesize_problem(8, seed=37)
+    zeros = np.zeros(8, complex)
+    res = run(prob, zeros, zeros, SolverConfig(algorithm="interval", max_iters=2,
+                                               gamma_grid=5))
+    assert [s.gamma for s in res.interval_steps] == [0.0, 0.0]
+    assert [r.mu_t for r in res.trace] == [0.0, 0.0, 0.0]
+
+
 def test_interval_decrease_bounds():
     prob = synthesize_problem(16, seed=39)
     z0, v0 = np_pair(16, 40)
@@ -534,6 +545,36 @@ def test_interval_steps_match_partial_lipschitz():
             object_curv, window_curv = partial_lipschitz(prob, z, v)
             assert rec.mu_t == step.gamma / object_curv
             assert rec.nu_t == (1.0 - step.gamma) / window_curv
+
+
+@pytest.mark.parametrize("mode,d", [("circular", 8), ("zero-padded", 12)])
+@pytest.mark.parametrize("epsilon", [1e-8, 0.0])
+def test_trace_rows_are_fresh_evaluations(mode, d, epsilon):
+    # Each row is loss_and_gradient at its iterate, bit for bit, also where
+    # the monitor ran on a forward pass the step handed over (interval's
+    # selected trial, whose J is loss_selected).
+    prob = synthesize_problem(d, shifts=ShiftSet.all_shifts(d, mode), seed=47,
+                              epsilon=epsilon)
+    z0, v0 = np_pair(d, 48)
+    configs = [SolverConfig(algorithm=algo, max_iters=12, record_iterates=True)
+               for algo in ("gd", "sgd", "epie")]
+    configs += [SolverConfig(algorithm="interval", max_iters=12, gamma_grid=g,
+                             record_iterates=True) for g in (2, 5)]
+    for cfg in configs:
+        res = run(prob, z0, v0, cfg)
+        assert len(res.iterates) == len(res.trace) == 13
+        for row, (z, v) in zip(res.trace, res.iterates):
+            J, L_eps, g = loss_and_gradient(prob, z, v)
+            assert (row.J, row.L_eps, row.grad_z_norm, row.grad_v_norm) == \
+                (J, L_eps, *g.norms())
+        if cfg.algorithm == "interval":
+            steps = res.interval_steps
+            assert [s.loss_selected for s in steps] == [r.J for r in res.trace[1:]]
+            # a wrong hand-over shows only where the selection moves: more
+            # than one gamma is selected, an inner one on the finer grid
+            gammas = {s.gamma for s in steps}
+            assert len(gammas) > 1
+            assert cfg.gamma_grid == 2 or gammas - {0.0, 1.0}
 
 
 def test_interval_finer_grid_never_worse():
