@@ -19,12 +19,12 @@ from blindptycho import SolverConfig, initial_guess, run, synthesize_problem
 problem = synthesize_problem(8, seed=5, epsilon=0.0, alpha=0.0, beta=0.0)
 z0, v0 = initial_guess(8, seed=21)
 
-shared = dict(max_iters=2000, seed=42, epie_alpha=0.5, epie_beta=0.5,
-              record_iterates=True)
-engine = run(problem, z0, v0, SolverConfig(algorithm="epie", **shared))
+shared = dict(max_iters=2000, seed=42, epie_alpha=0.5, epie_beta=0.5)
+engine = run(problem, z0, v0, SolverConfig(algorithm="epie", **shared),
+             record_iterates=True)
 mapped = run(problem, z0, v0,
              SolverConfig(algorithm="sgd", sgd_step_rule="epie_scaled",
-                          **shared))
+                          **shared), record_iterates=True)
 
 worst = max(max(np.max(np.abs(za - zb)), np.max(np.abs(va - vb)))
             for (za, va), (zb, vb) in zip(engine.iterates, mapped.iterates))

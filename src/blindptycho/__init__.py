@@ -17,7 +17,7 @@ from .model import (MeasurementSet, NoiseModel, Problem, add_noise,
                     forward_intensities, load_problem, problem_from_json,
                     problem_to_json, save_problem, synthesize_problem)
 from .objective import (GradientPair, gradient, gradient_region, loss,
-                        loss_and_gradient, loss_region, partial_lipschitz,
+                        loss_and_gradient, partial_lipschitz,
                         step_curvature_bound, stochastic_gradient_bounds)
 from .rng import Rng
 from .solvers import (ALGORITHMS, DivergenceError, IntervalStep, SolverConfig,

@@ -44,7 +44,7 @@ def _parse_shifts(text: str, d: int, mode: str) -> ShiftSet:
 
 # the SolverConfig fields that `run` takes as flags named after them
 _RUN_FIELDS = [f for f in fields(SolverConfig)
-               if f.name not in ("algorithm", "max_iters", "record_iterates")]
+               if f.name not in ("algorithm", "max_iters")]
 _RUN_HELP = {
     "seed": "seed of repetition 0 (repetition i uses seed + i) for its "
             "starting pair and solver stream; a problem synthesized with the "

@@ -33,9 +33,6 @@ MODES = (CIRCULAR, ZERO_PADDED)
 # ---------------------------------------------------------------------------
 # transforms
 
-_direct_matrices: dict[int, np.ndarray] = {}
-
-
 def dft(x: np.ndarray) -> np.ndarray:
     """Forward transform along the last axis."""
     return np.fft.fft(np.asarray(x, dtype=np.complex128))
@@ -44,15 +41,18 @@ def dft(x: np.ndarray) -> np.ndarray:
 def dft_direct(x: np.ndarray) -> np.ndarray:
     """O(d^2) transform straight from the definition; the testing oracle."""
     x = np.asarray(x, dtype=np.complex128)
-    d = x.shape[-1]
-    w = _direct_matrices.get(d)
-    if w is None:
-        jk = np.outer(np.arange(d), np.arange(d))
-        w = np.exp(-2j * np.pi * jk / d)
-        w.setflags(write=False)
-        _direct_matrices[d] = w
-    # w is symmetric, so x @ w sums exp(-2 pi i j k / d) x_k over k.
-    return x @ w
+    # the matrix is symmetric, so row j of the product sums
+    # exp(-2 pi i j k / d) x_k over k.
+    return x @ _direct_matrix(x.shape[-1])
+
+
+@lru_cache(maxsize=None)
+def _direct_matrix(d: int) -> np.ndarray:
+    """The d x d matrix exp(-2 pi i j k / d), read-only."""
+    jk = np.outer(np.arange(d), np.arange(d))
+    w = np.exp(-2j * np.pi * jk / d)
+    w.setflags(write=False)
+    return w
 
 
 def idft(X: np.ndarray) -> np.ndarray:
@@ -207,8 +207,7 @@ def q_apply(z: np.ndarray, v: np.ndarray, r: int, k: int,
     Equals dft(z * shift(v, r))[k] but never runs a transform, so it serves
     as an independent check of the transform path.
     """
-    z = np.asarray(z, dtype=np.complex128)
-    v = np.asarray(v, dtype=np.complex128)
+    z, v = (np.asarray(a, dtype=np.complex128) for a in (z, v))
     if z.shape != v.shape:
         raise ValueError("z and v must have the same length")
     d = z.shape[-1]

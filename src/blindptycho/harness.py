@@ -10,11 +10,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .formatting import cell
 from .model import Problem, _require_integers
 from .rng import Rng
 from .solvers import (DivergenceError, SolverConfig, SolverRun, TraceRecord,
-                      run, write_trace)
+                      cell, run, write_trace)
 
 
 def initial_guess(d: int, seed: int, scale: float = 1.0):
@@ -33,10 +32,7 @@ def reconstruction_error(z, v, x, w) -> float:
     not corrected here.  Returns +inf when the estimate is orthogonal to or
     identically zero against the truth.
     """
-    z = np.asarray(z, dtype=np.complex128)
-    v = np.asarray(v, dtype=np.complex128)
-    x = np.asarray(x, dtype=np.complex128)
-    w = np.asarray(w, dtype=np.complex128)
+    z, v, x, w = (np.asarray(a, dtype=np.complex128) for a in (z, v, x, w))
     nx = float(np.linalg.norm(x))
     nw = float(np.linalg.norm(w))
     if nx == 0.0 or nw == 0.0:
@@ -60,8 +56,9 @@ class SlopeFit:
 def fit_decay_slope(trace: list[TraceRecord], t_min: int = 1) -> SlopeFit:
     """Least-squares slope of log(running-min squared gradient) vs log t.
 
-    Requires more than t_min + 100 trace rows.  A flat series (for example
-    a run started at a stationary point) is flagged degenerate with slope 0.
+    Requires more than t_min + 100 trace rows.  Fewer than two positive
+    points from t_min on, or a flat series (for example a run started at a
+    stationary point), is flagged degenerate with slope 0.
     """
     if len(trace) <= t_min + 100:
         raise ValueError("trace too short for a slope fit")
@@ -69,11 +66,8 @@ def fit_decay_slope(trace: list[TraceRecord], t_min: int = 1) -> SlopeFit:
     envelope = np.minimum.accumulate(gsq)
     ts = np.arange(len(trace))
     keep = (ts >= max(t_min, 1)) & (envelope > 0.0)
-    if keep.sum() < 2:
-        return SlopeFit(0.0, True)
-    logt = np.log(ts[keep].astype(np.float64))
-    logg = np.log(envelope[keep])
-    if float(np.ptp(logg)) < 1e-12:
+    logt, logg = np.log(ts[keep].astype(np.float64)), np.log(envelope[keep])
+    if keep.sum() < 2 or float(np.ptp(logg)) < 1e-12:
         return SlopeFit(0.0, True)
     slope = float(np.polyfit(logt, logg, 1)[0])
     return SlopeFit(slope, False)
@@ -110,9 +104,10 @@ def summarize(problem: Problem, result: SolverRun) -> Summary:
 
 def summary_to_json(summary: Summary, config: SolverConfig,
                     problem: Problem) -> str:
-    """Summary document; solver defaults are materialized for provenance."""
+    """Summary document; every solver setting, defaults included, is written
+    for provenance."""
     cfg = {key: value.item() if isinstance(value, np.generic) else value
-           for key, value in asdict(config).items() if key != "record_iterates"}
+           for key, value in asdict(config).items()}
     cfg.update(d=int(problem.d), mode=problem.shifts.mode,
                epsilon=float(problem.epsilon), alpha_T=float(problem.alpha),
                beta_T=float(problem.beta), K=int(problem.batch_size))

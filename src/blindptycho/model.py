@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -59,8 +60,7 @@ class MeasurementSet:
 
 def forward_intensities(x: np.ndarray, w: np.ndarray, shifts: ShiftSet) -> MeasurementSet:
     """Noiseless intensities |dft(x * S_r w)|^2 for every shift."""
-    x = np.asarray(x, dtype=np.complex128)
-    w = np.asarray(w, dtype=np.complex128)
+    x, w = (np.asarray(a, dtype=np.complex128) for a in (x, w))
     if x.shape != w.shape or x.ndim != 1:
         raise ValueError("x and w must be 1-d arrays of equal length")
     shifts.validate_for_dim(x.shape[0])
@@ -128,8 +128,7 @@ class Problem:
         p.setflags(write=False)
         object.__setattr__(self, "p", p)
         if self.truth is not None:
-            x = np.array(self.truth[0], dtype=np.complex128)
-            w = np.array(self.truth[1], dtype=np.complex128)
+            x, w = (np.array(a, dtype=np.complex128) for a in self.truth)
             if x.shape != (self.d,) or w.shape != (self.d,):
                 raise ValueError("truth vectors must have length d")
             if not (np.all(np.isfinite(x)) and np.all(np.isfinite(w))):
@@ -216,8 +215,32 @@ def problem_to_json(problem: Problem) -> str:
     return json.dumps(doc, allow_nan=False) + "\n"
 
 
+def _number(value) -> float:
+    """A JSON number as a float; a bool (JSON true or false) or a string raises."""
+    if type(value) not in (int, float):
+        raise ValueError(f"{value!r} is not a number")
+    return float(value)
+
+
+def _floats(value) -> np.ndarray:
+    """A JSON number or nested list of them as a float64 array, each entry
+    checked as by ``_number`` (``np.array`` takes bools and numeric strings)."""
+    entries = [value]
+    while entries and type(entries[0]) is list:
+        entries = list(chain.from_iterable(entries))
+    if not set(map(type, entries)) <= {int, float}:
+        _number(next(x for x in entries if type(x) not in (int, float)))
+    return np.array(value, dtype=np.float64)
+
+
+def _string(value) -> str:
+    if type(value) is not str:
+        raise ValueError(f"{value!r} is not a string")
+    return value
+
+
 def _complex_pairs(value) -> np.ndarray:
-    pairs = np.array(value, dtype=np.float64)
+    pairs = _floats(value)
     if pairs.ndim != 2 or pairs.shape[1] != 2:
         raise ValueError("expected a list of [re, im] pairs")
     return pairs.view(np.complex128)[:, 0]
@@ -240,10 +263,11 @@ def _integer(value) -> int:
     return int(value)
 
 
-_floats = partial(np.array, dtype=np.float64)
-# document field -> conversion; x and w (the truth) are optional as a pair
-_FIELDS = {"d": _integer, "mode": str, "offsets": lambda v: tuple(map(_integer, v)),
-           "epsilon": float, "alpha_T": float, "beta_T": float, "p": _floats,
+# document field -> conversion; x and w (the truth) are optional as a pair.
+# Numbers must be JSON numbers: no bool and no string, in arrays as well.
+_FIELDS = {"d": _integer, "mode": _string,
+           "offsets": lambda v: tuple(map(_integer, v)),
+           "epsilon": _number, "alpha_T": _number, "beta_T": _number, "p": _floats,
            "K": _integer, "y": _floats, "x": _complex_pairs, "w": _complex_pairs}
 
 

@@ -73,8 +73,7 @@ def _sq_norm(x: np.ndarray) -> float:
 
 
 def _as_iterate(problem: Problem, z, v):
-    z = np.asarray(z, dtype=np.complex128)
-    v = np.asarray(v, dtype=np.complex128)
+    z, v = (np.asarray(a, dtype=np.complex128) for a in (z, v))
     if z.shape != (problem.d,) or v.shape != (problem.d,):
         raise ValueError("z and v must be 1-d arrays of length d")
     return z, v
@@ -160,12 +159,6 @@ def loss(problem: Problem, z, v) -> tuple[float, float]:
     """Evaluate the objective; returns (J, L_eps)."""
     ev = _evaluate(problem, *_as_iterate(problem, z, v), grad=False)
     return ev.J, ev.L_eps
-
-
-def loss_region(problem: Problem, z, v, r: int) -> float:
-    """Data misfit of the single region with offset r (no Tikhonov part)."""
-    return _evaluate(problem, *_as_iterate(problem, z, v), [problem.offset_row[r]],
-                     grad=False).L_eps
 
 
 def gradient(problem: Problem, z, v) -> GradientPair:

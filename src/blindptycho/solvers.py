@@ -1,9 +1,11 @@
 """Iteration schemes: joint gradient descent, stochastic gradient descent,
 the ptychographic iterative engine, and interval descent.
 
-``run`` is the one solver loop; its SolverConfig was checked when built.  At
-each t it evaluates value and gradient of the iterate over all regions (the
-trace monitor; a non-finite loss or gradient norm raises DivergenceError).
+``run`` is the one solver loop; its SolverConfig, whose every field is a
+setting, was checked when built (``record_iterates`` is a ``run`` argument,
+not a setting).  At each t it evaluates value and gradient of the iterate
+over all regions (the trace monitor; a non-finite loss or gradient norm
+raises DivergenceError).
 At t = max_iters, or once grad_tol > 0 and ||grad J|| <= grad_tol, it
 writes a closing row with zero step sizes and stops; otherwise it writes
 the row of ``step(z, v, t, ev, gz, gv) -> (z_new, v_new, mu_t, nu_t, ahead)``
@@ -59,7 +61,6 @@ from typing import ClassVar
 
 import numpy as np
 
-from .formatting import cell
 # dft, gradient_region, loss, loss_and_gradient, step_curvature_bound and
 # stochastic_gradient_bounds are not called here but stay bound:
 # perfbench/tracing.py wraps them under these names.
@@ -105,8 +106,6 @@ class SolverConfig:
     epie_schedule: str = "iid"
     # interval
     gamma_grid: int = 2
-    # diagnostics
-    record_iterates: bool = False
 
     CHOICES: ClassVar[dict[str, tuple[str, ...]]] = {
         "algorithm": ALGORITHMS, "sgd_step_rule": ("bounded", "epie_scaled"),
@@ -151,6 +150,12 @@ class TraceRecord:
     wall_ns: int
 
 
+def cell(f) -> str:
+    """%-format, by name, of a dataclass field's cell in the trace and report
+    CSVs: an ``int`` as it is, any other with 17 digits (floats round-trip)."""
+    return f"%({f.name})" + ("s" if f.type in (int, "int") else ".17g")
+
+
 TRACE_HEADER = ",".join(f.name for f in fields(TraceRecord))
 _TRACE_ROW = ",".join(map(cell, fields(TraceRecord)))
 
@@ -185,17 +190,16 @@ class SolverRun:
     interval_steps: list[IntervalStep] | None = None
 
 
-def run(problem: Problem, z0, v0, config: SolverConfig) -> SolverRun:
-    """The solver loop shared by every algorithm (see module docstring)."""
-    z = np.array(z0, dtype=np.complex128)
-    v = np.array(v0, dtype=np.complex128)
-    if z.shape != (problem.d,) or v.shape != (problem.d,):
-        raise ValueError("starting pair must be 1-d arrays of length d")
+def run(problem: Problem, z0, v0, config: SolverConfig, *,
+        record_iterates: bool = False) -> SolverRun:
+    """The solver loop shared by every algorithm (see module docstring);
+    ``record_iterates`` keeps every iterate in ``SolverRun.iterates``."""
+    z, v = (np.array(a) for a in _as_iterate(problem, z0, v0))
     if not (np.all(np.isfinite(z)) and np.all(np.isfinite(v))):
         raise ValueError("starting pair must be finite")
     step, interval_steps = _FACTORIES[config.algorithm](problem, config)
     trace: list[TraceRecord] = []
-    iterates = [(z.copy(), v.copy())] if config.record_iterates else None
+    iterates = [(z.copy(), v.copy())] if record_iterates else None
     ahead = None
     start = time.monotonic_ns()
     for t in range(config.max_iters + 1):

@@ -26,7 +26,7 @@ import numpy as np
 
 from .fourier import ShiftSet, q_apply
 from .model import Problem, synthesize_problem
-from .objective import (GradientPair, gradient, gradient_region, loss,
+from .objective import (GradientPair, _sq_norm, gradient, gradient_region, loss,
                         loss_and_gradient, stochastic_gradient_bounds)
 from .rng import Rng
 from .solvers import sample_indices, stochastic_gradient
@@ -76,8 +76,7 @@ def fd_wirtinger_gradient(problem: Problem, z, v, h_step: float | None = None):
     """Central-difference Wirtinger gradient of J; requires epsilon > 0."""
     if problem.epsilon <= 0:
         raise ValueError("finite differences require epsilon > 0")
-    z = np.asarray(z, dtype=np.complex128)
-    v = np.asarray(v, dtype=np.complex128)
+    z, v = (np.asarray(a, dtype=np.complex128) for a in (z, v))
 
     def fd_one(base, value):
         h = h_step if h_step is not None else \
@@ -117,10 +116,7 @@ def descent_upper_bound(problem: Problem, z, v, u, h) -> float:
     """Right-hand side of the quartic descent bound at (z + u, v + h)."""
     total, _, grad = loss_and_gradient(problem, z, v)
     d = problem.d
-    nz2 = float(np.vdot(z, z).real)
-    nv2 = float(np.vdot(v, v).real)
-    nu2 = float(np.vdot(u, u).real)
-    nh2 = float(np.vdot(h, h).real)
+    nz2, nv2, nu2, nh2 = map(_sq_norm, (z, v, u, h))
     ymass = np.sqrt(problem.y_total / d)
     rhs = total + 2.0 * float(np.vdot(u, grad.z).real) \
         + 2.0 * float(np.vdot(h, grad.v).real)
@@ -185,7 +181,7 @@ def check_bilinear_bound(d: int, shifts: ShiftSet, n_samples: int, rng: Rng,
         for r in shifts.offsets:
             for k in range(d):
                 total += abs(q_apply(z, v, r, k, shifts.mode)) ** 2
-        bound = d * float(np.vdot(z, z).real) * float(np.vdot(v, v).real)
+        bound = d * _sq_norm(z) * _sq_norm(v)
         return (bound - total) / (1.0 + bound)
     return _sampled(f"bilinear_bound[{shifts.mode}]", n_samples, slack, tol)
 
@@ -204,13 +200,10 @@ def check_lipschitz(problem: Problem, n_samples: int, rng: Rng,
         z1, v1, z2, v2 = (rng.complex_normal_vector(d) for _ in range(4))
         g1 = gradient(problem, z1, v1)
         g2 = gradient(problem, z2, v2)
-        lhs = np.sqrt(float(np.vdot(g1.z - g2.z, g1.z - g2.z).real)
-                      + float(np.vdot(g1.v - g2.v, g1.v - g2.v).real))
-        norms = (float(np.vdot(z1, z1).real) + float(np.vdot(z2, z2).real)
-                 + float(np.vdot(v1, v1).real) + float(np.vdot(v2, v2).real))
+        lhs = np.sqrt(_sq_norm(g1.z - g2.z) + _sq_norm(g1.v - g2.v))
+        norms = _sq_norm(z1) + _sq_norm(z2) + _sq_norm(v1) + _sq_norm(v2)
         smooth = d * (ymass + max(1.25, peak - 0.75) * norms)
-        dist = np.sqrt(float(np.vdot(z1 - z2, z1 - z2).real)
-                       + float(np.vdot(v1 - v2, v1 - v2).real))
+        dist = np.sqrt(_sq_norm(z1 - z2) + _sq_norm(v1 - v2))
         rhs = np.sqrt(2.0 * smooth * smooth
                       + 2.0 * max(problem.alpha, problem.beta) ** 2) * dist
         return (rhs - lhs) / (1.0 + rhs)

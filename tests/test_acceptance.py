@@ -124,12 +124,12 @@ def test_criterion_04_gd_rate_bound(gd_runs):
 def test_criterion_05_epie_equals_mapped_sgd():
     prob = synthesize_problem(8, seed=70, epsilon=0.0, alpha=0.0, beta=0.0)
     z0, v0 = initial_guess(8, 71)
-    kwargs = dict(max_iters=1000, seed=72, epie_alpha=0.3, epie_beta=0.3,
-                  record_iterates=True)
-    res_e = run(prob, z0, v0, SolverConfig(algorithm="epie", **kwargs))
+    kwargs = dict(max_iters=1000, seed=72, epie_alpha=0.3, epie_beta=0.3)
+    res_e = run(prob, z0, v0, SolverConfig(algorithm="epie", **kwargs),
+                record_iterates=True)
     res_s = run(prob, z0, v0,
                 SolverConfig(algorithm="sgd", sgd_step_rule="epie_scaled",
-                             **kwargs))
+                             **kwargs), record_iterates=True)
     worst = max(max(np.max(np.abs(za - zb)), np.max(np.abs(va - vb)))
                 for (za, va), (zb, vb) in zip(res_e.iterates, res_s.iterates))
     _announce(5, f"epie vs mapped sgd, shared index stream, 1000 steps "

@@ -1,13 +1,14 @@
 import json
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from blindptycho import load_problem
-from blindptycho.cli import main
-from blindptycho.solvers import TRACE_HEADER
+from blindptycho.cli import _build_parser, main
+from blindptycho.solvers import TRACE_HEADER, SolverConfig
 
 
 def _strip_wall(csv_text):
@@ -103,6 +104,14 @@ def test_verify_suite_exit_codes(tmp_path):
     assert all(r["passed"] for r in reports)
 
 
+def test_verify_without_out_writes_json_to_stdout(capsys):
+    assert main(["verify", "--suite", "unbiasedness", "--samples", "1"]) == 0
+    captured = capsys.readouterr()
+    [report] = json.loads(captured.out)
+    assert report["name"] == "unbiasedness" and report["passed"]
+    assert captured.err.startswith("pass  unbiasedness")
+
+
 def test_verify_all_suite(tmp_path):
     code = main(["verify", "--suite", "all", "--samples", "25",
                  "--out", str(tmp_path / "all.json")])
@@ -146,12 +155,14 @@ def _problem_with(tmp_path, **fields):
                                   "K-not-integral", "offsets-not-integral",
                                   "init-scale-nan", "epie-alpha-negative-sgd",
                                   "interval-no-tikhonov", "epie-scaled-batch",
-                                  "truth-half", "verify-unknown-suite"])
+                                  "truth-half", "verify-unknown-suite",
+                                  "epsilon-string"])
 def test_bad_input_exit_2_one_line(tmp_path, capsys, case):
     bad = {"x-not-pairs": {"x": [1, 2]}, "offsets-not-a-list": {"offsets": 5},
            "K-not-integral": {"K": 2.9},
            "offsets-not-integral": {"offsets": [o + 0.6 for o in range(8)]},
-           "interval-no-tikhonov": {"alpha_T": 0}, "epie-scaled-batch": {"K": 2}}
+           "interval-no-tikhonov": {"alpha_T": 0}, "epie-scaled-batch": {"K": 2},
+           "epsilon-string": {"epsilon": "1e-8"}}
     problem = str(_problem_with(tmp_path, **bad.get(case, {})))
     if case == "truth-half":
         doc = json.loads(Path(problem).read_text())
@@ -177,6 +188,7 @@ def test_bad_input_exit_2_one_line(tmp_path, capsys, case):
         "truth-half": (run, "'w'"),
         "verify-unknown-suite": (["verify", "--suite", "unbiasedness,nope",
                                   "--out", str(table)], "'nope'"),
+        "epsilon-string": (run, "'epsilon'"),
     }[case]
     capsys.readouterr()
     assert main(argv) == 2
@@ -193,6 +205,25 @@ def test_verify_zero_samples_exit_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.splitlines() == ["error: samples must be >= 1"]
     assert not out.exists()
+
+
+# the problem's keys in a summary's config, after the solver settings
+PROBLEM_KEYS = ["d", "mode", "epsilon", "alpha_T", "beta_T", "K"]
+
+
+def test_config_fields_are_run_flags_and_summary_keys(tmp_path):
+    # every SolverConfig field is a solver setting: a run flag (algorithm and
+    # max_iters are --algo and --iters) and a key of the summary's config
+    settings = [f.name for f in fields(SolverConfig)]
+    args = vars(_build_parser().parse_args(["run", "--problem", "p", "--algo", "gd"]))
+    flags = set(args) - {"command", "problem", "reps", "init_scale", "out_dir"}
+    assert flags == set(settings) - {"algorithm", "max_iters"} | {"algo", "iters"}
+    problem_path = tmp_path / "p.json"
+    main(["synth", "--d", "4", "--out", str(problem_path)])
+    assert main(["run", "--problem", str(problem_path), "--algo", "gd", "--iters",
+                 "1", "--out-dir", str(tmp_path)]) == 0
+    config = json.loads((tmp_path / "gd_run000_summary.json").read_text())["config"]
+    assert list(config) == settings + PROBLEM_KEYS
 
 
 def test_run_mu_nu_scale_gd_steps(tmp_path):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -97,6 +99,20 @@ def test_shift_set_validation():
     with pytest.raises(ValueError, match="offsets must be integers"):
         ShiftSet((0.6, 1.6, 2.2))                     # not truncated to (0, 1, 2)
     assert ShiftSet((0.0, np.int64(2))).offsets == (0, 2)
+
+
+_ONES = np.ones(4, complex)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: shift(_ONES, 1, "bogus"), "unknown shift mode: 'bogus'"),
+    (lambda: q_apply(_ONES, _ONES[:3], 0, 0), "z and v must have the same length"),
+    (lambda: q_apply(_ONES, _ONES, 0, 4), "frequency index k must lie in [0, d)"),
+    (lambda: q_apply(_ONES, _ONES, 0, -1), "frequency index k must lie in [0, d)"),
+], ids=["shift-mode", "q-lengths", "q-k-high", "q-k-negative"])
+def test_input_checks(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
 
 
 @pytest.mark.parametrize("mode", ["circular", "zero-padded"])

@@ -1,9 +1,11 @@
 import json
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from blindptycho import (SolverConfig, TraceRecord, aggregate_summaries,
+from blindptycho import (SolverConfig, SolverRun, TraceRecord, aggregate_summaries,
                          fit_decay_slope, initial_guess, read_trace,
                          reconstruction_error, run, summarize,
                          summary_to_json, synthesize_problem)
@@ -36,6 +38,9 @@ def test_reconstruction_error_invariant_under_joint_phase():
 def test_reconstruction_error_edge_cases():
     x, w = np_pair(8, 4)
     assert reconstruction_error(np.zeros(8, complex), w, x, w) == np.inf
+    # an estimate orthogonal to the truth has no scaling to correct
+    e0, e1 = np.eye(8, dtype=complex)[:2]
+    assert reconstruction_error(e1, w, e0, w) == np.inf
     with pytest.raises(ValueError):
         reconstruction_error(x, w, np.zeros(8, complex), w)
 
@@ -55,6 +60,9 @@ def test_fit_decay_slope_power_law():
 
 def test_fit_decay_slope_constant_flagged():
     fit = fit_decay_slope(_fake_trace(np.full(500, 2.0)), t_min=10)
+    assert fit.degenerate and fit.slope == 0.0
+    # a gradient that vanished before t_min leaves no point to fit
+    fit = fit_decay_slope(_fake_trace(np.r_[1.0, np.zeros(499)]), t_min=10)
     assert fit.degenerate and fit.slope == 0.0
 
 
@@ -97,6 +105,35 @@ def test_summarize_and_json(tmp_path):
     numpy_cfg = SolverConfig(algorithm="gd", max_iters=np.int64(30),
                              seed=np.int64(8), theta=np.float32(0.5))
     assert json.loads(summary_to_json(summary, numpy_cfg, prob))["config"] == data["config"]
+
+
+def test_summary_writes_infinite_error_as_null():
+    prob = synthesize_problem(4, seed=7)
+    e0, e1 = np.eye(4, dtype=complex)[:2]
+    prob = replace(prob, truth=(e0, prob.truth[1]))
+    result = SolverRun(e1, prob.truth[1], _fake_trace([1.0]))
+    summary = summarize(prob, result)
+    assert summary.recon_error is None
+    assert json.loads(summary_to_json(summary, SolverConfig(), prob))["recon_error"] is None
+
+
+@pytest.mark.parametrize("make,message", [
+    (lambda tmp_path: ExperimentConfig(problem=synthesize_problem(4, seed=1),
+                                       solvers=[], repetitions=0),
+     "repetitions must be >= 1"),
+    (lambda tmp_path: aggregate_summaries([_write(tmp_path / "a.json", "[1]")]),
+     "a.json: not a summary document"),
+    (lambda tmp_path: aggregate_summaries([_write(tmp_path / "b.json", '{"config": 1}')]),
+     "b.json: not a summary document"),
+], ids=["repetitions-zero", "summary-a-list", "summary-config-not-object"])
+def test_input_checks(tmp_path, make, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        make(tmp_path)
+
+
+def _write(path, text):
+    path.write_text(text)
+    return path
 
 
 def test_run_experiment_and_report(tmp_path):

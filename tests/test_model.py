@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -131,6 +132,41 @@ def test_noiseless_loss_at_truth_is_zero():
         assert abs(data) <= 1e-20
 
 
+_PROB = synthesize_problem(4, seed=0)
+_P = np.full(4, 0.25)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: NoiseModel("bogus"), "unknown noise kind: 'bogus'"),
+    (lambda: NoiseModel("gaussian", -1.0), "gaussian noise sigma must be finite and >= 0"),
+    (lambda: NoiseModel("gaussian", np.nan), "gaussian noise sigma must be finite and >= 0"),
+    (lambda: MeasurementSet(np.ones(4), ShiftSet((0,))),
+     "values must be a 2-d array (regions x frequencies)"),
+    (lambda: forward_intensities(np.ones(4), np.ones(3), ShiftSet((0,))),
+     "x and w must be 1-d arrays of equal length"),
+    (lambda: Problem(d=0, measurements=_PROB.measurements, epsilon=0.0, alpha=0.0,
+                     beta=0.0, p=_P), "d must be >= 1"),
+    (lambda: Problem(d=5, measurements=_PROB.measurements, epsilon=0.0, alpha=0.0,
+                     beta=0.0, p=_P), "measurement columns must equal d"),
+    (lambda: Problem(d=4, measurements=_PROB.measurements, epsilon=-1.0, alpha=0.0,
+                     beta=0.0, p=_P), "epsilon must be finite and >= 0"),
+    (lambda: Problem(d=4, measurements=_PROB.measurements, epsilon=np.nan, alpha=0.0,
+                     beta=0.0, p=_P), "epsilon must be finite and >= 0"),
+    (lambda: Problem(d=4, measurements=MeasurementSet(_PROB.y, ShiftSet((3, 2, 1, 0))),
+                     epsilon=0.0, alpha=0.0, beta=0.0, p=_P),
+     "offsets must be strictly ascending"),
+    (lambda: Problem(d=4, measurements=_PROB.measurements, epsilon=0.0, alpha=0.0,
+                     beta=0.0, p=_P, truth=(np.ones(3), np.ones(4))),
+     "truth vectors must have length d"),
+    (lambda: problem_from_json("[1, 2]"), "problem document must be a JSON object"),
+], ids=["noise-kind", "sigma-negative", "sigma-nan", "values-1d", "forward-lengths",
+        "d-zero", "columns", "epsilon-negative", "epsilon-nan", "offsets-descending",
+        "truth-length", "json-not-object"])
+def test_input_checks(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
+
+
 def test_problem_validation_messages():
     prob = synthesize_problem(4, seed=0)
     bad_p = np.array([0.5, 0.5, 0.0, 0.0])
@@ -199,6 +235,27 @@ def test_json_integer_fields_not_truncated():
     back = problem_from_json(json.dumps({**doc, "d": 4.0, "K": 2.0,
                                          "offsets": [0.0, 1.0, 2.0, 3.0]}))
     assert (back.d, back.batch_size, back.offsets) == (4, 2, (0, 1, 2, 3))
+
+
+@pytest.mark.parametrize("key,value,message", [
+    ("K", True, "True is not an integer"),
+    ("d", True, "True is not an integer"),
+    ("alpha_T", True, "True is not a number"),
+    ("epsilon", "1e-8", "'1e-8' is not a number"),
+    ("epsilon", None, "None is not a number"),
+    ("p", ["0.25"] * 4, "'0.25' is not a number"),
+    ("p", [0.25, 0.25, 0.25, True], "True is not a number"),
+    ("y", [["1"] * 4] * 4, "'1' is not a number"),
+    ("y", [[1.0] * 4] * 3 + [[1.0, 1.0, 1.0, False]], "False is not a number"),
+    ("offsets", [False, True, 2, 3], "False is not an integer"),
+    ("mode", 1, "1 is not a string"),
+    ("x", [[True, 0.0]] * 4, "True is not a number"),
+])
+def test_json_number_fields_take_json_numbers_only(key, value, message):
+    # json booleans and numeric strings are not numbers, inside arrays too
+    doc = json.loads(problem_to_json(synthesize_problem(4, seed=2)))
+    with pytest.raises(ValueError, match=re.escape(f"problem field '{key}': {message}")):
+        problem_from_json(json.dumps({**doc, key: value}))
 
 
 SPECIALS = (-0.0, 5e-324, 1.7976931348623157e308)

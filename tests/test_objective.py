@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from blindptycho import (ShiftSet, gradient, gradient_region, loss,
-                         loss_and_gradient, loss_region, partial_lipschitz,
+                         loss_and_gradient, partial_lipschitz,
                          q_apply, shift, step_curvature_bound,
                          stochastic_gradient_bounds, synthesize_problem)
 from blindptycho.fourier import MODES
@@ -12,6 +12,11 @@ from blindptycho.objective import _evaluate
 from blindptycho.verify import fd_wirtinger_gradient
 
 from conftest import np_pair
+
+
+def _region_misfit(prob, z, v, r):
+    """Data misfit of the single region with offset r (no Tikhonov part)."""
+    return _evaluate(prob, z, v, [prob.offset_row[r]], grad=False).L_eps
 
 
 def test_loss_zero_at_truth_any_eps():
@@ -31,7 +36,7 @@ def test_loss_zero_estimate_collapses_to_measurement_mass():
     assert total == pytest.approx(prob.y_total, rel=1e-12)
     for r in prob.offsets:
         row = prob.offset_row[r]
-        assert loss_region(prob, zeros, zeros, r) == pytest.approx(
+        assert _region_misfit(prob, zeros, zeros, r) == pytest.approx(
             float(np.sum(prob.y[row])), rel=1e-12)
 
 
@@ -44,7 +49,19 @@ def test_loss_region_matches_bilinear_path():
             (np.sqrt(abs(q_apply(z, v, r, k)) ** 2 + prob.epsilon)
              - np.sqrt(prob.y[row, k] + prob.epsilon)) ** 2
             for k in range(8))
-        assert loss_region(prob, z, v, r) == pytest.approx(direct, rel=1e-12)
+        assert _region_misfit(prob, z, v, r) == pytest.approx(direct, rel=1e-12)
+
+
+@pytest.mark.parametrize("call", [
+    lambda prob, z, v: loss(prob, z[:3], v),
+    lambda prob, z, v: gradient(prob, z, np.ones((8, 1))),
+    lambda prob, z, v: step_curvature_bound(prob, z, v[:7]),
+    lambda prob, z, v: partial_lipschitz(prob, z[:1], v[:1]),
+], ids=["loss", "gradient", "curvature", "partial-lipschitz"])
+def test_iterate_shape_checked(call):
+    prob = synthesize_problem(8, seed=5)
+    with pytest.raises(ValueError, match="z and v must be 1-d arrays of length d"):
+        call(prob, *np_pair(8, 6))
 
 
 def test_loss_upper_bound():
@@ -60,7 +77,7 @@ def test_loss_decomposition_exact_order():
     prob = synthesize_problem(8, seed=7, epsilon=1e-4, alpha=0.2, beta=0.3)
     z, v = np_pair(8, 3)
     total, data = loss(prob, z, v)
-    regions = sum(loss_region(prob, z, v, r) for r in prob.offsets)
+    regions = sum(_region_misfit(prob, z, v, r) for r in prob.offsets)
     tik = prob.alpha * np.vdot(z, z).real + prob.beta * np.vdot(v, v).real
     assert total == pytest.approx(regions + tik, rel=1e-12)
     assert data == pytest.approx(regions, rel=1e-12)

@@ -86,7 +86,7 @@ def test_integer_below_and_shuffle_determinism():
 def test_seed_must_be_integral():
     assert Rng(2.0).next_u64() == Rng(2).next_u64() == Rng(np.int64(2)).next_u64()
     assert Rng(np.uint64(2**64 - 1)).next_u64() == Rng(-1).next_u64()
-    for seed in (2.5, math.nan, math.inf, np.float64(2.5)):
+    for seed in (2.5, math.nan, math.inf, np.float64(2.5), True, False):
         with pytest.raises(ValueError, match="seed must be an integer"):
             Rng(seed)
     # synthesis and starting pairs no longer reuse a truncated seed

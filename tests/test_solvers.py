@@ -1,3 +1,4 @@
+import re
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
@@ -86,9 +87,8 @@ def test_gd_update_rule_matches_trace():
     for epsilon, mu, nu in [(1e-8, 1.0, 1.0), (0.0, 0.5, 0.25)]:
         prob = synthesize_problem(8, seed=7, epsilon=epsilon)
         z0, v0 = np_pair(8, 70)
-        cfg = SolverConfig(algorithm="gd", max_iters=5, mu=mu, nu=nu,
-                           record_iterates=True)
-        res = run(prob, z0, v0, cfg)
+        cfg = SolverConfig(algorithm="gd", max_iters=5, mu=mu, nu=nu)
+        res = run(prob, z0, v0, cfg, record_iterates=True)
         z = np.array(z0)
         v = np.array(v0)
         for t, (zt, vt) in enumerate(res.iterates[1:]):
@@ -285,9 +285,8 @@ def test_sgd_single_region_matches_gd_with_same_steps():
     # the full gradient, so sgd and gd agree once the steps are identical
     prob = synthesize_problem(8, shifts=ShiftSet((0,)), seed=23)
     z0, v0 = np_pair(8, 24)
-    cfg = SolverConfig(algorithm="sgd", max_iters=40, seed=3,
-                       record_iterates=True)
-    sgd_res = run(prob, z0, v0, cfg)
+    cfg = SolverConfig(algorithm="sgd", max_iters=40, seed=3)
+    sgd_res = run(prob, z0, v0, cfg, record_iterates=True)
     z = np.array(z0)
     v = np.array(v0)
     for t in range(40):
@@ -301,9 +300,8 @@ def test_sgd_single_region_matches_gd_with_same_steps():
 def test_sgd_update_norm_identity():
     prob = synthesize_problem(8, seed=25)
     z0, v0 = np_pair(8, 26)
-    cfg = SolverConfig(algorithm="sgd", max_iters=30, seed=7,
-                       record_iterates=True)
-    res = run(prob, z0, v0, cfg)
+    cfg = SolverConfig(algorithm="sgd", max_iters=30, seed=7)
+    res = run(prob, z0, v0, cfg, record_iterates=True)
     rng = Rng(7)
     z, v = np.array(z0), np.array(v0)
     for t in range(30):
@@ -331,8 +329,8 @@ def test_sgd_step_is_public_stochastic_gradient(mode, d, k, rule):
                                   epsilon=epsilon, p=p / p.sum(), batch_size=k)
         z0, v0 = np_pair(d, 50)
         cfg = SolverConfig(algorithm="sgd", max_iters=25, seed=8,
-                           sgd_step_rule=rule, record_iterates=True)
-        res = run(prob, z0, v0, cfg)
+                           sgd_step_rule=rule)
+        res = run(prob, z0, v0, cfg, record_iterates=True)
         rng = Rng(8)
         for t, row in enumerate(res.trace[:-1]):
             z, v = res.iterates[t]
@@ -388,7 +386,7 @@ def test_sgd_config_validation():
                 SolverConfig(algorithm="sgd", **{name: value})
     # integral settings: a fraction is rejected, not truncated; 2.0 is kept as 2
     for algo, name in [("gd", "max_iters"), ("sgd", "seed"), ("interval", "gamma_grid")]:
-        for value in (2.5, np.nan, np.inf, "3"):
+        for value in (2.5, np.nan, np.inf, "3", True):
             with pytest.raises(ValueError, match=f"{name} must be an integer"):
                 SolverConfig(algorithm=algo, **{name: value})
         kept = getattr(SolverConfig(algorithm=algo, **{name: 2.0}), name)
@@ -404,6 +402,38 @@ def test_solver_config_checked_when_built_and_frozen():
     # a derived config is checked again
     with pytest.raises(ValueError, match="mu"):
         replace(cfg, mu=2.0)
+
+
+_PROB = synthesize_problem(4, seed=9)
+_PAIR = np_pair(4, 10)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: SolverConfig(max_iters=-1), "max_iters must be >= 0"),
+    (lambda: SolverConfig(grad_tol=-1.0), "grad_tol must be >= 0"),
+    (lambda: SolverConfig(algorithm="interval", gamma_grid=1), "gamma_grid must be >= 2"),
+    (lambda: stochastic_gradient(_PROB, *_PAIR, []),
+     "indices must contain at least one offset"),
+    # run checks its starting pair as every public iterate is checked
+    (lambda: run(_PROB, _PAIR[0][:3], _PAIR[1], SolverConfig()),
+     "z and v must be 1-d arrays of length d"),
+    (lambda: run(_PROB, _PAIR[0], np.ones((4, 1)), SolverConfig()),
+     "z and v must be 1-d arrays of length d"),
+], ids=["max-iters-negative", "grad-tol-negative", "gamma-grid-1",
+        "no-indices", "run-short-start", "run-2d-start"])
+def test_input_checks(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
+
+
+def test_run_records_iterates_on_request():
+    cfg = SolverConfig(max_iters=3)
+    assert run(_PROB, *_PAIR, cfg).iterates is None
+    res = run(_PROB, *_PAIR, cfg, record_iterates=True)
+    assert len(res.iterates) == 4
+    assert all(np.array_equal(a, b) for a, b in zip(res.iterates[0], _PAIR))
+    assert res.iterates[0][0] is not _PAIR[0]      # a copy, not the caller's array
+    assert np.array_equal(res.iterates[-1][0], res.z)
 
 
 @pytest.mark.parametrize("name", sorted(SolverConfig.CHOICES))
@@ -450,12 +480,12 @@ def test_epie_zero_iterate_aborts(algo):
 def test_epie_matches_sgd_with_mapped_steps():
     prob = synthesize_problem(8, seed=31, epsilon=0.0, alpha=0.0, beta=0.0)
     z0, v0 = np_pair(8, 32)
-    kwargs = dict(max_iters=300, seed=4, epie_alpha=0.4, epie_beta=0.6,
-                  record_iterates=True)
-    res_e = run(prob, z0, v0, SolverConfig(algorithm="epie", **kwargs))
+    kwargs = dict(max_iters=300, seed=4, epie_alpha=0.4, epie_beta=0.6)
+    res_e = run(prob, z0, v0, SolverConfig(algorithm="epie", **kwargs),
+                record_iterates=True)
     res_s = run(prob, z0, v0, SolverConfig(algorithm="sgd",
                                            sgd_step_rule="epie_scaled",
-                                           **kwargs))
+                                           **kwargs), record_iterates=True)
     for (za, va), (zb, vb) in zip(res_e.iterates, res_s.iterates):
         assert np.max(np.abs(za - zb)) <= 1e-12
         assert np.max(np.abs(va - vb)) <= 1e-12
@@ -517,9 +547,8 @@ def test_interval_tie_selects_first_gamma():
 def test_interval_decrease_bounds():
     prob = synthesize_problem(16, seed=39)
     z0, v0 = np_pair(16, 40)
-    cfg = SolverConfig(algorithm="interval", max_iters=200, gamma_grid=5,
-                       record_iterates=True)
-    res = run(prob, z0, v0, cfg)
+    cfg = SolverConfig(algorithm="interval", max_iters=200, gamma_grid=5)
+    res = run(prob, z0, v0, cfg, record_iterates=True)
     for rec, step, (z, v) in zip(res.trace, res.interval_steps, res.iterates):
         tol = 1e-9 * (1 + rec.J)
         object_curv, window_curv = partial_lipschitz(prob, z, v)
@@ -540,7 +569,7 @@ def test_interval_steps_match_partial_lipschitz():
         prob = synthesize_problem(8, seed=45, epsilon=epsilon)
         z0, v0 = np_pair(8, 46)
         res = run(prob, z0, v0, SolverConfig(algorithm="interval", max_iters=20,
-                                             gamma_grid=5, record_iterates=True))
+                                             gamma_grid=5), record_iterates=True)
         for rec, step, (z, v) in zip(res.trace, res.interval_steps, res.iterates):
             object_curv, window_curv = partial_lipschitz(prob, z, v)
             assert rec.mu_t == step.gamma / object_curv
@@ -556,12 +585,12 @@ def test_trace_rows_are_fresh_evaluations(mode, d, epsilon):
     prob = synthesize_problem(d, shifts=ShiftSet.all_shifts(d, mode), seed=47,
                               epsilon=epsilon)
     z0, v0 = np_pair(d, 48)
-    configs = [SolverConfig(algorithm=algo, max_iters=12, record_iterates=True)
+    configs = [SolverConfig(algorithm=algo, max_iters=12)
                for algo in ("gd", "sgd", "epie")]
-    configs += [SolverConfig(algorithm="interval", max_iters=12, gamma_grid=g,
-                             record_iterates=True) for g in (2, 5)]
+    configs += [SolverConfig(algorithm="interval", max_iters=12, gamma_grid=g)
+                for g in (2, 5)]
     for cfg in configs:
-        res = run(prob, z0, v0, cfg)
+        res = run(prob, z0, v0, cfg, record_iterates=True)
         assert len(res.iterates) == len(res.trace) == 13
         for row, (z, v) in zip(res.trace, res.iterates):
             J, L_eps, g = loss_and_gradient(prob, z, v)

@@ -170,6 +170,17 @@ def test_nan_sample_fails_the_check():
     assert not _sampled("mixed", 3, lambda: next(slacks), DEFAULT_TOL).passed
 
 
+@pytest.mark.parametrize("check,message", [
+    (lambda prob: fd_wirtinger_gradient(prob, *prob.truth),
+     "finite differences require epsilon > 0"),
+    (lambda prob: check_lipschitz(prob, 1, Rng(0)),
+     "the smoothness check requires epsilon > 0"),
+], ids=["fd", "lipschitz"])
+def test_checks_that_need_smoothing(check, message):
+    with pytest.raises(ValueError, match=message):
+        check(synthesize_problem(4, seed=4, epsilon=0.0))
+
+
 @pytest.mark.parametrize("check", [
     lambda prob, n: check_gradient_fd(prob, n, Rng(0)),
     lambda prob, n: check_descent_lemma(prob, n, 1.0, Rng(0)),

@@ -1,0 +1,101 @@
+"""Print SHA-256 digests of everything the library computes on the benchmark's
+two problem shapes, so that two source trees can be shown to give the same bits.
+
+    python tools/same_bits.py <tree> > digests.json
+
+imports ``blindptycho`` from ``<tree>/src`` and prints one JSON object with
+sorted keys.  Two trees compute the same numbers when their outputs are
+equal, e.g. ``diff <(python tools/same_bits.py old) <(python tools/same_bits.py .)``.
+
+Shapes are perfbench's ``small-d8`` and ``sparse-d100-padded`` at seeds 0-2,
+with perfbench's starting pairs ``initial_guess(d, 1_000_000 + s, init_scale)``
+and solver seeds.  Per shape and seed it hashes the problem-JSON bytes and,
+for gd, sgd, epie and interval at ``gamma_grid`` 2 and 5 (200 iterations
+each), the trace rows without ``wall_ns``, the final pair, the
+``IntervalStep`` records and the summary JSON with ``wall_ns`` set to 0.  It
+also hashes the ``verify`` JSON of every suite.  Only public names that
+have been stable across releases are used, so older trees run it too.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import sys
+from dataclasses import astuple, replace
+from pathlib import Path
+
+import numpy as np
+
+SEEDS = (0, 1, 2)
+ITERS = 200
+INIT_SEED_OFFSET = 1_000_000
+# name -> (d, mode, offsets or None for all d, noise, ramped p, K, init scale)
+SHAPES = {
+    "small-d8": (8, "circular", None, ("none",), False, 1, 4.0),
+    "sparse-d100-padded": (100, "zero-padded", tuple(range(-60, 100, 4)),
+                           ("gaussian", 1.0), True, 4, 2.0),
+}
+# label -> SolverConfig keywords
+SOLVERS = {"gd": {"algorithm": "gd"}, "sgd": {"algorithm": "sgd"},
+           "epie": {"algorithm": "epie"},
+           "interval-g2": {"algorithm": "interval", "gamma_grid": 2},
+           "interval-g5": {"algorithm": "interval", "gamma_grid": 5}}
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _floats(rows) -> bytes:
+    return np.asarray(rows, dtype=np.float64).tobytes()
+
+
+def digests(bp) -> dict[str, str]:
+    out = {}
+    for name, (d, mode, offsets, noise, ramp, k, scale) in SHAPES.items():
+        shifts = (bp.ShiftSet.all_shifts(d, mode) if offsets is None
+                  else bp.ShiftSet(offsets, mode))
+        p = None
+        if ramp:
+            p = np.linspace(1.0, 3.0, len(shifts))
+            p = p / p.sum()
+        for seed in SEEDS:
+            key = f"{name}/seed{seed}"
+            text = bp.problem_to_json(bp.synthesize_problem(
+                d, shifts=shifts, seed=seed, noise=bp.NoiseModel(*noise), p=p,
+                batch_size=k))
+            out[f"{key}/problem_json"] = _sha(text.encode())
+            problem = bp.problem_from_json(text)
+            z0, v0 = bp.initial_guess(d, INIT_SEED_OFFSET + seed, scale)
+            for label, options in SOLVERS.items():
+                config = bp.SolverConfig(max_iters=ITERS,
+                                         seed=INIT_SEED_OFFSET + seed, **options)
+                result = bp.run(problem, z0, v0, config)
+                rows = [astuple(r)[:-1] for r in result.trace]
+                out[f"{key}/{label}/trace"] = _sha(_floats(rows))
+                out[f"{key}/{label}/pair"] = _sha(result.z.tobytes() + result.v.tobytes())
+                out[f"{key}/{label}/interval_steps"] = _sha(
+                    _floats([astuple(s) for s in result.interval_steps or []]))
+                summary = replace(bp.summarize(problem, result), wall_ns=0)
+                out[f"{key}/{label}/summary_json"] = _sha(
+                    bp.summary_to_json(summary, config, problem).encode())
+    for seed in SEEDS:
+        reports = bp.run_suite(bp.verify.SUITES, seed=seed, samples=10)
+        out[f"verify/seed{seed}"] = _sha(bp.reports_to_json(reports).encode())
+    return out
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        print("usage: python tools/same_bits.py <tree>", file=sys.stderr)
+        return 2
+    sys.path.insert(0, str(Path(argv[1]).resolve() / "src"))
+    import blindptycho as bp
+
+    print(json.dumps(digests(bp), indent=1, sort_keys=True))
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main(sys.argv))
