@@ -28,18 +28,25 @@ from .solvers import ALGORITHMS, DivergenceError, SolverConfig
 from .verify import SUITES, reports_to_json, run_suite
 
 
+def _parse(convert, token: str, flag: str):
+    try:
+        return convert(token)
+    except ValueError:
+        raise ValueError(f"{flag}: cannot read {token!r}") from None
+
+
 def _parse_noise(text: str) -> NoiseModel:
     if text == "none" or text == "poisson":
         return NoiseModel(text)
     if text.startswith("gaussian:"):
-        return NoiseModel("gaussian", float(text.split(":", 1)[1]))
-    raise ValueError("noise must be 'none', 'poisson' or 'gaussian:<sigma>'")
+        return NoiseModel("gaussian", _parse(float, text.split(":", 1)[1], "--noise"))
+    raise ValueError("--noise must be 'none', 'poisson' or 'gaussian:<sigma>'")
 
 
 def _parse_shifts(text: str, d: int, mode: str) -> ShiftSet:
     if text == "all":
         return ShiftSet.all_shifts(d, mode)
-    return ShiftSet(tuple(int(tok) for tok in text.split(",")), mode)
+    return ShiftSet(tuple(_parse(int, t, "--shifts") for t in text.split(",")), mode)
 
 
 # the SolverConfig fields that `run` takes as flags named after them
@@ -108,7 +115,7 @@ def _cmd_synth(args) -> int:
     shifts = _parse_shifts(args.shifts, args.d, args.mode)
     p = None
     if args.p != "uniform":
-        p = np.array([float(tok) for tok in args.p.split(",")])
+        p = np.array([_parse(float, tok, "--p") for tok in args.p.split(",")])
     problem = synthesize_problem(
         d=args.d, shifts=shifts, seed=args.seed, noise=_parse_noise(args.noise),
         epsilon=args.epsilon, alpha=args.alpha, beta=args.beta, p=p,

@@ -25,6 +25,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .rng import _integral
+
 CIRCULAR = "circular"
 ZERO_PADDED = "zero-padded"
 MODES = (CIRCULAR, ZERO_PADDED)
@@ -94,13 +96,12 @@ class ShiftSet:
     mode: str = CIRCULAR
 
     def __post_init__(self):
-        offsets = tuple(int(o) for o in self.offsets)
-        if offsets != tuple(self.offsets):
+        if not all(map(_integral, self.offsets)):
             raise ValueError(f"offsets must be integers: {tuple(self.offsets)!r}")
-        object.__setattr__(self, "offsets", offsets)
-        if len(offsets) == 0:
+        object.__setattr__(self, "offsets", tuple(map(int, self.offsets)))
+        if len(self.offsets) == 0:
             raise ValueError("offsets must contain at least one shift")
-        if len(set(offsets)) != len(offsets):
+        if len(set(self.offsets)) != len(self.offsets):
             raise ValueError("offsets must be distinct")
         if self.mode not in MODES:
             raise ValueError(f"unknown shift mode: {self.mode!r}")
@@ -154,25 +155,16 @@ def _plan(shifts: ShiftSet, d: int, sign: int, select):
     return idx.take(select, 0), None if valid is None else valid.take(select, 0), None
 
 
-def _stack(v, shifts: ShiftSet, sign: int, select):
-    v = np.asarray(v)
-    idx, valid, _ = _plan(shifts, v.shape[-1], sign, select)
-    rows = v[idx]
-    return rows if valid is None else np.where(valid, rows, 0)
-
-
 def shift_stack(v: np.ndarray, shifts: ShiftSet, select=None) -> np.ndarray:
     """Stack whose rows are S_r v for each offset, in listed order.
 
     ``select`` lists row indices into the offsets (repeats allowed) and
     keeps only those rows, in that order.
     """
-    return _stack(v, shifts, 1, select)
-
-
-def neg_shift_stack(v: np.ndarray, shifts: ShiftSet) -> np.ndarray:
-    """Stack whose rows are S_{-r} v for each offset, in listed order."""
-    return _stack(v, shifts, -1, None)
+    v = np.asarray(v)
+    idx, valid, _ = _plan(shifts, v.shape[-1], 1, select)
+    rows = v[idx]
+    return rows if valid is None else np.where(valid, rows, 0)
 
 
 def unshift_sum(rows: np.ndarray, shifts: ShiftSet, select=None) -> np.ndarray:

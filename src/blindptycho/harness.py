@@ -5,12 +5,14 @@ run summaries and repetition matrices.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from .model import Problem, _require_integers
+from .objective import _sq_norm
 from .rng import Rng
 from .solvers import (DivergenceError, SolverConfig, SolverRun, TraceRecord,
                       cell, run, write_trace)
@@ -33,18 +35,17 @@ def reconstruction_error(z, v, x, w) -> float:
     identically zero against the truth.
     """
     z, v, x, w = (np.asarray(a, dtype=np.complex128) for a in (z, v, x, w))
-    nx = float(np.linalg.norm(x))
-    nw = float(np.linalg.norm(w))
+    nx, nw = math.sqrt(_sq_norm(x)), math.sqrt(_sq_norm(w))
     if nx == 0.0 or nw == 0.0:
         raise ValueError("ground truth norms must be nonzero")
-    nz2 = float(np.vdot(z, z).real)
+    nz2 = _sq_norm(z)
     if nz2 == 0.0:
         return np.inf
     gamma = complex(np.vdot(z, x)) / nz2
     if gamma == 0:
         return np.inf
-    return float(np.linalg.norm(gamma * z - x) / nx
-                 + np.linalg.norm(v / gamma - w) / nw)
+    return (math.sqrt(_sq_norm(gamma * z - x)) / nx
+            + math.sqrt(_sq_norm(v / gamma - w)) / nw)
 
 
 @dataclass

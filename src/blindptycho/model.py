@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -222,15 +221,17 @@ def _number(value) -> float:
     return float(value)
 
 
-def _floats(value) -> np.ndarray:
-    """A JSON number or nested list of them as a float64 array, each entry
-    checked as by ``_number`` (``np.array`` takes bools and numeric strings)."""
-    entries = [value]
-    while entries and type(entries[0]) is list:
-        entries = list(chain.from_iterable(entries))
-    if not set(map(type, entries)) <= {int, float}:
-        _number(next(x for x in entries if type(x) not in (int, float)))
-    return np.array(value, dtype=np.float64)
+def _floats(value, ndim: int) -> np.ndarray:
+    """A JSON array of ``ndim`` levels, rows of equal length, as float64; any
+    other shape raises, and each entry is checked as by ``_number``
+    (``np.array`` takes bools and numeric strings)."""
+    array = np.array(value, dtype=object)
+    kinds = set(map(type, array.flat))
+    if array.ndim != ndim or list in kinds:
+        raise ValueError(f"expected a {ndim}-d array of numbers")
+    if not kinds <= {int, float}:
+        _number(next(x for x in array.flat if type(x) not in (int, float)))
+    return array.astype(np.float64)
 
 
 def _string(value) -> str:
@@ -240,8 +241,8 @@ def _string(value) -> str:
 
 
 def _complex_pairs(value) -> np.ndarray:
-    pairs = _floats(value)
-    if pairs.ndim != 2 or pairs.shape[1] != 2:
+    pairs = _floats(value, 2)
+    if pairs.shape[1] != 2:
         raise ValueError("expected a list of [re, im] pairs")
     return pairs.view(np.complex128)[:, 0]
 
@@ -267,8 +268,9 @@ def _integer(value) -> int:
 # Numbers must be JSON numbers: no bool and no string, in arrays as well.
 _FIELDS = {"d": _integer, "mode": _string,
            "offsets": lambda v: tuple(map(_integer, v)),
-           "epsilon": _number, "alpha_T": _number, "beta_T": _number, "p": _floats,
-           "K": _integer, "y": _floats, "x": _complex_pairs, "w": _complex_pairs}
+           "epsilon": _number, "alpha_T": _number, "beta_T": _number,
+           "p": lambda v: _floats(v, 1), "K": _integer,
+           "y": lambda v: _floats(v, 2), "x": _complex_pairs, "w": _complex_pairs}
 
 
 def problem_from_json(text: str) -> Problem:

@@ -24,12 +24,12 @@ Every value and gradient comes from one kernel, ``_evaluate``, over any
 subset of regions (repeats allowed).  Reductions run in row order, so the
 decomposition identities are reproducible run to run.  The kernel takes
 complex128 vectors of length d unchecked (the public wrappers check them)
-and keeps ||z||^2 and ||v||^2 for the curvature bound.  It has two halves:
-the forward half (gather, transform, amplitudes, misfit and norms) is all
-that ``grad=False`` runs, and the back half (ratio, back transform and
-gradient reduction) runs on a forward half, either its own or one passed
-as ``forward=`` that an earlier ``grad=False`` call computed for the same
-arguments.
+and keeps ||z||^2 and ||v||^2 for the step rules; every norm in the package
+is ``_sq_norm`` or its square root.  It has two halves: the forward half
+(gather, transform, amplitudes, misfit and norms) is all that ``grad=False``
+runs, and the back half (ratio, back transform and gradient reduction) runs
+on a forward half, either its own or one passed as ``forward=`` that an
+earlier ``grad=False`` call computed for the same arguments.
 
 The bound formulas are written once, on ``_Bounds``, which computes the
 per-problem constants sqrt(||y||_1 / d), 3 max(alpha, beta), sqrt(15d/4)
@@ -39,11 +39,12 @@ the public ``step_curvature_bound`` and ``stochastic_gradient_bounds``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fourier import dft, dft_adjoint, neg_shift_stack, shift_stack, unshift_sum
+from .fourier import dft, dft_adjoint, shift_stack, unshift_sum
 from .fourier import shift  # noqa: F401  # perfbench/tracing.py wraps objective.shift
 from .model import Problem
 
@@ -58,17 +59,11 @@ class GradientPair:
     v: np.ndarray
 
     def norms(self) -> tuple[float, float]:
-        return _norm(self.z), _norm(self.v)
-
-
-def _norm(x: np.ndarray) -> float:
-    """||x|| as the trace and the sgd envelopes take it; its bits can differ
-    from sqrt(_sq_norm(x))."""
-    return float(np.linalg.norm(x))
+        return math.sqrt(_sq_norm(self.z)), math.sqrt(_sq_norm(self.v))
 
 
 def _sq_norm(x: np.ndarray) -> float:
-    """||x||^2 as the Tikhonov terms and the curvature bound take it."""
+    """||x||^2, the package's one norm: every ||x|| is its square root."""
     return float(np.vdot(x, x).real)
 
 
@@ -204,8 +199,9 @@ class _Bounds:
         """``step_curvature_bound`` from ||z||^2 and ||v||^2."""
         return 3.0 * self.d * ((10.0 / 3.0) * (z_sq + v_sq) + self.ymass) + self.weight
 
-    def envelopes(self, nz: float, nv: float) -> tuple[float, float]:
-        """``stochastic_gradient_bounds`` from ||z|| and ||v||."""
+    def envelopes(self, z_sq: float, v_sq: float) -> tuple[float, float]:
+        """``stochastic_gradient_bounds`` from ||z||^2 and ||v||^2."""
+        nz, nv = math.sqrt(z_sq), math.sqrt(v_sq)
         shared = (nz * nv + self.ymass) / self.sampling
         b_z = self.scale * (self.d * nv * shared + self.alpha * nz)
         b_v = self.scale * (self.d * nz * shared + self.beta * nv)
@@ -230,7 +226,7 @@ def stochastic_gradient_bounds(problem: Problem, z, v) -> tuple[float, float]:
     looking at the sample.
     """
     z, v = _as_iterate(problem, z, v)
-    return _Bounds(problem).envelopes(_norm(z), _norm(v))
+    return _Bounds(problem).envelopes(_sq_norm(z), _sq_norm(v))
 
 
 def partial_lipschitz(problem: Problem, z, v) -> tuple[float, float]:
@@ -245,7 +241,8 @@ def partial_lipschitz(problem: Problem, z, v) -> tuple[float, float]:
     z, v = _as_iterate(problem, z, v)
     d = problem.d
     win_energy = np.sum(shift_stack(np.abs(v) ** 2, problem.shifts), axis=0)
-    obj_energy = np.sum(neg_shift_stack(np.abs(z) ** 2, problem.shifts), axis=0)
+    z_rows = np.repeat(np.abs(z)[np.newaxis] ** 2, problem.n_regions, axis=0)
+    obj_energy = unshift_sum(z_rows, problem.shifts)
     object_step = d * float(np.max(win_energy)) + problem.alpha
     window_step = d * float(np.max(obj_energy)) + problem.beta
     return object_step, window_step

@@ -46,8 +46,9 @@ _GOLDEN_U64, _MIX1_U64, _MIX2_U64 = (np.uint64(c) for c in (_GOLDEN, _MIX1, _MIX
 
 def _integral(value) -> bool:
     """An int, or a float with no fraction (2.0 yes; 2.9, nan, inf and the
-    bools True and False no)."""
-    return (isinstance(value, Integral) and not isinstance(value, bool)
+    bools True and False no).  A plain int skips the slower ABC check."""
+    return (type(value) is int
+            or isinstance(value, Integral) and not isinstance(value, bool)
             or isinstance(value, float) and value.is_integer())
 
 

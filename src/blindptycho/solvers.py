@@ -25,7 +25,7 @@ A factory computes once per run what depends only on the problem and the
 config: the step rules ``_gd_rule``/``_sgd_rule`` with their constants
 (``objective._Bounds``, (15d/4)^(-1/3), sgd's exponents and K-branch), the
 sampling CDF, the importance weights 1/(K p) and epie's sqrt(y).  A step
-passes the rule the monitor's ||z||^2, ||v||^2 and, for sgd, ||z||, ||v||.
+passes the rule the monitor's ||z||^2 and ||v||^2; no rule takes a norm.
 The public ``gd_step_sizes`` and ``sgd_max_step`` wrap the same rules.
 
 Step-size policies:
@@ -67,7 +67,7 @@ import numpy as np
 from .fourier import dft, idft, shift  # noqa: F401
 from .model import Problem, _require_integers
 from .objective import (_TINY, GradientPair, _as_iterate, _Bounds,  # noqa: F401
-                        _evaluate, _gradient, _norm, _sq_norm, gradient_region,
+                        _evaluate, _gradient, _sq_norm, gradient_region,
                         loss, loss_and_gradient, partial_lipschitz,
                         step_curvature_bound, stochastic_gradient_bounds)
 from .rng import Rng
@@ -303,7 +303,7 @@ def stochastic_gradient(problem: Problem, z, v, indices) -> GradientPair:
 
 
 def _sgd_rule(problem: Problem, theta: float, kappa: float):
-    """Bounded sgd's m_t as a function of (||z||^2, ||v||^2, ||z||, ||v||, t),
+    """Bounded sgd's m_t as a function of (||z||^2, ||v||^2, t),
     with the constants of (problem, theta, kappa) computed once."""
     bounds = _Bounds(problem)
     decay, curvature_power = -1.0 + kappa, -1.0 / (1.0 - theta)
@@ -311,9 +311,9 @@ def _sgd_rule(problem: Problem, theta: float, kappa: float):
     k = problem.batch_size
     batch_branch = (1.0 - 1.0 / k) ** (-1.0 / theta) if k > 1 and theta > 0 else _INF
 
-    def rule(z_sq: float, v_sq: float, nz: float, nv: float, t: int) -> float:
+    def rule(z_sq: float, v_sq: float, t: int) -> float:
         bound = bounds.curvature(z_sq, v_sq)
-        b_z, b_v = bounds.envelopes(nz, nv)
+        b_z, b_v = bounds.envelopes(z_sq, v_sq)
         return _branch_min(
             (1.0 + t) ** decay * bound ** curvature_power if bound > 0 else _INF,
             b_z ** envelope_power if b_z > 0 else _INF,
@@ -327,8 +327,7 @@ def sgd_max_step(problem: Problem, z, v, t: int, theta: float,
     """Largest admissible SGD step at iteration t for the problem's batch
     size K (see module docstring)."""
     z, v = _as_iterate(problem, z, v)
-    return _sgd_rule(problem, theta, kappa)(_sq_norm(z), _sq_norm(v),
-                                            _norm(z), _norm(v), t)
+    return _sgd_rule(problem, theta, kappa)(_sq_norm(z), _sq_norm(v), t)
 
 
 def _epie_steps(problem: Problem, config: SolverConfig, z, v, t, row):
@@ -358,7 +357,7 @@ def _sgd(problem: Problem, config: SolverConfig):
         g = _gradient(problem, z, v, ev.windows.take(rows, 0),
                       ev.back.take(rows, 0), rows, weights[rows])
         if bounded:
-            m = rule(ev.z_sq, ev.v_sq, _norm(z), _norm(v), t)
+            m = rule(ev.z_sq, ev.v_sq, t)
             mu_t, nu_t = config.mu * m, config.nu * m
         else:
             _, _, mu_t, nu_t = _epie_steps(problem, config, z, v, t, rows[0])

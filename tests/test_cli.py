@@ -156,7 +156,8 @@ def _problem_with(tmp_path, **fields):
                                   "init-scale-nan", "epie-alpha-negative-sgd",
                                   "interval-no-tikhonov", "epie-scaled-batch",
                                   "truth-half", "verify-unknown-suite",
-                                  "epsilon-string"])
+                                  "epsilon-string", "synth-noise-sigma",
+                                  "synth-shifts-token", "synth-p-token"])
 def test_bad_input_exit_2_one_line(tmp_path, capsys, case):
     bad = {"x-not-pairs": {"x": [1, 2]}, "offsets-not-a-list": {"offsets": 5},
            "K-not-integral": {"K": 2.9},
@@ -171,6 +172,7 @@ def test_bad_input_exit_2_one_line(tmp_path, capsys, case):
     out_dir, table = tmp_path / "out", tmp_path / "table.csv"
     run = ["run", "--problem", problem, "--algo", "sgd", "--iters", "2",
            "--out-dir", str(out_dir)]
+    synth = ["synth", "--d", "4", "--out", str(table)]
     argv, named = {
         "x-not-pairs": (run, "'x'"),
         "offsets-not-a-list": (run, "'offsets'"),
@@ -189,6 +191,9 @@ def test_bad_input_exit_2_one_line(tmp_path, capsys, case):
         "verify-unknown-suite": (["verify", "--suite", "unbiasedness,nope",
                                   "--out", str(table)], "'nope'"),
         "epsilon-string": (run, "'epsilon'"),
+        "synth-noise-sigma": (synth + ["--noise", "gaussian:abc"], "--noise"),
+        "synth-shifts-token": (synth + ["--shifts", "0,a"], "--shifts"),
+        "synth-p-token": (synth + ["--p", "0.5,x,0.25,0.25"], "--p"),
     }[case]
     capsys.readouterr()
     assert main(argv) == 2

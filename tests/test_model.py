@@ -250,9 +250,16 @@ def test_json_integer_fields_not_truncated():
     ("offsets", [False, True, 2, 3], "False is not an integer"),
     ("mode", 1, "1 is not a string"),
     ("x", [[True, 0.0]] * 4, "True is not a number"),
+    ("y", [], "expected a 2-d array of numbers"),
+    ("y", 5, "expected a 2-d array of numbers"),
+    ("y", [[1, 2], 3], "expected a 2-d array of numbers"),
+    ("y", [[1.0] * 4] * 3 + [[1.0] * 3], "expected a 2-d array of numbers"),
+    ("p", [[0.25] * 4], "expected a 1-d array of numbers"),
+    ("p", 0.5, "expected a 1-d array of numbers"),
 ])
 def test_json_number_fields_take_json_numbers_only(key, value, message):
-    # json booleans and numeric strings are not numbers, inside arrays too
+    # json booleans and numeric strings are not numbers, inside arrays too,
+    # and an array field of the wrong shape is named as well
     doc = json.loads(problem_to_json(synthesize_problem(4, seed=2)))
     with pytest.raises(ValueError, match=re.escape(f"problem field '{key}': {message}")):
         problem_from_json(json.dumps({**doc, key: value}))

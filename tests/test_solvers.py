@@ -1,16 +1,17 @@
+import math
 import re
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
 
-from blindptycho import (ALGORITHMS, DivergenceError, Rng, ShiftSet,
-                         SolverConfig, gd_step_sizes, gradient,
+from blindptycho import (ALGORITHMS, DivergenceError, NoiseModel, Rng,
+                         ShiftSet, SolverConfig, gd_step_sizes, gradient,
                          gradient_region, loss_and_gradient, partial_lipschitz,
                          read_trace, run, sample_indices, sgd_max_step,
                          step_curvature_bound, stochastic_gradient,
                          synthesize_problem, trace_to_csv, write_trace)
-from blindptycho.objective import GradientPair
+from blindptycho.objective import GradientPair, _sq_norm
 from blindptycho.solvers import TRACE_HEADER
 
 from conftest import np_pair
@@ -604,6 +605,32 @@ def test_trace_rows_are_fresh_evaluations(mode, d, epsilon):
             gammas = {s.gamma for s in steps}
             assert len(gammas) > 1
             assert cfg.gamma_grid == 2 or gammas - {0.0, 1.0}
+
+
+def test_trace_norms_are_the_one_norm_at_d100():
+    # Every norm is sqrt(_sq_norm): the trace's gradient norms of every
+    # solver, and the bounded sgd step is the public sgd_max_step, bit for
+    # bit, on a zero-padded d = 100 instance where np.linalg.norm differs.
+    p = np.linspace(1.0, 3.0, 40)
+    prob = synthesize_problem(100, shifts=ShiftSet(tuple(range(-60, 100, 4)),
+                                                   "zero-padded"),
+                              seed=0, noise=NoiseModel("gaussian", 1.0),
+                              p=p / p.sum(), batch_size=4)
+    z0, v0 = np_pair(100, 51)
+    linalg_differs = False
+    for algo in ALGORITHMS:
+        cfg = SolverConfig(algorithm=algo, max_iters=10)
+        res = run(prob, z0, v0, cfg, record_iterates=True)
+        for t, (row, (z, v)) in enumerate(zip(res.trace, res.iterates)):
+            g = loss_and_gradient(prob, z, v)[2]
+            assert (row.grad_z_norm, row.grad_v_norm) == \
+                (math.sqrt(_sq_norm(g.z)), math.sqrt(_sq_norm(g.v)))
+            linalg_differs |= row.grad_z_norm != np.linalg.norm(g.z) \
+                or row.grad_v_norm != np.linalg.norm(g.v)
+            if algo == "sgd" and t < cfg.max_iters:
+                m = sgd_max_step(prob, z, v, t, cfg.theta, cfg.kappa)
+                assert (row.mu_t, row.nu_t) == (cfg.mu * m, cfg.nu * m)
+    assert linalg_differs
 
 
 def test_interval_finer_grid_never_worse():
