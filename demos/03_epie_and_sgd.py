@@ -7,9 +7,11 @@ gradient step on the unsmoothed loss with step sizes
 
     mu_t = alpha_t p_r / (d ||v||_inf^2),   nu_t = beta_t p_r / (d ||z||_inf^2).
 
-This script runs both solvers with a shared sampling stream and shows the
-trajectories coincide to rounding; it then runs the bounded decaying
-step rule, under which the loss trace settles instead of oscillating.
+The engine computes its update as that step, through the same residual
+kernel, so this script runs both solvers with a shared sampling stream and
+shows the trajectories coincide bit for bit; it then runs the bounded
+decaying step rule, under which the loss trace settles instead of
+oscillating.
 """
 
 import numpy as np

@@ -46,7 +46,13 @@ def _parse_noise(text: str) -> NoiseModel:
 def _parse_shifts(text: str, d: int, mode: str) -> ShiftSet:
     if text == "all":
         return ShiftSet.all_shifts(d, mode)
-    return ShiftSet(tuple(_parse(int, t, "--shifts") for t in text.split(",")), mode)
+    offsets = tuple(_parse(int, t, "--shifts") for t in text.split(","))
+    try:
+        shifts = ShiftSet(offsets, mode)
+        shifts.validate_for_dim(d)
+    except ValueError as exc:
+        raise ValueError(f"--shifts: {exc}") from None
+    return shifts
 
 
 # the SolverConfig fields that `run` takes as flags named after them
@@ -112,6 +118,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_synth(args) -> int:
+    if args.d < 1:
+        raise ValueError(f"--d must be >= 1: {args.d}")
     shifts = _parse_shifts(args.shifts, args.d, args.mode)
     p = None
     if args.p != "uniform":

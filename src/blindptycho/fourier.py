@@ -110,6 +110,8 @@ class ShiftSet:
         return len(self.offsets)
 
     def validate_for_dim(self, d: int) -> None:
+        if d < 1:
+            raise ValueError(f"d must be >= 1: {d}")
         if self.mode == CIRCULAR:
             reduced = {o % d for o in self.offsets}
             if len(reduced) != len(self.offsets):

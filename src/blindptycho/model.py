@@ -184,6 +184,8 @@ def synthesize_problem(d: int,
     that order from a fresh ``Rng(seed)``; noise draws follow.  The same
     seed therefore reproduces the instance bit for bit.
     """
+    if d < 1:
+        raise ValueError(f"d must be >= 1: {d}")
     if shifts is None:
         shifts = ShiftSet.all_shifts(d, CIRCULAR)
     rng = Rng(seed)

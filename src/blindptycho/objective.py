@@ -29,7 +29,9 @@ is ``_sq_norm`` or its square root.  It has two halves: the forward half
 (gather, transform, amplitudes, misfit and norms) is all that ``grad=False``
 runs, and the back half (ratio, back transform and gradient reduction) runs
 on a forward half, either its own or one passed as ``forward=`` that an
-earlier ``grad=False`` call computed for the same arguments.
+earlier ``grad=False`` call computed for the same arguments.  The engine's
+step runs the back half's two parts, ``_residual_back`` at eps = 0 and
+``_gradient``, on one row of the solver monitor's forward half.
 
 The bound formulas are written once, on ``_Bounds``, which computes the
 per-problem constants sqrt(||y||_1 / d), 3 max(alpha, beta), sqrt(15d/4)
@@ -126,17 +128,22 @@ def _evaluate(problem: Problem, z, v, rows=None, weights=None,
         f = forward
         total, data, windows, spectrum, amp, z_sq, v_sq = \
             f.J, f.L_eps, f.windows, f.spectrum, f.amp, f.z_sq, f.v_sq
-    # (I - D) spectrum, then F^*.  With eps > 0 every amplitude is at least
-    # sqrt(eps) > _TINY; with eps = 0 a vanished coefficient gets ratio 0.
-    if problem.epsilon > 0:
-        ratio = target / amp
-    else:
-        ratio = np.divide(target, amp, out=np.zeros_like(amp), where=amp > _TINY)
-    back = dft_adjoint((1.0 - ratio) * spectrum)
+    back = _residual_back(target, amp, spectrum, problem.epsilon)
     g = _gradient(problem, z, v, windows, back, rows, weights, tikhonov)
     # amp has no reader after the back half; a monitor that kept it would
     # hold one more (R, d) array alive per iteration for every solver.
     return _Evaluation(total, data, g, windows, spectrum, None, back, z_sq, v_sq)
+
+
+def _residual_back(target, amp, spectrum, epsilon: float) -> np.ndarray:
+    """F^* (I - D) spectrum, D = target / amp, of ``_evaluate``'s back half.
+    With eps > 0 every amplitude is at least sqrt(eps) > _TINY; with eps = 0
+    a vanished coefficient gets ratio 0."""
+    if epsilon > 0:
+        ratio = target / amp
+    else:
+        ratio = np.divide(target, amp, out=np.zeros_like(amp), where=amp > _TINY)
+    return dft_adjoint((1.0 - ratio) * spectrum)
 
 
 def _gradient(problem: Problem, z, v, windows, back, rows, weights=None,

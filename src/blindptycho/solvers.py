@@ -44,8 +44,9 @@ Step-size policies:
   stochastic path is ``sgd_step_rule="epie_scaled"`` (the engine's steps).
 * epie:      magnitude projection of one region's exit wave followed by the
   decoupling updates with factors alpha_t / ||v||_inf^2, beta_t / ||z||_inf^2.
-  With uniform sampling, K = 1, eps = 0 and no Tikhonov terms, it coincides
-  with sgd under the mapping mu_t = alpha_t p_r / (d ||v||_inf^2).
+  That is the importance-weighted sgd step on the eps = 0 residual without
+  Tikhonov terms, mu_t = alpha_t p_r / (d ||v||_inf^2), and it is computed so.
+  With K = 1, eps = 0 and no Tikhonov terms it equals epie_scaled sgd bit for bit.
 * interval:  minimize J over a gamma grid on the segment between the two
   single-variable endpoint updates z - (1/L) grad_z J and v - (1/L) grad_v J;
   the selected trial's forward pass is the next monitor's.
@@ -61,15 +62,16 @@ from typing import ClassVar
 
 import numpy as np
 
-# dft, gradient_region, loss, loss_and_gradient, step_curvature_bound and
-# stochastic_gradient_bounds are not called here but stay bound:
+# dft, shift, gradient_region, loss, loss_and_gradient, step_curvature_bound
+# and stochastic_gradient_bounds are not called here but stay bound:
 # perfbench/tracing.py wraps them under these names.
-from .fourier import dft, idft, shift  # noqa: F401
+from .fourier import dft, shift  # noqa: F401
 from .model import Problem, _require_integers
-from .objective import (_TINY, GradientPair, _as_iterate, _Bounds,  # noqa: F401
-                        _evaluate, _gradient, _sq_norm, gradient_region,
-                        loss, loss_and_gradient, partial_lipschitz,
-                        step_curvature_bound, stochastic_gradient_bounds)
+from .objective import (GradientPair, _as_iterate, _Bounds,  # noqa: F401
+                        _evaluate, _gradient, _residual_back, _sq_norm,
+                        gradient_region, loss, loss_and_gradient,
+                        partial_lipschitz, step_curvature_bound,
+                        stochastic_gradient_bounds)
 from .rng import Rng
 
 ALGORITHMS = ("gd", "sgd", "epie", "interval")
@@ -331,15 +333,14 @@ def sgd_max_step(problem: Problem, z, v, t: int, theta: float,
 
 
 def _epie_steps(problem: Problem, config: SolverConfig, z, v, t, row):
-    """The engine's step denominators (||v||_inf^2, ||z||_inf^2) for region
-    ``row`` and its sgd steps alpha p_r / (d ||v||_inf^2), beta p_r / (d ||z||_inf^2)."""
+    """The engine's sgd steps alpha p_r / (d ||v||_inf^2), beta p_r / (d ||z||_inf^2)
+    for region ``row``."""
     linf_v, linf_z = float(np.max(np.abs(v))), float(np.max(np.abs(z)))
     if linf_v == 0.0 or linf_z == 0.0:
         raise DivergenceError(f"epie step undefined at iteration {t}: zero iterate")
-    sq_v, sq_z = linf_v ** 2, linf_z ** 2
     share = float(problem.p[row])
-    return (sq_v, sq_z, config.epie_alpha * share / (problem.d * sq_v),
-            config.epie_beta * share / (problem.d * sq_z))
+    return (config.epie_alpha * share / (problem.d * linf_v ** 2),
+            config.epie_beta * share / (problem.d * linf_z ** 2))
 
 
 def _sgd(problem: Problem, config: SolverConfig):
@@ -360,7 +361,7 @@ def _sgd(problem: Problem, config: SolverConfig):
             m = rule(ev.z_sq, ev.v_sq, t)
             mu_t, nu_t = config.mu * m, config.nu * m
         else:
-            _, _, mu_t, nu_t = _epie_steps(problem, config, z, v, t, rows[0])
+            mu_t, nu_t = _epie_steps(problem, config, z, v, t, rows[0])
         return z - mu_t * g.z, v - nu_t * g.v, mu_t, nu_t, None
     return step, None
 
@@ -371,34 +372,26 @@ def _sgd(problem: Problem, config: SolverConfig):
 def _epie(problem: Problem, config: SolverConfig):
     rng = Rng(config.seed)
     cdf = np.cumsum(problem.p)
-    mode = problem.shifts.mode
     magnitude = np.sqrt(problem.y)
+    weights = _importance_weights(problem.p, 1)
     schedule: list[int] = []
 
     def step(z, v, t, ev, gz, gv):
         if config.epie_schedule == "iid":
-            row = int(_draw_rows(cdf, 1, rng)[0])
+            rows = _draw_rows(cdf, 1, rng)
         else:
             if not schedule:
                 schedule.extend(range(problem.n_regions))
                 rng.shuffle(schedule)
-            row = schedule.pop()
-        sq_v, sq_z, mu_t, nu_t = _epie_steps(problem, config, z, v, t, row)
-        # the monitor's row equals shift and dft of this region bit for bit
-        sv = ev.windows[row]
-        exit_wave = z * sv
-        spectrum = ev.spectrum[row]
-        # magnitude via |.|^2 then sqrt to match the forward-model path bit
-        # for bit; coefficients at exactly zero stay zero after correction
-        mag = np.sqrt(np.abs(spectrum) ** 2)
-        scale = np.divide(magnitude[row], mag,
-                          out=np.zeros_like(mag), where=mag > _TINY)
-        corrected = scale * spectrum
-        delta = idft(corrected) - exit_wave
-        r = problem.offsets[row]
-        z_new = z + config.epie_alpha * np.conj(sv) * delta / sq_v
-        v_new = v + config.epie_beta * shift(np.conj(z) * delta, -r, mode) / sq_z
-        return z_new, v_new, mu_t, nu_t, None
+            rows = np.array([schedule.pop()], dtype=np.intp)
+        mu_t, nu_t = _epie_steps(problem, config, z, v, t, rows[0])
+        # the projection residual of the monitor's row is the kernel's at eps = 0
+        spectrum = ev.spectrum.take(rows, 0)
+        back = _residual_back(magnitude[rows], np.sqrt(np.abs(spectrum) ** 2),
+                              spectrum, 0.0)
+        g = _gradient(problem, z, v, ev.windows.take(rows, 0), back, rows,
+                      weights[rows], tikhonov=0.0)
+        return z - mu_t * g.z, v - nu_t * g.v, mu_t, nu_t, None
     return step, None
 
 

@@ -111,7 +111,10 @@ _ONES = np.ones(4, complex)
     (lambda: q_apply(_ONES, _ONES[:3], 0, 0), "z and v must have the same length"),
     (lambda: q_apply(_ONES, _ONES, 0, 4), "frequency index k must lie in [0, d)"),
     (lambda: q_apply(_ONES, _ONES, 0, -1), "frequency index k must lie in [0, d)"),
-], ids=["shift-mode", "q-lengths", "q-k-high", "q-k-negative"])
+    (lambda: ShiftSet((0,)).validate_for_dim(0), "d must be >= 1: 0"),
+    (lambda: ShiftSet((0,), "zero-padded").validate_for_dim(-1), "d must be >= 1: -1"),
+], ids=["shift-mode", "q-lengths", "q-k-high", "q-k-negative", "dim-zero",
+        "dim-negative"])
 def test_input_checks(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call()

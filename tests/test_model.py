@@ -159,9 +159,11 @@ _P = np.full(4, 0.25)
                      beta=0.0, p=_P, truth=(np.ones(3), np.ones(4))),
      "truth vectors must have length d"),
     (lambda: problem_from_json("[1, 2]"), "problem document must be a JSON object"),
+    (lambda: synthesize_problem(0, shifts=ShiftSet((0,))), "d must be >= 1: 0"),
+    (lambda: synthesize_problem(-3), "d must be >= 1: -3"),
 ], ids=["noise-kind", "sigma-negative", "sigma-nan", "values-1d", "forward-lengths",
         "d-zero", "columns", "epsilon-negative", "epsilon-nan", "offsets-descending",
-        "truth-length", "json-not-object"])
+        "truth-length", "json-not-object", "synth-d-zero", "synth-d-negative"])
 def test_input_checks(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call()

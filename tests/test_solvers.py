@@ -11,6 +11,7 @@ from blindptycho import (ALGORITHMS, DivergenceError, NoiseModel, Rng,
                          read_trace, run, sample_indices, sgd_max_step,
                          step_curvature_bound, stochastic_gradient,
                          synthesize_problem, trace_to_csv, write_trace)
+from blindptycho.fourier import dft, idft, shift
 from blindptycho.objective import GradientPair, _sq_norm
 from blindptycho.solvers import TRACE_HEADER
 
@@ -452,8 +453,8 @@ def test_epie_fixed_point_at_truth():
     prob = synthesize_problem(8, seed=27, epsilon=0.0, alpha=0.0, beta=0.0)
     x, w = prob.truth
     res = run(prob, x, w, SolverConfig(algorithm="epie", max_iters=100, seed=1))
-    assert np.allclose(res.z, x, rtol=0, atol=1e-12)
-    assert np.allclose(res.v, w, rtol=0, atol=1e-12)
+    # the kernel's residual at the noiseless truth is exactly zero
+    assert np.array_equal(res.z, x) and np.array_equal(res.v, w)
 
 
 def test_epie_zero_steps_freeze_iterates():
@@ -487,9 +488,50 @@ def test_epie_matches_sgd_with_mapped_steps():
     res_s = run(prob, z0, v0, SolverConfig(algorithm="sgd",
                                            sgd_step_rule="epie_scaled",
                                            **kwargs), record_iterates=True)
+    assert len(res_e.iterates) == len(res_s.iterates) == 301
     for (za, va), (zb, vb) in zip(res_e.iterates, res_s.iterates):
-        assert np.max(np.abs(za - zb)) <= 1e-12
-        assert np.max(np.abs(va - vb)) <= 1e-12
+        assert np.array_equal(za, zb) and np.array_equal(va, vb)
+    assert [(r.J, r.mu_t, r.nu_t) for r in res_e.trace] == \
+        [(r.J, r.mu_t, r.nu_t) for r in res_s.trace]
+
+
+def _projection_step(problem, z, v, row, a, b):
+    """The textbook engine update on region ``row``: project the exit wave's
+    spectrum onto the measured magnitudes and feed the exit-wave difference
+    back to object and window."""
+    r, mode = problem.offsets[row], problem.shifts.mode
+    sv = shift(v, r, mode)
+    spectrum = dft(z * sv)
+    mag = np.abs(spectrum)
+    scale = np.divide(np.sqrt(problem.y[row]), mag, out=np.zeros_like(mag),
+                      where=mag > 0)
+    delta = idft(scale * spectrum) - z * sv
+    return (z + a * np.conj(sv) * delta / np.max(np.abs(v)) ** 2,
+            v + b * shift(np.conj(z) * delta, -r, mode) / np.max(np.abs(z)) ** 2)
+
+
+@pytest.mark.parametrize("schedule", ["iid", "shuffled"])
+@pytest.mark.parametrize("shifts", [ShiftSet.all_shifts(8),
+                                    ShiftSet(tuple(range(-6, 12, 3)), "zero-padded")],
+                         ids=["circular", "zero-padded"])
+def test_epie_step_is_the_projection_update(shifts, schedule):
+    # smoothing and Tikhonov weights are the loss's, not the engine's
+    d = 8 if shifts.mode == "circular" else 12
+    prob = synthesize_problem(d, shifts=shifts, seed=40, epsilon=1e-3, alpha=1e-2,
+                              beta=1e-2)
+    z0, v0 = np_pair(d, 41)
+    cfg = SolverConfig(algorithm="epie", max_iters=1, seed=9, epie_alpha=0.7,
+                       epie_beta=0.4, epie_schedule=schedule)
+    z1, v1 = run(prob, z0, v0, cfg, record_iterates=True).iterates[1]
+    if schedule == "iid":
+        row = prob.offset_row[sample_indices(prob, 1, Rng(9))[0]]
+    else:
+        order = list(range(prob.n_regions))
+        Rng(9).shuffle(order)
+        row = order[-1]
+    z_ref, v_ref = _projection_step(prob, z0, v0, row, 0.7, 0.4)
+    assert np.linalg.norm(z1 - z_ref) <= 1e-13 * np.linalg.norm(z_ref)
+    assert np.linalg.norm(v1 - v_ref) <= 1e-13 * np.linalg.norm(v_ref)
 
 
 def test_epie_seed_determinism():

@@ -10,11 +10,14 @@ equal, e.g. ``diff <(python tools/same_bits.py old) <(python tools/same_bits.py 
 Shapes are perfbench's ``small-d8`` and ``sparse-d100-padded`` at seeds 0-2,
 with perfbench's starting pairs ``initial_guess(d, 1_000_000 + s, init_scale)``
 and solver seeds.  Per shape and seed it hashes the problem-JSON bytes and,
-for gd, sgd, epie and interval at ``gamma_grid`` 2 and 5 (200 iterations
+for gd, sgd, sgd with ``epie_scaled`` steps, epie with the iid and the
+shuffled schedule and interval at ``gamma_grid`` 2 and 5 (200 iterations
 each), the trace rows without ``wall_ns``, the final pair, the
-``IntervalStep`` records and the summary JSON with ``wall_ns`` set to 0.  It
-also hashes the ``verify`` JSON of every suite.  Only public names that
-have been stable across releases are used, so older trees run it too.
+``IntervalStep`` records and the summary JSON with ``wall_ns`` set to 0; a
+run the solver rejects (``epie_scaled`` at K > 1) gets one ``error`` digest
+of its message instead.  It also hashes the ``verify`` JSON of every suite.
+Only public names that have been stable across releases are used, so older
+trees run it too.
 """
 
 from __future__ import annotations
@@ -38,7 +41,9 @@ SHAPES = {
 }
 # label -> SolverConfig keywords
 SOLVERS = {"gd": {"algorithm": "gd"}, "sgd": {"algorithm": "sgd"},
+           "sgd-epie": {"algorithm": "sgd", "sgd_step_rule": "epie_scaled"},
            "epie": {"algorithm": "epie"},
+           "epie-shuffled": {"algorithm": "epie", "epie_schedule": "shuffled"},
            "interval-g2": {"algorithm": "interval", "gamma_grid": 2},
            "interval-g5": {"algorithm": "interval", "gamma_grid": 5}}
 
@@ -71,7 +76,11 @@ def digests(bp) -> dict[str, str]:
             for label, options in SOLVERS.items():
                 config = bp.SolverConfig(max_iters=ITERS,
                                          seed=INIT_SEED_OFFSET + seed, **options)
-                result = bp.run(problem, z0, v0, config)
+                try:
+                    result = bp.run(problem, z0, v0, config)
+                except ValueError as exc:
+                    out[f"{key}/{label}/error"] = _sha(str(exc).encode())
+                    continue
                 rows = [astuple(r)[:-1] for r in result.trace]
                 out[f"{key}/{label}/trace"] = _sha(_floats(rows))
                 out[f"{key}/{label}/pair"] = _sha(result.z.tobytes() + result.v.tobytes())
