@@ -168,6 +168,14 @@ class Problem:
     def offset_row(self) -> dict[int, int]:
         return {r: i for i, r in enumerate(self.offsets)}
 
+    def row(self, offset: int) -> int:
+        """The measurement row of a region offset; an offset the problem does
+        not measure (a bool is not an offset) raises ValueError naming it."""
+        row = self.offset_row.get(offset) if _integral(offset) else None
+        if row is None:
+            raise ValueError(f"unknown region offset: {offset!r}")
+        return row
+
 
 def synthesize_problem(d: int,
                        shifts: ShiftSet | None = None,
@@ -184,6 +192,9 @@ def synthesize_problem(d: int,
     that order from a fresh ``Rng(seed)``; noise draws follow.  The same
     seed therefore reproduces the instance bit for bit.
     """
+    if not _integral(d):
+        raise ValueError(f"d must be an integer: {d!r}")
+    d = int(d)
     if d < 1:
         raise ValueError(f"d must be >= 1: {d}")
     if shifts is None:

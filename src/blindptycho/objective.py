@@ -181,7 +181,7 @@ def gradient_region(problem: Problem, z, v, r: int) -> GradientPair:
     terms, so the full gradient is recovered exactly by summing over all
     regions in listed order.
     """
-    row = problem.offset_row[r]
+    row = problem.row(r)
     return _evaluate(problem, *_as_iterate(problem, z, v), [row],
                      tikhonov=float(problem.p[row])).grad
 

@@ -8,11 +8,12 @@ over all regions (the trace monitor; a non-finite loss or gradient norm
 raises DivergenceError).
 At t = max_iters, or once grad_tol > 0 and ||grad J|| <= grad_tol, it
 writes a closing row with zero step sizes and stops; otherwise it writes
-the row of ``step(z, v, t, ev, gz, gv) -> (z_new, v_new, mu_t, nu_t, ahead)``
-and moves on.  ``ahead`` is None or the forward half of the next monitor,
-``_evaluate(problem, z_new, v_new, grad=False)``, which a step hands over
-when it already computed it (interval's selected trial); the monitor then
-runs only the kernel's back half.  gd, sgd and epie return None.
+the row of ``step(z, v, t, ev, gz, gv) -> (mu_t, nu_t, g, ahead)`` and moves
+the iterate, there only, to (z - mu_t g.z, v - nu_t g.v), where ``g`` is
+``ev.grad`` for gd and interval and the sampled gradient for sgd and epie.
+``ahead`` is None or the new pair's ``_evaluate(..., grad=False)``, which
+interval hands over (its selected trial): the monitor then runs only the
+kernel's back half.
 The factories ``_gd/_sgd/_epie/_interval(problem, config)`` check the
 problem, build the algorithm's state and return (step, interval_steps or
 None).  ``ev`` is the monitor's evaluation, whose rows the sgd and epie
@@ -47,9 +48,10 @@ Step-size policies:
   That is the importance-weighted sgd step on the eps = 0 residual without
   Tikhonov terms, mu_t = alpha_t p_r / (d ||v||_inf^2), and it is computed so.
   With K = 1, eps = 0 and no Tikhonov terms it equals epie_scaled sgd bit for bit.
-* interval:  minimize J over a gamma grid on the segment between the two
-  single-variable endpoint updates z - (1/L) grad_z J and v - (1/L) grad_v J;
-  the selected trial's forward pass is the next monitor's.
+* interval:  minimize J over a gamma grid of the loop's update with
+  (mu_t, nu_t) = (gamma / L_obj, (1 - gamma) / L_win), whose ends are the
+  single-variable updates of z (gamma = 1) and v (gamma = 0); the selected
+  trial's forward pass is the next monitor's.
 """
 
 from __future__ import annotations
@@ -72,7 +74,7 @@ from .objective import (GradientPair, _as_iterate, _Bounds,  # noqa: F401
                         gradient_region, loss, loss_and_gradient,
                         partial_lipschitz, step_curvature_bound,
                         stochastic_gradient_bounds)
-from .rng import Rng
+from .rng import Rng, _integral
 
 ALGORITHMS = ("gd", "sgd", "epie", "interval")
 
@@ -213,7 +215,7 @@ def run(problem: Problem, z0, v0, config: SolverConfig, *,
                 raise DivergenceError(f"non-finite loss or gradient at iteration {t}")
             last = t == config.max_iters or \
                 (config.grad_tol > 0 and np.hypot(gz, gv) <= config.grad_tol)
-            z_new, v_new, mu_t, nu_t, ahead = (z, v, 0.0, 0.0, None) if last \
+            mu_t, nu_t, g, ahead = (0.0, 0.0, None, None) if last \
                 else step(z, v, t, ev, gz, gv)
         except DivergenceError as exc:
             exc.run = SolverRun(z, v, trace, iterates, interval_steps)
@@ -222,7 +224,7 @@ def run(problem: Problem, z0, v0, config: SolverConfig, *,
                                  time.monotonic_ns() - start))
         if last:
             break
-        z, v = z_new, v_new
+        z, v = z - mu_t * g.z, v - nu_t * g.v
         if iterates is not None:
             iterates.append((z.copy(), v.copy()))
     return SolverRun(z, v, trace, iterates, interval_steps)
@@ -269,8 +271,7 @@ def _gd(problem: Problem, config: SolverConfig):
 
     def step(z, v, t, ev, gz, gv):
         m = rule(ev.z_sq, ev.v_sq, gz, gv)
-        mu_t, nu_t = config.mu * m, config.nu * m
-        return z - mu_t * ev.grad.z, v - nu_t * ev.grad.v, mu_t, nu_t, None
+        return config.mu * m, config.nu * m, ev.grad, None
     return step, None
 
 
@@ -285,8 +286,10 @@ def _draw_rows(cdf: np.ndarray, k: int, rng: Rng) -> np.ndarray:
 
 
 def sample_indices(problem: Problem, k: int, rng: Rng) -> list[int]:
-    """Draw k offsets of the problem i.i.d. from its distribution p."""
-    return [problem.offsets[i] for i in _draw_rows(np.cumsum(problem.p), k, rng)]
+    """Draw k >= 1 offsets of the problem i.i.d. from its distribution p."""
+    if not _integral(k) or k < 1:
+        raise ValueError(f"k must be an integer >= 1: {k!r}")
+    return [problem.offsets[i] for i in _draw_rows(np.cumsum(problem.p), int(k), rng)]
 
 
 def _importance_weights(p: np.ndarray, k: int) -> np.ndarray:
@@ -297,7 +300,7 @@ def _importance_weights(p: np.ndarray, k: int) -> np.ndarray:
 def stochastic_gradient(problem: Problem, z, v, indices) -> GradientPair:
     """Importance-weighted average of the sampled single-region gradients:
     (1/K) sum_k (1 / p_{r_k}) grad J_{r_k}, from one batched evaluation."""
-    rows = np.array([problem.offset_row[r] for r in indices], dtype=np.intp)
+    rows = np.array([problem.row(r) for r in indices], dtype=np.intp)
     if rows.size == 0:
         raise ValueError("indices must contain at least one offset")
     return _evaluate(problem, *_as_iterate(problem, z, v), rows,
@@ -357,12 +360,10 @@ def _sgd(problem: Problem, config: SolverConfig):
         # the step reuses the monitor's rows: no transform of its own
         g = _gradient(problem, z, v, ev.windows.take(rows, 0),
                       ev.back.take(rows, 0), rows, weights[rows])
-        if bounded:
-            m = rule(ev.z_sq, ev.v_sq, t)
-            mu_t, nu_t = config.mu * m, config.nu * m
-        else:
-            mu_t, nu_t = _epie_steps(problem, config, z, v, t, rows[0])
-        return z - mu_t * g.z, v - nu_t * g.v, mu_t, nu_t, None
+        if not bounded:
+            return (*_epie_steps(problem, config, z, v, t, rows[0]), g, None)
+        m = rule(ev.z_sq, ev.v_sq, t)
+        return config.mu * m, config.nu * m, g, None
     return step, None
 
 
@@ -391,7 +392,7 @@ def _epie(problem: Problem, config: SolverConfig):
                               spectrum, 0.0)
         g = _gradient(problem, z, v, ev.windows.take(rows, 0), back, rows,
                       weights[rows], tikhonov=0.0)
-        return z - mu_t * g.z, v - nu_t * g.v, mu_t, nu_t, None
+        return mu_t, nu_t, g, None
     return step, None
 
 
@@ -401,26 +402,24 @@ def _epie(problem: Problem, config: SolverConfig):
 def _interval(problem: Problem, config: SolverConfig):
     if problem.alpha <= 0 or problem.beta <= 0:
         raise ValueError("interval descent requires positive Tikhonov weights")
-    gammas = np.linspace(0.0, 1.0, config.gamma_grid)
+    gammas = np.linspace(0.0, 1.0, config.gamma_grid).tolist()
     steps: list[IntervalStep] = []
 
     def step(z, v, t, ev, gz, gv):
         object_curv, window_curv = partial_lipschitz(problem, z, v)
-        dz = ev.grad.z / object_curv
-        dv = ev.grad.v / window_curv
+        g = ev.grad
         # Only the running best trial is kept, with its forward pass, which
         # the next monitor reuses; it is np.argmin's choice (the first NaN,
         # else the first minimum).
         values, best = [], None
-        for g in gammas:
-            z_g, v_g = z - g * dz, v - (1.0 - g) * dv
-            forward = _evaluate(problem, z_g, v_g, grad=False)
+        for gamma in gammas:
+            mu, nu = gamma / object_curv, (1.0 - gamma) / window_curv
+            forward = _evaluate(problem, z - mu * g.z, v - nu * g.v, grad=False)
             values.append(forward.J)
             if best is None or not math.isnan(best[3].J) and (
                     math.isnan(forward.J) or forward.J < best[3].J):
-                best = (g, z_g, v_g, forward)
-        gamma, z_new, v_new, forward = best
-        gamma = float(gamma)
+                best = (gamma, mu, nu, forward)
+        gamma, mu_t, nu_t, forward = best
         steps.append(IntervalStep(
             gamma=gamma,
             loss_object_endpoint=values[-1],
@@ -430,8 +429,7 @@ def _interval(problem: Problem, config: SolverConfig):
             bound_matched=0.5 * gz * gz / object_curv + 0.5 * gv * gv / window_curv,
             bound_crossed=0.5 * gz * gz / window_curv + 0.5 * gv * gv / object_curv,
         ))
-        return (z_new, v_new, gamma / object_curv, (1.0 - gamma) / window_curv,
-                forward)
+        return mu_t, nu_t, g, forward
     return step, steps
 
 

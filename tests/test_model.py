@@ -122,6 +122,8 @@ def test_synthesize_deterministic():
     assert np.array_equal(a.truth[0], b.truth[0])
     assert a.y.shape == (16, 16)
     assert np.all(a.y >= 0)
+    # an integral float d is the same instance
+    assert problem_to_json(synthesize_problem(16.0, seed=42)) == problem_to_json(a)
 
 
 def test_noiseless_loss_at_truth_is_zero():
@@ -161,9 +163,12 @@ _P = np.full(4, 0.25)
     (lambda: problem_from_json("[1, 2]"), "problem document must be a JSON object"),
     (lambda: synthesize_problem(0, shifts=ShiftSet((0,))), "d must be >= 1: 0"),
     (lambda: synthesize_problem(-3), "d must be >= 1: -3"),
+    (lambda: synthesize_problem(2.5), "d must be an integer: 2.5"),
+    (lambda: synthesize_problem(True), "d must be an integer: True"),
 ], ids=["noise-kind", "sigma-negative", "sigma-nan", "values-1d", "forward-lengths",
         "d-zero", "columns", "epsilon-negative", "epsilon-nan", "offsets-descending",
-        "truth-length", "json-not-object", "synth-d-zero", "synth-d-negative"])
+        "truth-length", "json-not-object", "synth-d-zero", "synth-d-negative",
+        "synth-d-fraction", "synth-d-bool"])
 def test_input_checks(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call()

@@ -416,13 +416,18 @@ _PAIR = np_pair(4, 10)
     (lambda: SolverConfig(algorithm="interval", gamma_grid=1), "gamma_grid must be >= 2"),
     (lambda: stochastic_gradient(_PROB, *_PAIR, []),
      "indices must contain at least one offset"),
+    (lambda: stochastic_gradient(_PROB, *_PAIR, [99]), "unknown region offset: 99"),
+    (lambda: gradient_region(_PROB, *_PAIR, 99), "unknown region offset: 99"),
+    (lambda: gradient_region(_PROB, *_PAIR, True), "unknown region offset: True"),
+    (lambda: sample_indices(_PROB, -1, Rng(0)), "k must be an integer >= 1: -1"),
     # run checks its starting pair as every public iterate is checked
     (lambda: run(_PROB, _PAIR[0][:3], _PAIR[1], SolverConfig()),
      "z and v must be 1-d arrays of length d"),
     (lambda: run(_PROB, _PAIR[0], np.ones((4, 1)), SolverConfig()),
      "z and v must be 1-d arrays of length d"),
 ], ids=["max-iters-negative", "grad-tol-negative", "gamma-grid-1",
-        "no-indices", "run-short-start", "run-2d-start"])
+        "no-indices", "unknown-index", "unknown-region", "bool-region",
+        "draws-negative", "run-short-start", "run-2d-start"])
 def test_input_checks(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call()
@@ -592,7 +597,8 @@ def test_interval_decrease_bounds():
     z0, v0 = np_pair(16, 40)
     cfg = SolverConfig(algorithm="interval", max_iters=200, gamma_grid=5)
     res = run(prob, z0, v0, cfg, record_iterates=True)
-    for rec, step, (z, v) in zip(res.trace, res.interval_steps, res.iterates):
+    for rec, nxt, step, (z, v) in zip(res.trace, res.trace[1:],
+                                      res.interval_steps, res.iterates):
         tol = 1e-9 * (1 + rec.J)
         object_curv, window_curv = partial_lipschitz(prob, z, v)
         # each endpoint decreases by at least ||g||^2 over its own curvature
@@ -603,6 +609,15 @@ def test_interval_decrease_bounds():
         assert step.loss_selected <= min(step.loss_object_endpoint,
                                          step.loss_window_endpoint)
         assert step.decrease >= step.bound_matched - tol
+        # gd's certificate J_{t+1} <= J_t - mu_t ||g_z||^2 - nu_t ||g_v||^2,
+        # from trace columns only.  (1) Each endpoint decreases J by at least
+        # a = ||g_z||^2 / L_obj (object) or b = ||g_v||^2 / L_win (window), as
+        # asserted above.  (2) The selected trial is no worse than either
+        # endpoint, so J_t - J_{t+1} >= max(a, b).  (3) With mu_t = gamma / L_obj
+        # and nu_t = (1 - gamma) / L_win, mu_t ||g_z||^2 + nu_t ||g_v||^2 =
+        # gamma a + (1 - gamma) b <= max(a, b).
+        assert nxt.J <= rec.J - rec.mu_t * rec.grad_z_norm ** 2 \
+            - rec.nu_t * rec.grad_v_norm ** 2 + tol
 
 
 def test_interval_steps_match_partial_lipschitz():
@@ -613,10 +628,16 @@ def test_interval_steps_match_partial_lipschitz():
         z0, v0 = np_pair(8, 46)
         res = run(prob, z0, v0, SolverConfig(algorithm="interval", max_iters=20,
                                              gamma_grid=5), record_iterates=True)
-        for rec, step, (z, v) in zip(res.trace, res.interval_steps, res.iterates):
+        for rec, step, (z, v), (z_next, v_next) in zip(
+                res.trace, res.interval_steps, res.iterates, res.iterates[1:]):
             object_curv, window_curv = partial_lipschitz(prob, z, v)
+            assert type(step.gamma) is float
             assert rec.mu_t == step.gamma / object_curv
             assert rec.nu_t == (1.0 - step.gamma) / window_curv
+            # the recorded step is the step taken
+            g = gradient(prob, z, v)
+            assert np.array_equal(z_next, z - rec.mu_t * g.z)
+            assert np.array_equal(v_next, v - rec.nu_t * g.v)
 
 
 @pytest.mark.parametrize("mode,d", [("circular", 8), ("zero-padded", 12)])
