@@ -10,7 +10,8 @@ Conventions used throughout the package:
   otherwise 0.
 
 In both shift flavours the transpose of S_r is S_{-r}, which the gradient
-code relies on.
+code relies on.  A zero-padded family gathers from its input widened by a
+zero column at index d, which every emptied entry reads.
 
 The transforms are numpy's FFT (``np.fft``) along the last axis, for any d;
 ``dft_direct`` is the O(d^2) summation kept as an independent oracle.  Row i
@@ -25,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .rng import _integral
+from .rng import _count, _integral
 
 CIRCULAR = "circular"
 ZERO_PADDED = "zero-padded"
@@ -110,6 +111,7 @@ class ShiftSet:
         return len(self.offsets)
 
     def validate_for_dim(self, d: int) -> None:
+        d = _count(d, "d")
         if d < 1:
             raise ValueError(f"d must be >= 1: {d}")
         if self.mode == CIRCULAR:
@@ -119,42 +121,40 @@ class ShiftSet:
 
     @staticmethod
     def all_shifts(d: int, mode: str = CIRCULAR) -> "ShiftSet":
-        return ShiftSet(tuple(range(d)), mode)
+        return ShiftSet(tuple(range(_count(d, "d"))), mode)
 
 
-def _flat_index(idx: np.ndarray, d: int) -> np.ndarray:
-    """Index into the flat view of an n x d stack such that row i of
-    ``stack.reshape(-1)[flat]`` is row i of the stack gathered by row i of
-    ``idx``."""
-    return idx + np.arange(0, d * len(idx), d)[:, np.newaxis]
+def _flat_index(idx: np.ndarray, width: int) -> np.ndarray:
+    """Flat index such that row i of ``stack.reshape(-1)[flat]`` is row i
+    of an n x width stack gathered by row i of ``idx``."""
+    return idx + np.arange(0, width * len(idx), width)[:, np.newaxis]
 
 
 @lru_cache(maxsize=None)
 def _gather_plan(offsets: tuple[int, ...], d: int, mode: str, sign: int):
-    """Index matrix such that row i of v[idx] is S_{sign*offsets[i]} v, the
-    boundary mask (None when circular) and the full stack's flat index."""
+    """Row width, index matrix and full flat index such that row i of
+    ``_widen(v, width)[idx]`` is S_{sign*offsets[i]} v; zero-padded rows
+    are d + 1 wide, and every emptied entry reads their zero column d."""
     offs = np.asarray(offsets, dtype=np.intp).reshape(-1, 1)
     pos = np.arange(d, dtype=np.intp).reshape(1, -1)
     src = pos - sign * offs
     if mode == CIRCULAR:
-        idx, valid = np.mod(src, d), None
+        width, idx = d, np.mod(src, d)
     else:
-        valid = (src >= 0) & (src < d)
-        idx = np.clip(src, 0, d - 1)
-    flat = _flat_index(idx, d)
-    for a in (idx, valid, flat):
-        if a is not None:
-            a.setflags(write=False)
-    return idx, valid, flat
+        width, idx = d + 1, np.where((src >= 0) & (src < d), src, d)
+    flat = _flat_index(idx, width)
+    for a in (idx, flat):
+        a.setflags(write=False)
+    return width, idx, flat
 
 
-def _plan(shifts: ShiftSet, d: int, sign: int, select):
-    """Gather plan restricted to the rows ``select`` (all rows when None);
-    the flat index is None when restricted."""
-    idx, valid, flat = _gather_plan(shifts.offsets, d, shifts.mode, sign)
-    if select is None:
-        return idx, valid, flat
-    return idx.take(select, 0), None if valid is None else valid.take(select, 0), None
+def _widen(a: np.ndarray, width: int) -> np.ndarray:
+    """``a`` with a zero column appended, unless its rows are ``width`` wide."""
+    if a.shape[-1] == width:
+        return a
+    out = np.zeros(a.shape[:-1] + (width,), dtype=a.dtype)
+    out[..., :-1] = a
+    return out
 
 
 def shift_stack(v: np.ndarray, shifts: ShiftSet, select=None) -> np.ndarray:
@@ -164,9 +164,10 @@ def shift_stack(v: np.ndarray, shifts: ShiftSet, select=None) -> np.ndarray:
     keeps only those rows, in that order.
     """
     v = np.asarray(v)
-    idx, valid, _ = _plan(shifts, v.shape[-1], 1, select)
-    rows = v[idx]
-    return rows if valid is None else np.where(valid, rows, 0)
+    width, idx, _ = _gather_plan(shifts.offsets, v.shape[-1], shifts.mode, 1)
+    if select is not None:
+        idx = idx.take(select, 0)
+    return _widen(v, width)[idx]
 
 
 def unshift_sum(rows: np.ndarray, shifts: ShiftSet, select=None) -> np.ndarray:
@@ -178,17 +179,14 @@ def unshift_sum(rows: np.ndarray, shifts: ShiftSet, select=None) -> np.ndarray:
     index ``select[i]``, as for ``shift_stack(v, shifts, select)``.
     """
     rows = np.asarray(rows)
-    d = rows.shape[1]
-    idx, valid, flat = _plan(shifts, d, -1, select)
-    if flat is None:
-        flat = _flat_index(idx, d)
-    if len(rows) != len(flat):
+    width, idx, flat = _gather_plan(shifts.offsets, rows.shape[1], shifts.mode, -1)
+    if select is not None:
+        idx = idx.take(select, 0)
+        flat = _flat_index(idx, width)
+    if len(rows) != len(idx):
         raise ValueError("rows must hold one row per selected offset")
     # one flat gather: row i of the result reads row i of ``rows``
-    gathered = rows.reshape(-1)[flat]
-    if valid is not None:
-        gathered = np.where(valid, gathered, 0)
-    return gathered.sum(axis=0)
+    return _widen(rows, width).reshape(-1)[flat].sum(axis=0)
 
 
 # ---------------------------------------------------------------------------

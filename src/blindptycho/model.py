@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .fourier import CIRCULAR, ShiftSet, dft, shift_stack
-from .rng import Rng, _integral
+from .rng import Rng, _count, _integral
 
 NOISE_KINDS = ("none", "poisson", "gaussian")
 
@@ -192,9 +192,7 @@ def synthesize_problem(d: int,
     that order from a fresh ``Rng(seed)``; noise draws follow.  The same
     seed therefore reproduces the instance bit for bit.
     """
-    if not _integral(d):
-        raise ValueError(f"d must be an integer: {d!r}")
-    d = int(d)
+    d = _count(d, "d")
     if d < 1:
         raise ValueError(f"d must be >= 1: {d}")
     if shifts is None:
@@ -264,10 +262,7 @@ def _require_integers(obj, *names) -> None:
     """Store each named field of ``obj`` as an int; a non-integral value
     raises ValueError naming the field."""
     for name in names:
-        value = getattr(obj, name)
-        if not _integral(value):
-            raise ValueError(f"{name} must be an integer: {value!r}")
-        object.__setattr__(obj, name, int(value))
+        object.__setattr__(obj, name, _count(getattr(obj, name), name))
 
 
 def _integer(value) -> int:

@@ -52,15 +52,20 @@ def _integral(value) -> bool:
             or isinstance(value, float) and value.is_integer())
 
 
+def _count(value, name: str) -> int:
+    """``value`` as an int if ``_integral``, else a ValueError naming it."""
+    if not _integral(value):
+        raise ValueError(f"{name} must be an integer: {value!r}")
+    return int(value)
+
+
 class Rng:
     """SplitMix64 stream seeded by a 64-bit integer."""
 
     __slots__ = ("_state",)
 
     def __init__(self, seed: int):
-        if not _integral(seed):
-            raise ValueError(f"seed must be an integer: {seed!r}")
-        self._state = int(seed) & _MASK64
+        self._state = _count(seed, "seed") & _MASK64
 
     def next_u64(self) -> int:
         self._state = (self._state + _GOLDEN) & _MASK64
@@ -71,6 +76,7 @@ class Rng:
 
     def next_u64_block(self, n: int) -> np.ndarray:
         """The next n outputs of ``next_u64`` as a uint64 array."""
+        n = _count(n, "block length")
         if n < 0:
             raise ValueError(f"block length must be >= 0: {n!r}")
         # Array arithmetic in uint64 wraps mod 2**64 without a warning; the
@@ -105,22 +111,26 @@ class Rng:
         phi = 2.0 * math.pi * self.uniform()
         return complex(r * math.cos(phi), r * math.sin(phi))
 
-    def _polar_block(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        # log of the (0, 1] uniforms and the angles of n Box-Muller draws;
-        # k * 2**-53 + 2**-53 is (k + 1) * 2**-53 exactly, as k < 2**53
+    def _polar_block(self, n: int) -> tuple[int, np.ndarray, np.ndarray]:
+        # n as an int, the log of the (0, 1] uniforms and the angles of n
+        # Box-Muller draws; k * 2**-53 + 2**-53 is (k + 1) * 2**-53 exactly,
+        # as k < 2**53
+        n = _count(n, "n")
+        if n < 0:
+            raise ValueError(f"block length must be >= 0: {n}")
         f = (self.next_u64_block(2 * n) >> 11).astype(np.float64)
         f *= 2.0**-53
         log_u = np.fromiter(map(math.log, (f[0::2] + 2.0**-53).tolist()), np.float64, n)
-        return log_u, 2.0 * math.pi * f[1::2]
+        return n, log_u, 2.0 * math.pi * f[1::2]
 
     def normal_vector(self, n: int) -> np.ndarray:
         """n ``normal`` draws, the same bits in the same order."""
-        log_u, phi = self._polar_block(n)
+        n, log_u, phi = self._polar_block(n)
         return np.sqrt(-2.0 * log_u) * np.fromiter(map(math.cos, phi.tolist()), np.float64, n)
 
     def complex_normal_vector(self, n: int) -> np.ndarray:
         """n ``complex_normal`` draws, the same bits in the same order."""
-        log_u, phi = self._polar_block(n)
+        n, log_u, phi = self._polar_block(n)
         r = np.sqrt(-log_u)
         angles = phi.tolist()
         out = np.empty(n, dtype=np.complex128)

@@ -28,7 +28,7 @@ from .fourier import ShiftSet, q_apply
 from .model import Problem, synthesize_problem
 from .objective import (GradientPair, _sq_norm, gradient, gradient_region, loss,
                         loss_and_gradient, stochastic_gradient_bounds)
-from .rng import Rng
+from .rng import Rng, _count
 from .solvers import sample_indices, stochastic_gradient
 
 DEFAULT_TOL = 1e-9
@@ -63,6 +63,7 @@ def _sampled(name, n_samples, slack, tol, extra=""):
     draws its own point.  A NaN slack (a side that could not be evaluated)
     is the worst of all, so the check fails.  Fewer than one sample would
     check nothing, so it is rejected."""
+    n_samples = _count(n_samples, "n_samples")
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1: {n_samples!r}")
     worst = np.min([slack() for _ in range(n_samples)], initial=np.inf)
@@ -233,6 +234,7 @@ def run_suite(names, problem: Problem | None = None, seed: int = 0,
               samples: int = 100) -> list[CheckReport]:
     """Run named checkers on a default-style instance; an unknown name is
     rejected before any check runs."""
+    samples = _count(samples, "samples")
     if samples < 1:
         raise ValueError("samples must be >= 1")
     try:

@@ -101,6 +101,8 @@ def test_shift_set_validation():
     with pytest.raises(ValueError, match="offsets must be integers"):
         ShiftSet((False, True))                      # a bool is not an integer
     assert ShiftSet((0.0, np.int64(2))).offsets == (0, 2)
+    assert ShiftSet.all_shifts(4.0, "zero-padded") == ShiftSet((0, 1, 2, 3), "zero-padded")
+    ShiftSet((0, 4)).validate_for_dim(8.0)
 
 
 _ONES = np.ones(4, complex)
@@ -113,8 +115,13 @@ _ONES = np.ones(4, complex)
     (lambda: q_apply(_ONES, _ONES, 0, -1), "frequency index k must lie in [0, d)"),
     (lambda: ShiftSet((0,)).validate_for_dim(0), "d must be >= 1: 0"),
     (lambda: ShiftSet((0,), "zero-padded").validate_for_dim(-1), "d must be >= 1: -1"),
+    (lambda: ShiftSet((0, 1)).validate_for_dim(2.5), "d must be an integer: 2.5"),
+    (lambda: ShiftSet((0,)).validate_for_dim(True), "d must be an integer: True"),
+    (lambda: ShiftSet.all_shifts(2.5), "d must be an integer: 2.5"),
+    (lambda: ShiftSet.all_shifts(True), "d must be an integer: True"),
 ], ids=["shift-mode", "q-lengths", "q-k-high", "q-k-negative", "dim-zero",
-        "dim-negative"])
+        "dim-negative", "dim-fraction", "dim-bool", "all-shifts-fraction",
+        "all-shifts-bool"])
 def test_input_checks(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call()
@@ -165,7 +172,8 @@ def test_unshift_sum_is_rowwise_adjoint(mode):
        seed=st.integers(0, 2 ** 32 - 1))
 def test_shift_stack_unshift_sum_adjoint_property(data, d, mode, seed):
     # <shift_stack(u), W> = <u, unshift_sum(W)> for any distinct offsets
-    # (beyond +-d too) and any row selection, repeats allowed
+    # (beyond +-d too) and any row selection, repeats allowed; each gathered
+    # row is the single-offset shift bit for bit
     offsets = data.draw(st.lists(st.integers(-2 * d, 2 * d), min_size=1,
                                  max_size=12, unique=True))
     select = data.draw(st.none() | st.lists(st.integers(0, len(offsets) - 1),
@@ -178,6 +186,17 @@ def test_shift_stack_unshift_sum_adjoint_property(data, d, mode, seed):
     lhs = np.vdot(shift_stack(u, shifts, select), w)
     rhs = np.vdot(u, unshift_sum(w, shifts, select))
     assert abs(lhs - rhs) <= 1e-12 * np.linalg.norm(u) * np.linalg.norm(w)
+    picked = [offsets[i] for i in (range(n) if select is None else select)]
+    assert np.array_equal(shift_stack(u, shifts, select),
+                          np.stack([shift(u, r, mode) for r in picked]))
+    # numpy's sum over the stacked rows, not Python's left-to-right sum: at
+    # d = 1 numpy reduces an (n, 1) stack pairwise
+    unshifted = np.stack([shift(w[i], -r, mode) for i, r in enumerate(picked)])
+    assert np.array_equal(unshift_sum(w, shifts, select), unshifted.sum(axis=0))
+    # the output dtype follows the input
+    for a, b in ((u, w), (u.real, w.real)):
+        assert shift_stack(a, shifts, select).dtype == a.dtype
+        assert unshift_sum(b, shifts, select).dtype == b.dtype
 
 
 def test_q_apply_hand_values():

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -96,6 +97,30 @@ def test_seed_must_be_integral():
         initial_guess(8, 2.5)
 
 
+@pytest.mark.parametrize("call,message", [
+    (lambda: Rng(0).normal_vector(2.5), "n must be an integer: 2.5"),
+    (lambda: Rng(0).complex_normal_vector(True), "n must be an integer: True"),
+    (lambda: Rng(0).next_u64_block(2.5), "block length must be an integer: 2.5"),
+    (lambda: Rng(0).next_u64_block(False), "block length must be an integer: False"),
+    (lambda: initial_guess(8.5, 0), "n must be an integer: 8.5"),
+], ids=["vector-fraction", "vector-bool", "block-fraction",
+        "block-bool", "initial-guess-fraction"])
+def test_input_checks(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
+
+
+def test_integral_float_lengths():
+    # 2.0 means 2: the same draws and the same state afterwards
+    for seed in STREAM_SEEDS:
+        for by_float, by_int in zip(initial_guess(8.0, seed, 2.0), initial_guess(8, seed, 2.0)):
+            assert by_float.tobytes() == by_int.tobytes()
+        for _, block, _ in STREAMS.values():
+            a, b = Rng(seed), Rng(seed)
+            assert block(a, 3.0).tobytes() == block(b, np.int64(3)).tobytes()
+            assert a.next_u64() == b.next_u64()
+
+
 @pytest.mark.filterwarnings("error")
 def test_published_splitmix64_vector():
     expected = [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4,
@@ -130,7 +155,7 @@ def test_blocks_interleave_with_scalar_calls(seed):
             assert got.tobytes() == expected.tobytes()
             assert rng.uniform() == ref.uniform()
     # a negative length is rejected and leaves the state as it was
-    with pytest.raises(ValueError, match="block length must be >= 0"):
+    with pytest.raises(ValueError, match="block length must be >= 0: -1$"):
         rng.normal_vector(-1)
     assert rng.next_u64() == ref.next_u64()
 

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -194,6 +195,29 @@ def test_sampled_checkers_reject_no_samples(check, n_samples):
     prob = synthesize_problem(8, seed=1, epsilon=1e-3)
     with pytest.raises(ValueError, match="n_samples must be >= 1"):
         check(prob, n_samples)
+
+
+_PROB = synthesize_problem(4, seed=1, epsilon=1e-3)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: run_suite(["descent"], samples=2.5), "samples must be an integer: 2.5"),
+    (lambda: run_suite(["descent"], samples=True), "samples must be an integer: True"),
+    (lambda: check_descent_lemma(_PROB, 2.5, 1.0, Rng(0)), "n_samples must be an integer: 2.5"),
+    (lambda: check_gradient_bounds(_PROB, True, Rng(0)), "n_samples must be an integer: True"),
+], ids=["suite-samples-fraction", "suite-samples-bool", "n-samples-fraction",
+        "n-samples-bool"])
+def test_input_checks(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
+
+
+def test_integral_float_sample_counts():
+    # 2.0 means 2, in the checkers and in the report
+    assert check_descent_lemma(_PROB, 2.0, 1.0, Rng(5)) == check_descent_lemma(_PROB, 2, 1.0, Rng(5))
+    reports = run_suite(["descent"], problem=_PROB, samples=2.0)
+    assert reports == run_suite(["descent"], problem=_PROB, samples=2)
+    assert all(type(r.samples) is int for r in reports)
 
 
 def test_run_suite_all_pass():
