@@ -11,12 +11,18 @@ Conventions used throughout the package:
 
 In both shift flavours the transpose of S_r is S_{-r}, which the gradient
 code relies on.  A zero-padded family gathers from its input widened by a
-zero column at index d, which every emptied entry reads.
+zero column at index d, which every emptied entry reads.  ``shift_stack``
+takes one vector and ``unshift_sum`` one row per offset, or a single 1-d
+row that stands for the same row under every offset.
 
 The transforms are numpy's FFT (``np.fft``) along the last axis, for any d;
 ``dft_direct`` is the O(d^2) summation kept as an independent oracle.  Row i
 of a batched transform equals the transform of row i alone, bit for bit,
 which the solvers rely on when they reuse rows of the objective's stacks.
+``dft`` and ``dft_adjoint`` hand ``np.fft`` a fresh output buffer of the
+input's shape (``out=``, numpy >= 2.0), which skips numpy's own allocation
+path, a fixed cost that dominates a small transform; the result never
+aliases the input.
 """
 
 from __future__ import annotations
@@ -37,8 +43,9 @@ MODES = (CIRCULAR, ZERO_PADDED)
 # transforms
 
 def dft(x: np.ndarray) -> np.ndarray:
-    """Forward transform along the last axis."""
-    return np.fft.fft(np.asarray(x, dtype=np.complex128))
+    """Forward transform along the last axis, into a new array."""
+    x = np.asarray(x, dtype=np.complex128)
+    return np.fft.fft(x, out=np.empty_like(x))
 
 
 def dft_direct(x: np.ndarray) -> np.ndarray:
@@ -64,8 +71,10 @@ def idft(X: np.ndarray) -> np.ndarray:
 
 
 def dft_adjoint(X: np.ndarray) -> np.ndarray:
-    """Conjugate-transpose transform F^* X along the last axis: d idft(X)."""
-    return np.fft.ifft(np.asarray(X, dtype=np.complex128), norm="forward")
+    """Conjugate-transpose transform F^* X along the last axis: d idft(X),
+    into a new array."""
+    X = np.asarray(X, dtype=np.complex128)
+    return np.fft.ifft(X, norm="forward", out=np.empty_like(X))
 
 
 # ---------------------------------------------------------------------------
@@ -124,10 +133,15 @@ class ShiftSet:
         return ShiftSet(tuple(range(_count(d, "d"))), mode)
 
 
-def _flat_index(idx: np.ndarray, width: int) -> np.ndarray:
-    """Flat index such that row i of ``stack.reshape(-1)[flat]`` is row i
-    of an n x width stack gathered by row i of ``idx``."""
-    return idx + np.arange(0, width * len(idx), width)[:, np.newaxis]
+@lru_cache(maxsize=None)
+def _row_base(n: int, width: int) -> np.ndarray:
+    """The column of row starts 0, width, ..., (n - 1) width, read-only:
+    with ``flat = idx + _row_base(len(idx), width)``, row i of
+    ``stack.reshape(-1)[flat]`` is row i of an n x width stack gathered by
+    row i of ``idx``."""
+    base = np.arange(0, width * n, width)[:, np.newaxis]
+    base.setflags(write=False)
+    return base
 
 
 @lru_cache(maxsize=None)
@@ -142,7 +156,7 @@ def _gather_plan(offsets: tuple[int, ...], d: int, mode: str, sign: int):
         width, idx = d, np.mod(src, d)
     else:
         width, idx = d + 1, np.where((src >= 0) & (src < d), src, d)
-    flat = _flat_index(idx, width)
+    flat = idx + _row_base(len(idx), width)
     for a in (idx, flat):
         a.setflags(write=False)
     return width, idx, flat
@@ -176,13 +190,16 @@ def unshift_sum(rows: np.ndarray, shifts: ShiftSet, select=None) -> np.ndarray:
     This is the adjoint reduction used by the window gradient: entry j of
     the result collects rows[i, j + r_i] subject to the mode's boundary
     rule.  With ``select``, row i of ``rows`` belongs to the offset with
-    index ``select[i]``, as for ``shift_stack(v, shifts, select)``.
+    index ``select[i]``, as for ``shift_stack(v, shifts, select)``.  A 1-d
+    ``rows`` is the same row for every (selected) offset.
     """
     rows = np.asarray(rows)
-    width, idx, flat = _gather_plan(shifts.offsets, rows.shape[1], shifts.mode, -1)
+    width, idx, flat = _gather_plan(shifts.offsets, rows.shape[-1], shifts.mode, -1)
     if select is not None:
         idx = idx.take(select, 0)
-        flat = _flat_index(idx, width)
+        flat = idx + _row_base(len(idx), width)
+    if rows.ndim == 1:
+        return _widen(rows, width)[idx].sum(axis=0)
     if len(rows) != len(idx):
         raise ValueError("rows must hold one row per selected offset")
     # one flat gather: row i of the result reads row i of ``rows``

@@ -13,13 +13,14 @@ import numpy as np
 
 from .model import Problem, _require_integers
 from .objective import _sq_norm
-from .rng import Rng
+from .rng import Rng, _count
 from .solvers import (DivergenceError, SolverConfig, SolverRun, TraceRecord,
                       cell, run, write_trace)
 
 
 def initial_guess(d: int, seed: int, scale: float = 1.0):
     """Random starting pair with i.i.d. complex normal entries."""
+    d = _count(d, "d")
     rng = Rng(seed)
     return (scale * rng.complex_normal_vector(d),
             scale * rng.complex_normal_vector(d))

@@ -58,6 +58,7 @@ from __future__ import annotations
 
 import math
 import time
+from bisect import bisect_right
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import ClassVar
@@ -278,18 +279,20 @@ def _gd(problem: Problem, config: SolverConfig):
 # ---------------------------------------------------------------------------
 # stochastic gradient descent
 
-def _draw_rows(cdf: np.ndarray, k: int, rng: Rng) -> np.ndarray:
-    """k i.i.d. rows by inverse CDF over ``cdf = cumsum(problem.p)`` (the
-    offsets ascend), one ``rng.uniform()`` each."""
-    u = [rng.uniform() for _ in range(k)]
-    return np.minimum(np.searchsorted(cdf, u, side="right"), len(cdf) - 1)
+def _draw_rows(cdf: list[float], k: int, rng: Rng) -> list[int]:
+    """k i.i.d. rows by inverse CDF over ``cdf = cumsum(problem.p).tolist()``
+    (the offsets ascend), one ``rng.uniform()`` each; a draw at or past the
+    last entry takes the last row."""
+    last = len(cdf) - 1
+    return [min(bisect_right(cdf, rng.uniform()), last) for _ in range(k)]
 
 
 def sample_indices(problem: Problem, k: int, rng: Rng) -> list[int]:
     """Draw k >= 1 offsets of the problem i.i.d. from its distribution p."""
     if not _integral(k) or k < 1:
         raise ValueError(f"k must be an integer >= 1: {k!r}")
-    return [problem.offsets[i] for i in _draw_rows(np.cumsum(problem.p), int(k), rng)]
+    rows = _draw_rows(np.cumsum(problem.p).tolist(), int(k), rng)
+    return [problem.offsets[i] for i in rows]
 
 
 def _importance_weights(p: np.ndarray, k: int) -> np.ndarray:
@@ -350,7 +353,7 @@ def _sgd(problem: Problem, config: SolverConfig):
     if config.sgd_step_rule == "epie_scaled" and problem.batch_size != 1:
         raise ValueError("epie_scaled steps require batch_size 1")
     rng = Rng(config.seed)
-    cdf = np.cumsum(problem.p)
+    cdf = np.cumsum(problem.p).tolist()
     weights = _importance_weights(problem.p, problem.batch_size)
     bounded = config.sgd_step_rule == "bounded"
     rule = _sgd_rule(problem, config.theta, config.kappa)
@@ -372,7 +375,7 @@ def _sgd(problem: Problem, config: SolverConfig):
 
 def _epie(problem: Problem, config: SolverConfig):
     rng = Rng(config.seed)
-    cdf = np.cumsum(problem.p)
+    cdf = np.cumsum(problem.p).tolist()
     magnitude = np.sqrt(problem.y)
     weights = _importance_weights(problem.p, 1)
     schedule: list[int] = []
@@ -384,7 +387,7 @@ def _epie(problem: Problem, config: SolverConfig):
             if not schedule:
                 schedule.extend(range(problem.n_regions))
                 rng.shuffle(schedule)
-            rows = np.array([schedule.pop()], dtype=np.intp)
+            rows = [schedule.pop()]
         mu_t, nu_t = _epie_steps(problem, config, z, v, t, rows[0])
         # the projection residual of the monitor's row is the kernel's at eps = 0
         spectrum = ev.spectrum.take(rows, 0)

@@ -241,6 +241,7 @@ def run_suite(names, problem: Problem | None = None, seed: int = 0,
         suites = [_SUITES[name] for name in names]
     except KeyError as exc:
         raise ValueError(f"unknown check suite: {exc.args[0]!r}") from None
+    seed = _count(seed, "seed")
     if problem is None:
         problem = synthesize_problem(d=8, seed=seed, epsilon=1e-3)
     rng = Rng(seed + 1)

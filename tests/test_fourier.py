@@ -49,6 +49,23 @@ def test_dft_batched_rows_match_single():
                     assert np.array_equal(transform(block[pick]), batched[pick])
 
 
+@pytest.mark.parametrize("transform", [dft, dft_adjoint])
+def test_transforms_return_fresh_arrays(transform):
+    # the output buffer is new: writable, and never the input itself
+    rng = np.random.default_rng(3)
+    block = rng.normal(size=(3, 8)) + 1j * rng.normal(size=(3, 8))
+    frozen = block.copy()
+    frozen.setflags(write=False)
+    for x in (block, block[1], block[:, ::2], frozen, block.real):
+        before = np.array(x)
+        out = transform(x)
+        assert out.dtype == np.complex128 and out.shape == np.shape(x)
+        assert out.flags.writeable and not np.shares_memory(out, x)
+        assert np.array_equal(x, before)
+        out[...] = 0
+        assert np.array_equal(x, before)
+
+
 def test_dft_adjoint_is_unnormalized_inverse():
     x = np_pair(12, 7)[0]
     assert np.allclose(dft_adjoint(x), 12 * idft(x), rtol=1e-13, atol=1e-13)
@@ -141,15 +158,33 @@ def test_shift_stack_rows(mode):
 def test_selected_rows_repeat_and_reorder(mode):
     rng = np.random.default_rng(8)
     v = rng.normal(size=8) + 1j * rng.normal(size=8)
-    rows = rng.normal(size=(4, 8)) + 1j * rng.normal(size=(4, 8))
     shifts = ShiftSet((-3, 0, 2, 5), mode)
     select = [3, 1, 3, 0]
     assert np.array_equal(shift_stack(v, shifts, select),
                           shift_stack(v, shifts)[select])
-    expected = sum(shift(rows[i], -shifts.offsets[j], mode)
-                   for i, j in enumerate(select))
-    assert np.allclose(unshift_sum(rows, shifts, select), expected,
-                       rtol=1e-15, atol=0)
+    # the selected-row adjoint is the row-order sum of single shifts, bit
+    # for bit, up to K = 40 rows with repeats
+    wide = ShiftSet(tuple(range(-40, 40, 2)), mode)
+    cases = [(shifts, select, 8)] + [
+        (wide, rng.integers(0, 40, size=k).tolist(), 100) for k in (1, 13, 40)]
+    for family, chosen, d in cases:
+        rows = rng.normal(size=(len(chosen), d)) + 1j * rng.normal(size=(len(chosen), d))
+        expected = sum(shift(rows[i], -family.offsets[j], mode)
+                       for i, j in enumerate(chosen))
+        assert np.array_equal(unshift_sum(rows, family, chosen), expected)
+
+
+@pytest.mark.parametrize("mode", ["circular", "zero-padded"])
+def test_unshift_sum_of_one_row(mode):
+    # a 1-d row stands for that row under every (selected) offset
+    rng = np.random.default_rng(4)
+    row = rng.normal(size=8) + 1j * rng.normal(size=8)
+    shifts = ShiftSet((-3, 0, 2, 6, 9), mode)
+    stacked = np.repeat(row[np.newaxis], len(shifts), axis=0)
+    assert np.array_equal(unshift_sum(row, shifts), unshift_sum(stacked, shifts))
+    select = [4, 1, 4]
+    assert np.array_equal(unshift_sum(row, shifts, select),
+                          unshift_sum(stacked[:3], shifts, select))
 
 
 @pytest.mark.parametrize("mode", ["circular", "zero-padded"])

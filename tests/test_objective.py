@@ -7,7 +7,7 @@ from blindptycho import (ShiftSet, gradient, gradient_region, loss,
                          loss_and_gradient, partial_lipschitz,
                          q_apply, shift, step_curvature_bound,
                          stochastic_gradient_bounds, synthesize_problem)
-from blindptycho.fourier import MODES
+from blindptycho.fourier import MODES, shift_stack, unshift_sum
 from blindptycho.objective import _evaluate
 from blindptycho.verify import fd_wirtinger_gradient
 
@@ -291,6 +291,23 @@ def test_partial_lipschitz_values():
     obj_curv, win_curv = partial_lipschitz(full, z, v)
     assert obj_curv == pytest.approx(d * np.vdot(v, v).real + 0.4, rel=1e-12)
     assert win_curv == pytest.approx(d * np.vdot(z, z).real + 0.6, rel=1e-12)
+
+
+@pytest.mark.parametrize("mode", ["circular", "zero-padded"])
+def test_partial_lipschitz_gathers_one_row(mode):
+    # the window energy gathered from the single |z|^2 row equals, bit for
+    # bit, the sum over one |z|^2 row per offset
+    offsets = tuple(range(-60, 100, 4)) if mode == "zero-padded" else tuple(range(100))
+    prob = synthesize_problem(100, shifts=ShiftSet(offsets, mode), seed=31,
+                              alpha=0.1, beta=0.2)
+    for i in range(5):
+        z, v = np_pair(100, 500 + i)
+        z_rows = np.repeat(np.abs(z)[np.newaxis] ** 2, len(offsets), axis=0)
+        win_energy = np.sum(shift_stack(np.abs(v) ** 2, prob.shifts), axis=0)
+        obj_energy = unshift_sum(z_rows, prob.shifts)
+        assert partial_lipschitz(prob, z, v) == (
+            100 * float(np.max(win_energy)) + 0.1,
+            100 * float(np.max(obj_energy)) + 0.2)
 
 
 @pytest.mark.parametrize("mode", ["circular", "zero-padded"])

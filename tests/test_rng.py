@@ -102,7 +102,7 @@ def test_seed_must_be_integral():
     (lambda: Rng(0).complex_normal_vector(True), "n must be an integer: True"),
     (lambda: Rng(0).next_u64_block(2.5), "block length must be an integer: 2.5"),
     (lambda: Rng(0).next_u64_block(False), "block length must be an integer: False"),
-    (lambda: initial_guess(8.5, 0), "n must be an integer: 8.5"),
+    (lambda: initial_guess(8.5, 0), "d must be an integer: 8.5"),
 ], ids=["vector-fraction", "vector-bool", "block-fraction",
         "block-bool", "initial-guess-fraction"])
 def test_input_checks(call, message):

@@ -13,7 +13,7 @@ from blindptycho import (ALGORITHMS, DivergenceError, NoiseModel, Rng,
                          synthesize_problem, trace_to_csv, write_trace)
 from blindptycho.fourier import dft, idft, shift
 from blindptycho.objective import GradientPair, _sq_norm
-from blindptycho.solvers import TRACE_HEADER
+from blindptycho.solvers import TRACE_HEADER, _draw_rows
 
 from conftest import np_pair
 
@@ -189,6 +189,34 @@ def test_sample_indices_pinned_draws():
                               seed=3, p=p / p.sum(), batch_size=4)
     draws = [sample_indices(prob, prob.batch_size, Rng(s)) for s in range(3)]
     assert draws == [[14, 6, -6, 14], [8, 12, 14, 6], [8, 12, 8, 12]]
+
+
+class _Uniforms:
+    """Stands in for an Rng whose ``uniform()`` returns the given values."""
+
+    def __init__(self, values):
+        self._values = iter(values)
+
+    def uniform(self):
+        return next(self._values)
+
+
+@pytest.mark.parametrize("p", [
+    np.full(8, 1 / 8),
+    np.linspace(1.0, 3.0, 40) / np.linspace(1.0, 3.0, 40).sum(),
+    np.array([0.5, 0.0, 0.25, 0.0, 0.25]),
+    np.array([0.7, 0.2, 0.1]),
+], ids=["uniform", "ramped", "zero-mass", "skewed"])
+def test_draw_rows_matches_searchsorted(p):
+    # the inverse-CDF draw equals numpy's searchsorted on the same
+    # uniforms, at and next to every CDF entry and at or past the last one
+    cdf = np.cumsum(p)
+    stream = Rng(21)
+    u = [stream.uniform() for _ in range(200)] + [0.0, 1.0 - 2.0 ** -53]
+    for c in cdf:
+        u += [float(c), float(np.nextafter(c, 0.0)), float(np.nextafter(c, 2.0))]
+    expected = np.minimum(np.searchsorted(cdf, u, side="right"), len(p) - 1)
+    assert _draw_rows(cdf.tolist(), len(u), _Uniforms(u)) == expected.tolist()
 
 
 def test_stochastic_gradient_k1_uniform_scaling(small_problem):

@@ -203,10 +203,13 @@ _PROB = synthesize_problem(4, seed=1, epsilon=1e-3)
 @pytest.mark.parametrize("call,message", [
     (lambda: run_suite(["descent"], samples=2.5), "samples must be an integer: 2.5"),
     (lambda: run_suite(["descent"], samples=True), "samples must be an integer: True"),
+    # with a given problem the seed is checked as passed, not as seed + 1
+    (lambda: run_suite(["descent"], problem=_PROB, seed=2.5), "seed must be an integer: 2.5"),
+    (lambda: run_suite(["descent"], problem=_PROB, seed=True), "seed must be an integer: True"),
     (lambda: check_descent_lemma(_PROB, 2.5, 1.0, Rng(0)), "n_samples must be an integer: 2.5"),
     (lambda: check_gradient_bounds(_PROB, True, Rng(0)), "n_samples must be an integer: True"),
-], ids=["suite-samples-fraction", "suite-samples-bool", "n-samples-fraction",
-        "n-samples-bool"])
+], ids=["suite-samples-fraction", "suite-samples-bool", "suite-seed-fraction",
+        "suite-seed-bool", "n-samples-fraction", "n-samples-bool"])
 def test_input_checks(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call()
@@ -218,6 +221,8 @@ def test_integral_float_sample_counts():
     reports = run_suite(["descent"], problem=_PROB, samples=2.0)
     assert reports == run_suite(["descent"], problem=_PROB, samples=2)
     assert all(type(r.samples) is int for r in reports)
+    assert run_suite(["descent"], problem=_PROB, seed=3.0, samples=2) == \
+        run_suite(["descent"], problem=_PROB, seed=3, samples=2)
 
 
 def test_run_suite_all_pass():
