@@ -120,9 +120,7 @@ class ShiftSet:
         return len(self.offsets)
 
     def validate_for_dim(self, d: int) -> None:
-        d = _count(d, "d")
-        if d < 1:
-            raise ValueError(f"d must be >= 1: {d}")
+        d = _count(d, "d", 1)
         if self.mode == CIRCULAR:
             reduced = {o % d for o in self.offsets}
             if len(reduced) != len(self.offsets):
@@ -130,7 +128,7 @@ class ShiftSet:
 
     @staticmethod
     def all_shifts(d: int, mode: str = CIRCULAR) -> "ShiftSet":
-        return ShiftSet(tuple(range(_count(d, "d"))), mode)
+        return ShiftSet(tuple(range(_count(d, "d", 1))), mode)
 
 
 @lru_cache(maxsize=None)

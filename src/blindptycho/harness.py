@@ -20,7 +20,7 @@ from .solvers import (DivergenceError, SolverConfig, SolverRun, TraceRecord,
 
 def initial_guess(d: int, seed: int, scale: float = 1.0):
     """Random starting pair with i.i.d. complex normal entries."""
-    d = _count(d, "d")
+    d = _count(d, "d", 1)
     rng = Rng(seed)
     return (scale * rng.complex_normal_vector(d),
             scale * rng.complex_normal_vector(d))
@@ -137,9 +137,7 @@ class ExperimentConfig:
     out_dir: str | Path = "."
 
     def __post_init__(self):
-        _require_integers(self, "repetitions")
-        if self.repetitions < 1:
-            raise ValueError("repetitions must be >= 1")
+        _require_integers(self, repetitions=1)
         if not np.isfinite(self.init_scale):
             raise ValueError("init_scale must be finite")
 

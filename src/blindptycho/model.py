@@ -71,7 +71,7 @@ def add_noise(measurements: MeasurementSet, model: NoiseModel, rng: Rng) -> Meas
     """Apply the noise model entrywise, row-major draw order."""
     values = measurements.values
     if model.kind == "none":
-        return MeasurementSet(values.copy(), measurements.shifts)
+        return MeasurementSet(values, measurements.shifts)
     if model.kind == "poisson":
         out = np.fromiter(map(rng.poisson, values.flat), np.float64, values.size)
     else:
@@ -102,17 +102,13 @@ class Problem:
     truth: tuple[np.ndarray, np.ndarray] | None = None
 
     def __post_init__(self):
-        _require_integers(self, "d", "batch_size")
-        if self.d < 1:
-            raise ValueError("d must be >= 1")
+        _require_integers(self, d=1, batch_size=1)
         if self.measurements.values.shape[1] != self.d:
             raise ValueError("measurement columns must equal d")
         if self.epsilon < 0 or not np.isfinite(self.epsilon):
             raise ValueError("epsilon must be finite and >= 0")
         if not (0 <= self.alpha < np.inf and 0 <= self.beta < np.inf):
             raise ValueError("alpha and beta must be finite and >= 0")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
         offsets = self.shifts.offsets
         if any(b <= a for a, b in zip(offsets, offsets[1:])):
             raise ValueError("offsets must be strictly ascending")
@@ -192,9 +188,7 @@ def synthesize_problem(d: int,
     that order from a fresh ``Rng(seed)``; noise draws follow.  The same
     seed therefore reproduces the instance bit for bit.
     """
-    d = _count(d, "d")
-    if d < 1:
-        raise ValueError(f"d must be >= 1: {d}")
+    d = _count(d, "d", 1)
     if shifts is None:
         shifts = ShiftSet.all_shifts(d, CIRCULAR)
     rng = Rng(seed)
@@ -258,26 +252,20 @@ def _complex_pairs(value) -> np.ndarray:
     return pairs.view(np.complex128)[:, 0]
 
 
-def _require_integers(obj, *names) -> None:
-    """Store each named field of ``obj`` as an int; a non-integral value
-    raises ValueError naming the field."""
-    for name in names:
-        object.__setattr__(obj, name, _count(getattr(obj, name), name))
-
-
-def _integer(value) -> int:
-    """An integral number as int; 2.0 loads, 2.9 is rejected, not truncated."""
-    if not _integral(value):
-        raise ValueError(f"{value!r} is not an integer")
-    return int(value)
+def _require_integers(obj, **least) -> None:
+    """Store each field of ``obj`` named in ``least`` as an int, checked by
+    ``_count`` against its bound (None for no bound), so a non-integral or
+    too small value raises ValueError naming the field."""
+    for name, bound in least.items():
+        object.__setattr__(obj, name, _count(getattr(obj, name), name, bound))
 
 
 # document field -> conversion; x and w (the truth) are optional as a pair.
 # Numbers must be JSON numbers: no bool and no string, in arrays as well.
-_FIELDS = {"d": _integer, "mode": _string,
-           "offsets": lambda v: tuple(map(_integer, v)),
+_FIELDS = {"d": lambda v: _count(v, "d"), "mode": _string,
+           "offsets": lambda v: tuple(_count(o, "offsets") for o in v),
            "epsilon": _number, "alpha_T": _number, "beta_T": _number,
-           "p": lambda v: _floats(v, 1), "K": _integer,
+           "p": lambda v: _floats(v, 1), "K": lambda v: _count(v, "K"),
            "y": lambda v: _floats(v, 2), "x": _complex_pairs, "w": _complex_pairs}
 
 

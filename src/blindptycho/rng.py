@@ -52,11 +52,16 @@ def _integral(value) -> bool:
             or isinstance(value, float) and value.is_integer())
 
 
-def _count(value, name: str) -> int:
-    """``value`` as an int if ``_integral``, else a ValueError naming it."""
+def _count(value, name: str, least: int | None = None) -> int:
+    """``value`` as an int, the one check of every integer count: a value
+    that is not ``_integral`` raises ``"{name} must be an integer: {value!r}"``
+    and one below ``least`` (if given) ``"{name} must be >= {least}: {value}"``."""
     if not _integral(value):
         raise ValueError(f"{name} must be an integer: {value!r}")
-    return int(value)
+    value = int(value)
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be >= {least}: {value}")
+    return value
 
 
 class Rng:
@@ -76,9 +81,7 @@ class Rng:
 
     def next_u64_block(self, n: int) -> np.ndarray:
         """The next n outputs of ``next_u64`` as a uint64 array."""
-        n = _count(n, "block length")
-        if n < 0:
-            raise ValueError(f"block length must be >= 0: {n!r}")
+        n = _count(n, "block length", 0)
         # Array arithmetic in uint64 wraps mod 2**64 without a warning; the
         # state itself advances in Python ints.
         z = np.arange(1, n + 1, dtype=np.uint64)
@@ -115,9 +118,7 @@ class Rng:
         # n as an int, the log of the (0, 1] uniforms and the angles of n
         # Box-Muller draws; k * 2**-53 + 2**-53 is (k + 1) * 2**-53 exactly,
         # as k < 2**53
-        n = _count(n, "n")
-        if n < 0:
-            raise ValueError(f"block length must be >= 0: {n}")
+        n = _count(n, "n", 0)
         f = (self.next_u64_block(2 * n) >> 11).astype(np.float64)
         f *= 2.0**-53
         log_u = np.fromiter(map(math.log, (f[0::2] + 2.0**-53).tolist()), np.float64, n)

@@ -75,7 +75,7 @@ from .objective import (GradientPair, _as_iterate, _Bounds,  # noqa: F401
                         gradient_region, loss, loss_and_gradient,
                         partial_lipschitz, step_curvature_bound,
                         stochastic_gradient_bounds)
-from .rng import Rng, _integral
+from .rng import Rng, _count
 
 ALGORITHMS = ("gd", "sgd", "epie", "interval")
 
@@ -120,9 +120,7 @@ class SolverConfig:
         for name, allowed in self.CHOICES.items():
             if getattr(self, name) not in allowed:
                 raise ValueError(f"unknown {name}: {getattr(self, name)!r}")
-        _require_integers(self, "max_iters", "seed", "gamma_grid")
-        if self.max_iters < 0:
-            raise ValueError("max_iters must be >= 0")
+        _require_integers(self, max_iters=0, seed=None, gamma_grid=2)
         for name in ("grad_tol", "theta", "kappa", "mu", "nu", "epie_alpha",
                      "epie_beta"):
             if not np.isfinite(getattr(self, name)):
@@ -137,8 +135,6 @@ class SolverConfig:
             raise ValueError("mu and nu must lie in (0, 1]")
         if self.epie_alpha <= 0 or self.epie_beta <= 0:
             raise ValueError("epie_alpha and epie_beta must be positive")
-        if self.gamma_grid < 2:
-            raise ValueError("gamma_grid must be >= 2")
 
 
 @dataclass
@@ -289,9 +285,7 @@ def _draw_rows(cdf: list[float], k: int, rng: Rng) -> list[int]:
 
 def sample_indices(problem: Problem, k: int, rng: Rng) -> list[int]:
     """Draw k >= 1 offsets of the problem i.i.d. from its distribution p."""
-    if not _integral(k) or k < 1:
-        raise ValueError(f"k must be an integer >= 1: {k!r}")
-    rows = _draw_rows(np.cumsum(problem.p).tolist(), int(k), rng)
+    rows = _draw_rows(np.cumsum(problem.p).tolist(), _count(k, "k", 1), rng)
     return [problem.offsets[i] for i in rows]
 
 

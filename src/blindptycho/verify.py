@@ -63,9 +63,7 @@ def _sampled(name, n_samples, slack, tol, extra=""):
     draws its own point.  A NaN slack (a side that could not be evaluated)
     is the worst of all, so the check fails.  Fewer than one sample would
     check nothing, so it is rejected."""
-    n_samples = _count(n_samples, "n_samples")
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be >= 1: {n_samples!r}")
+    n_samples = _count(n_samples, "n_samples", 1)
     worst = np.min([slack() for _ in range(n_samples)], initial=np.inf)
     return _report(name, n_samples, worst, tol, extra)
 
@@ -234,9 +232,7 @@ def run_suite(names, problem: Problem | None = None, seed: int = 0,
               samples: int = 100) -> list[CheckReport]:
     """Run named checkers on a default-style instance; an unknown name is
     rejected before any check runs."""
-    samples = _count(samples, "samples")
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+    samples = _count(samples, "samples", 1)
     try:
         suites = [_SUITES[name] for name in names]
     except KeyError as exc:

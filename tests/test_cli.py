@@ -214,7 +214,7 @@ def test_verify_zero_samples_exit_2(tmp_path, capsys):
     capsys.readouterr()
     assert main(["verify", "--samples", "0", "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.splitlines() == ["error: samples must be >= 1"]
+    assert err.splitlines() == ["error: samples must be >= 1: 0"]
     assert not out.exists()
 
 

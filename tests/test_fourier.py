@@ -136,9 +136,10 @@ _ONES = np.ones(4, complex)
     (lambda: ShiftSet((0,)).validate_for_dim(True), "d must be an integer: True"),
     (lambda: ShiftSet.all_shifts(2.5), "d must be an integer: 2.5"),
     (lambda: ShiftSet.all_shifts(True), "d must be an integer: True"),
+    (lambda: ShiftSet.all_shifts(0), "d must be >= 1: 0"),
 ], ids=["shift-mode", "q-lengths", "q-k-high", "q-k-negative", "dim-zero",
         "dim-negative", "dim-fraction", "dim-bool", "all-shifts-fraction",
-        "all-shifts-bool"])
+        "all-shifts-bool", "all-shifts-zero"])
 def test_input_checks(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call()
@@ -158,7 +159,8 @@ def test_shift_stack_rows(mode):
 def test_selected_rows_repeat_and_reorder(mode):
     rng = np.random.default_rng(8)
     v = rng.normal(size=8) + 1j * rng.normal(size=8)
-    shifts = ShiftSet((-3, 0, 2, 5), mode)
+    shifts = ShiftSet((-3, 0, 2, 4), mode)
+    shifts.validate_for_dim(8)  # distinct modulo 8, so a problem can hold it
     select = [3, 1, 3, 0]
     assert np.array_equal(shift_stack(v, shifts, select),
                           shift_stack(v, shifts)[select])

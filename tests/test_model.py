@@ -165,10 +165,12 @@ _P = np.full(4, 0.25)
     (lambda: synthesize_problem(-3), "d must be >= 1: -3"),
     (lambda: synthesize_problem(2.5), "d must be an integer: 2.5"),
     (lambda: synthesize_problem(True), "d must be an integer: True"),
+    (lambda: problem_from_json(json.dumps({**json.loads(problem_to_json(_PROB)), "K": 1.5})),
+     "problem field 'K': K must be an integer: 1.5"),
 ], ids=["noise-kind", "sigma-negative", "sigma-nan", "values-1d", "forward-lengths",
         "d-zero", "columns", "epsilon-negative", "epsilon-nan", "offsets-descending",
         "truth-length", "json-not-object", "synth-d-zero", "synth-d-negative",
-        "synth-d-fraction", "synth-d-bool"])
+        "synth-d-fraction", "synth-d-bool", "json-K-fraction"])
 def test_input_checks(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call()
@@ -245,8 +247,8 @@ def test_json_integer_fields_not_truncated():
 
 
 @pytest.mark.parametrize("key,value,message", [
-    ("K", True, "True is not an integer"),
-    ("d", True, "True is not an integer"),
+    ("K", True, "K must be an integer: True"),
+    ("d", True, "d must be an integer: True"),
     ("alpha_T", True, "True is not a number"),
     ("epsilon", "1e-8", "'1e-8' is not a number"),
     ("epsilon", None, "None is not a number"),
@@ -254,7 +256,7 @@ def test_json_integer_fields_not_truncated():
     ("p", [0.25, 0.25, 0.25, True], "True is not a number"),
     ("y", [["1"] * 4] * 4, "'1' is not a number"),
     ("y", [[1.0] * 4] * 3 + [[1.0, 1.0, 1.0, False]], "False is not a number"),
-    ("offsets", [False, True, 2, 3], "False is not an integer"),
+    ("offsets", [False, True, 2, 3], "offsets must be an integer: False"),
     ("mode", 1, "1 is not a string"),
     ("x", [[True, 0.0]] * 4, "True is not a number"),
     ("y", [], "expected a 2-d array of numbers"),

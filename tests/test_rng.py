@@ -102,9 +102,13 @@ def test_seed_must_be_integral():
     (lambda: Rng(0).complex_normal_vector(True), "n must be an integer: True"),
     (lambda: Rng(0).next_u64_block(2.5), "block length must be an integer: 2.5"),
     (lambda: Rng(0).next_u64_block(False), "block length must be an integer: False"),
+    (lambda: Rng(0).complex_normal_vector(-1), "n must be >= 0: -1"),
     (lambda: initial_guess(8.5, 0), "d must be an integer: 8.5"),
+    (lambda: initial_guess(-1, 0), "d must be >= 1: -1"),
+    (lambda: initial_guess(0, 0), "d must be >= 1: 0"),
 ], ids=["vector-fraction", "vector-bool", "block-fraction",
-        "block-bool", "initial-guess-fraction"])
+        "block-bool", "vector-negative", "initial-guess-fraction",
+        "initial-guess-negative", "initial-guess-zero"])
 def test_input_checks(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call()
@@ -155,7 +159,7 @@ def test_blocks_interleave_with_scalar_calls(seed):
             assert got.tobytes() == expected.tobytes()
             assert rng.uniform() == ref.uniform()
     # a negative length is rejected and leaves the state as it was
-    with pytest.raises(ValueError, match="block length must be >= 0: -1$"):
+    with pytest.raises(ValueError, match="n must be >= 0: -1$"):
         rng.normal_vector(-1)
     assert rng.next_u64() == ref.next_u64()
 

@@ -447,7 +447,7 @@ _PAIR = np_pair(4, 10)
     (lambda: stochastic_gradient(_PROB, *_PAIR, [99]), "unknown region offset: 99"),
     (lambda: gradient_region(_PROB, *_PAIR, 99), "unknown region offset: 99"),
     (lambda: gradient_region(_PROB, *_PAIR, True), "unknown region offset: True"),
-    (lambda: sample_indices(_PROB, -1, Rng(0)), "k must be an integer >= 1: -1"),
+    (lambda: sample_indices(_PROB, -1, Rng(0)), "k must be >= 1: -1"),
     # run checks its starting pair as every public iterate is checked
     (lambda: run(_PROB, _PAIR[0][:3], _PAIR[1], SolverConfig()),
      "z and v must be 1-d arrays of length d"),
