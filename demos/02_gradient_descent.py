@@ -33,8 +33,8 @@ print(f"worst violation of the per-step decrease guarantee: {worst:.2e}")
 grad_sq = [r.grad_z_norm ** 2 + r.grad_v_norm ** 2 for r in trace]
 print(f"squared gradient norm: {grad_sq[0]:.2e} -> min {min(grad_sq):.2e}")
 
-fit = fit_decay_slope(trace, t_min=10)
-print(f"decay slope of the running-min squared gradient: {fit.slope:.2f} "
+slope = fit_decay_slope(trace, t_min=10)
+print(f"decay slope of the running-min squared gradient: {slope:.2f} "
       f"(the guarantee only promises about -1; steeper is better)")
 
 err = reconstruction_error(result.z, result.v, *problem.truth)

@@ -10,7 +10,7 @@ the inequalities the step-size rules are built on.
 
 from .fourier import (CIRCULAR, MODES, ZERO_PADDED, ShiftSet, dft, dft_direct,
                       dft_adjoint, idft, q_apply, shift, shift_stack)
-from .harness import (ExperimentConfig, SlopeFit, Summary, aggregate_summaries,
+from .harness import (ExperimentConfig, Summary, aggregate_summaries,
                       fit_decay_slope, initial_guess, reconstruction_error,
                       run_experiment, summarize, summary_to_json)
 from .model import (MeasurementSet, NoiseModel, Problem, add_noise,

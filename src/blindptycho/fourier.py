@@ -32,7 +32,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .rng import _count, _integral
+from .rng import _count
 
 CIRCULAR = "circular"
 ZERO_PADDED = "zero-padded"
@@ -106,9 +106,8 @@ class ShiftSet:
     mode: str = CIRCULAR
 
     def __post_init__(self):
-        if not all(map(_integral, self.offsets)):
-            raise ValueError(f"offsets must be integers: {tuple(self.offsets)!r}")
-        object.__setattr__(self, "offsets", tuple(map(int, self.offsets)))
+        object.__setattr__(self, "offsets",
+                           tuple(_count(o, "offsets") for o in self.offsets))
         if len(self.offsets) == 0:
             raise ValueError("offsets must contain at least one shift")
         if len(set(self.offsets)) != len(self.offsets):

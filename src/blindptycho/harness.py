@@ -49,18 +49,12 @@ def reconstruction_error(z, v, x, w) -> float:
             + math.sqrt(_sq_norm(v / gamma - w)) / nw)
 
 
-@dataclass
-class SlopeFit:
-    slope: float
-    degenerate: bool
-
-
-def fit_decay_slope(trace: list[TraceRecord], t_min: int = 1) -> SlopeFit:
+def fit_decay_slope(trace: list[TraceRecord], t_min: int = 1) -> float | None:
     """Least-squares slope of log(running-min squared gradient) vs log t.
 
     Requires more than t_min + 100 trace rows.  Fewer than two positive
     points from t_min on, or a flat series (for example a run started at a
-    stationary point), is flagged degenerate with slope 0.
+    stationary point), has no slope: the fit returns None.
     """
     if len(trace) <= t_min + 100:
         raise ValueError("trace too short for a slope fit")
@@ -70,9 +64,8 @@ def fit_decay_slope(trace: list[TraceRecord], t_min: int = 1) -> SlopeFit:
     keep = (ts >= max(t_min, 1)) & (envelope > 0.0)
     logt, logg = np.log(ts[keep].astype(np.float64)), np.log(envelope[keep])
     if keep.sum() < 2 or float(np.ptp(logg)) < 1e-12:
-        return SlopeFit(0.0, True)
-    slope = float(np.polyfit(logt, logg, 1)[0])
-    return SlopeFit(slope, False)
+        return None
+    return float(np.polyfit(logt, logg, 1)[0])
 
 
 @dataclass
@@ -89,11 +82,7 @@ class Summary:
 def summarize(problem: Problem, result: SolverRun) -> Summary:
     trace = result.trace
     min_grad = min(r.grad_z_norm ** 2 + r.grad_v_norm ** 2 for r in trace)
-    slope = None
-    if len(trace) > 200:
-        fit = fit_decay_slope(trace, t_min=100)
-        if not fit.degenerate:
-            slope = fit.slope
+    slope = fit_decay_slope(trace, t_min=100) if len(trace) > 200 else None
     err = None
     if problem.truth is not None:
         err = reconstruction_error(result.z, result.v, *problem.truth)

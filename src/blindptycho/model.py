@@ -252,6 +252,12 @@ def _complex_pairs(value) -> np.ndarray:
     return pairs.view(np.complex128)[:, 0]
 
 
+def _offsets(value) -> tuple[int, ...]:
+    if type(value) is not list:
+        raise ValueError(f"{value!r} is not an array")
+    return tuple(_count(o, "offsets") for o in value)
+
+
 def _require_integers(obj, **least) -> None:
     """Store each field of ``obj`` named in ``least`` as an int, checked by
     ``_count`` against its bound (None for no bound), so a non-integral or
@@ -262,10 +268,9 @@ def _require_integers(obj, **least) -> None:
 
 # document field -> conversion; x and w (the truth) are optional as a pair.
 # Numbers must be JSON numbers: no bool and no string, in arrays as well.
-_FIELDS = {"d": lambda v: _count(v, "d"), "mode": _string,
-           "offsets": lambda v: tuple(_count(o, "offsets") for o in v),
+_FIELDS = {"d": lambda v: _count(v, "d", 1), "mode": _string, "offsets": _offsets,
            "epsilon": _number, "alpha_T": _number, "beta_T": _number,
-           "p": lambda v: _floats(v, 1), "K": lambda v: _count(v, "K"),
+           "p": lambda v: _floats(v, 1), "K": lambda v: _count(v, "K", 1),
            "y": lambda v: _floats(v, 2), "x": _complex_pairs, "w": _complex_pairs}
 
 

@@ -3,8 +3,12 @@
 Each checker samples random points, evaluates both sides of one of the
 inequalities the step-size machinery relies on, and reports the worst
 normalized slack.  A report passes when the worst slack stays above minus
-the stated tolerance; slack is normalized by 1 + |bound side| so that the
-tolerances are scale free.
+the check's tolerance; slack is normalized by 1 + |bound side| so that the
+tolerances are scale free.  Each tolerance is fixed by its check, not by the
+caller: 1e-6 for gradient_fd (the finite differences carry their own error),
+1e-12 for unbiasedness (an exact identity up to rounding) and
+``DEFAULT_TOL`` = 1e-9 for descent_lemma, gradient_bounds, bilinear_bound and
+lipschitz.  Each report's ``detail`` states the tolerance it ran at.
 
 The finite-difference gradient here is the ground truth the analytic
 gradient is checked against: central differences in every real and
@@ -94,8 +98,7 @@ def fd_wirtinger_gradient(problem: Problem, z, v, h_step: float | None = None):
                         fd_one(v, lambda b: loss(problem, z, b)[0]))
 
 
-def check_gradient_fd(problem: Problem, n_samples: int, rng: Rng,
-                      tol: float = 1e-6) -> CheckReport:
+def check_gradient_fd(problem: Problem, n_samples: int, rng: Rng) -> CheckReport:
     """Analytic gradient against the finite-difference oracle."""
     def slack():
         z = rng.complex_normal_vector(problem.d)
@@ -105,7 +108,7 @@ def check_gradient_fd(problem: Problem, n_samples: int, rng: Rng,
         scale = max(float(np.max(np.abs(exact.z))), float(np.max(np.abs(exact.v))), 1e-12)
         return -(max(float(np.max(np.abs(exact.z - approx.z))),
                      float(np.max(np.abs(exact.v - approx.v)))) / scale)
-    return _sampled("gradient_fd", n_samples, slack, tol)
+    return _sampled("gradient_fd", n_samples, slack, 1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -127,16 +130,17 @@ def descent_upper_bound(problem: Problem, z, v, u, h) -> float:
 
 
 def check_descent_lemma(problem: Problem, n_samples: int, scale: float,
-                        rng: Rng, tol: float = DEFAULT_TOL) -> CheckReport:
+                        rng: Rng) -> CheckReport:
     """J(z+u, v+h) never exceeds the quartic upper expansion around (z, v)."""
     def slack():
         z, v, u, h = (scale * rng.complex_normal_vector(problem.d) for _ in range(4))
         rhs = descent_upper_bound(problem, z, v, u, h)
         return (rhs - loss(problem, z + u, v + h)[0]) / (1.0 + abs(rhs))
-    return _sampled("descent_lemma", n_samples, slack, tol, extra=f"scale={scale:g}")
+    return _sampled("descent_lemma", n_samples, slack, DEFAULT_TOL,
+                    extra=f"scale={scale:g}")
 
 
-def check_unbiasedness(problem: Problem, z, v, tol: float = 1e-12) -> CheckReport:
+def check_unbiasedness(problem: Problem, z, v) -> CheckReport:
     """Full enumeration sum_r p_r (1/p_r) grad J_r equals the gradient."""
     g_z = np.zeros(problem.d, dtype=np.complex128)
     g_v = np.zeros(problem.d, dtype=np.complex128)
@@ -149,11 +153,10 @@ def check_unbiasedness(problem: Problem, z, v, tol: float = 1e-12) -> CheckRepor
     scale = 1.0 + max(float(np.max(np.abs(exact.z))), float(np.max(np.abs(exact.v))))
     dev = max(float(np.max(np.abs(g_z - exact.z))),
               float(np.max(np.abs(g_v - exact.v)))) / scale
-    return _report("unbiasedness", len(problem.offsets), -dev, tol)
+    return _report("unbiasedness", len(problem.offsets), -dev, 1e-12)
 
 
-def check_gradient_bounds(problem: Problem, n_samples: int, rng: Rng,
-                          tol: float = DEFAULT_TOL) -> CheckReport:
+def check_gradient_bounds(problem: Problem, n_samples: int, rng: Rng) -> CheckReport:
     """(15 d / 4) ||g||^2 stays below the deterministic envelopes squared."""
     factor = 15.0 * problem.d / 4.0
 
@@ -165,11 +168,11 @@ def check_gradient_bounds(problem: Problem, n_samples: int, rng: Rng,
         b_z, b_v = stochastic_gradient_bounds(problem, z, v)
         return min((b_z * b_z - factor * gz * gz) / (1.0 + b_z * b_z),
                    (b_v * b_v - factor * gv * gv) / (1.0 + b_v * b_v))
-    return _sampled("gradient_bounds", n_samples, slack, tol)
+    return _sampled("gradient_bounds", n_samples, slack, DEFAULT_TOL)
 
 
-def check_bilinear_bound(d: int, shifts: ShiftSet, n_samples: int, rng: Rng,
-                         tol: float = DEFAULT_TOL) -> CheckReport:
+def check_bilinear_bound(d: int, shifts: ShiftSet, n_samples: int,
+                         rng: Rng) -> CheckReport:
     """sum_{r,k} |q(z, v, r, k)|^2 <= d ||z||^2 ||v||^2, any shift mode."""
     shifts.validate_for_dim(d)
 
@@ -182,11 +185,10 @@ def check_bilinear_bound(d: int, shifts: ShiftSet, n_samples: int, rng: Rng,
                 total += abs(q_apply(z, v, r, k, shifts.mode)) ** 2
         bound = d * _sq_norm(z) * _sq_norm(v)
         return (bound - total) / (1.0 + bound)
-    return _sampled(f"bilinear_bound[{shifts.mode}]", n_samples, slack, tol)
+    return _sampled(f"bilinear_bound[{shifts.mode}]", n_samples, slack, DEFAULT_TOL)
 
 
-def check_lipschitz(problem: Problem, n_samples: int, rng: Rng,
-                    tol: float = DEFAULT_TOL) -> CheckReport:
+def check_lipschitz(problem: Problem, n_samples: int, rng: Rng) -> CheckReport:
     """Gradient difference bounded by the local smoothness constant."""
     if problem.epsilon <= 0:
         raise ValueError("the smoothness check requires epsilon > 0")
@@ -206,7 +208,7 @@ def check_lipschitz(problem: Problem, n_samples: int, rng: Rng,
         rhs = np.sqrt(2.0 * smooth * smooth
                       + 2.0 * max(problem.alpha, problem.beta) ** 2) * dist
         return (rhs - lhs) / (1.0 + rhs)
-    return _sampled("lipschitz", n_samples, slack, tol)
+    return _sampled("lipschitz", n_samples, slack, DEFAULT_TOL)
 
 
 # ---------------------------------------------------------------------------

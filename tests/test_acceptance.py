@@ -82,7 +82,7 @@ def test_criterion_02_descent_bound():
     rng = Rng(61)
     worst = np.inf
     for scale in (0.1, 1.0, 10.0):
-        report = check_descent_lemma(prob, 200, scale, rng, tol=1e-9)
+        report = check_descent_lemma(prob, 200, scale, rng)
         worst = min(worst, report.worst_slack)
     _announce(2, f"quartic descent bound, 200 tuples x scales {{0.1,1,10}} "
                  f"(worst slack {worst:.2e} >= -1e-9)", worst >= -1e-9)
@@ -145,7 +145,7 @@ def test_criterion_06_stochastic_unbiasedness():
     for i in range(10):
         prob = uniform if i % 2 == 0 else skew
         z, v = np_pair(8, 800 + i)
-        report = check_unbiasedness(prob, z, v, tol=1e-12)
+        report = check_unbiasedness(prob, z, v)
         worst = max(worst, -report.worst_slack)
         ok = ok and report.passed
     _announce(6, f"enumeration unbiasedness on 10 points incl. nonuniform p "
@@ -158,11 +158,10 @@ def test_criterion_07_bound_suite():
     # sampled-gradient envelopes, uniform and lopsided sampling
     for p in (None, np.array([0.93] + [0.01] * 7)):
         prob = synthesize_problem(8, seed=91, p=p)
-        ok = ok and check_gradient_bounds(prob, 50, rng, tol=1e-9).passed
+        ok = ok and check_gradient_bounds(prob, 50, rng).passed
     # bilinear transform bound in both shift modes
     for mode in ("circular", "zero-padded"):
-        report = check_bilinear_bound(8, ShiftSet.all_shifts(8, mode), 50,
-                                      rng, tol=1e-9)
+        report = check_bilinear_bound(8, ShiftSet.all_shifts(8, mode), 50, rng)
         ok = ok and report.passed
     # loss upper bound
     prob16 = synthesize_problem(16, seed=92, epsilon=1e-3, alpha=0.0, beta=0.0)
@@ -203,12 +202,14 @@ def test_criterion_09_sgd_min_gradient_decay(sgd_runs):
     passing = 0
     slopes = []
     for res in sgd_runs:
-        fit = fit_decay_slope(res.trace, t_min=100)
-        slopes.append(fit.slope)
-        if fit.slope <= -0.2 + 0.3:
+        slope = fit_decay_slope(res.trace, t_min=100)
+        slopes.append(slope)
+        # a flat fit has no slope, so it counts as a failing seed
+        if slope is not None and slope <= -0.2 + 0.3:
             passing += 1
+    worst = "none" if None in slopes else f"{max(slopes):.3f}"
     _announce(9, f"sgd min-gradient decay slope <= 0.1 "
-                 f"({passing}/10 seeds, worst {max(slopes):.3f})", passing >= 8)
+                 f"({passing}/10 seeds, worst {worst})", passing >= 8)
 
 
 def test_criterion_10_interval_descent():
@@ -280,7 +281,7 @@ def test_criterion_12_local_lipschitz_bound():
     worst = np.inf
     for eps in (1e-2, 1e-6):
         prob = synthesize_problem(8, seed=120, epsilon=eps)
-        report = check_lipschitz(prob, 100, Rng(121), tol=1e-9)
+        report = check_lipschitz(prob, 100, Rng(121))
         worst = min(worst, report.worst_slack)
     _announce(12, f"local gradient smoothness bound, 100 pairs, "
                   f"eps in {{1e-2, 1e-6}} (worst slack {worst:.2e})",

@@ -113,9 +113,9 @@ def test_shift_set_validation():
     with pytest.raises(ValueError):
         ShiftSet((0, 8)).validate_for_dim(8)  # 8 == 0 (mod 8)
     ShiftSet((0, 8), mode="zero-padded").validate_for_dim(8)
-    with pytest.raises(ValueError, match="offsets must be integers"):
+    with pytest.raises(ValueError, match="offsets must be an integer: 0.6$"):
         ShiftSet((0.6, 1.6, 2.2))                     # not truncated to (0, 1, 2)
-    with pytest.raises(ValueError, match="offsets must be integers"):
+    with pytest.raises(ValueError, match="offsets must be an integer: False$"):
         ShiftSet((False, True))                      # a bool is not an integer
     assert ShiftSet((0.0, np.int64(2))).offsets == (0, 2)
     assert ShiftSet.all_shifts(4.0, "zero-padded") == ShiftSet((0, 1, 2, 3), "zero-padded")

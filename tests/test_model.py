@@ -265,6 +265,9 @@ def test_json_integer_fields_not_truncated():
     ("y", [[1.0] * 4] * 3 + [[1.0] * 3], "expected a 2-d array of numbers"),
     ("p", [[0.25] * 4], "expected a 1-d array of numbers"),
     ("p", 0.5, "expected a 1-d array of numbers"),
+    ("d", 0, "d must be >= 1: 0"),
+    ("K", 0, "K must be >= 1: 0"),
+    ("offsets", 5, "5 is not an array"),
 ])
 def test_json_number_fields_take_json_numbers_only(key, value, message):
     # json booleans and numeric strings are not numbers, inside arrays too,

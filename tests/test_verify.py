@@ -1,3 +1,4 @@
+import inspect
 import json
 import re
 
@@ -251,6 +252,17 @@ def test_run_suite_pinned_draws():
     for report, (_, slack) in zip(reports, expected):
         if slack is not None:
             assert report.worst_slack == pytest.approx(slack, rel=1e-9)
+
+
+def test_each_check_runs_at_its_own_tolerance():
+    # no check takes a tolerance from its caller; every report states its own
+    for check in (check_gradient_fd, check_descent_lemma, check_unbiasedness,
+                  check_gradient_bounds, check_bilinear_bound, check_lipschitz):
+        assert "tol" not in inspect.signature(check).parameters
+    tolerance = {"gradient_fd": "1e-06", "unbiasedness": "1e-12"}
+    for report in run_suite(SUITES, seed=0, samples=2):
+        expected = tolerance.get(report.name, "1e-09")
+        assert report.detail.startswith(f"tolerance={expected} (relative slack)")
 
 
 def test_run_suite_rejects_unknown_before_running():
