@@ -48,6 +48,6 @@ err = reconstruction_error(np.exp(0.5j) * 3 * x, w / (np.exp(0.5j) * 3), x, w)
 print(f"corrected reconstruction error of a phase+scale copy: {err:.2e}")
 
 # detectors count photons: a poisson model is one click away
-noisy = add_noise(problem.measurements, NoiseModel("poisson"), Rng(1))
+noisy = add_noise(forward_intensities(x, w, shifts), NoiseModel("poisson"), Rng(1))
 rel = np.linalg.norm(noisy.values - base) / np.linalg.norm(base)
 print(f"poisson noise  relative perturbation {rel:.3f}")

@@ -24,6 +24,7 @@ import numpy as np
 from .fourier import CIRCULAR, MODES, ShiftSet
 from .harness import ExperimentConfig, aggregate_summaries, run_experiment
 from .model import NoiseModel, load_problem, save_problem, synthesize_problem
+from .rng import _count
 from .solvers import ALGORITHMS, DivergenceError, SolverConfig
 from .verify import SUITES, reports_to_json, run_suite
 
@@ -118,8 +119,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_synth(args) -> int:
-    if args.d < 1:
-        raise ValueError(f"--d must be >= 1: {args.d}")
+    _count(args.d, "--d", 1)
     shifts = _parse_shifts(args.shifts, args.d, args.mode)
     p = None
     if args.p != "uniform":

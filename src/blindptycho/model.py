@@ -6,19 +6,22 @@ exit wave, one row per illuminated region:
     y[r, k] = Noisy( | dft(x * S_r w)[k] |^2 )
 
 with object x, window w and shift family S_r.  Noise is optional and drawn
-from an explicit menu (none, poisson, clamped gaussian).
+from an explicit menu (none, poisson, clamped gaussian).  A ``Problem`` is
+built from its measurements y and their shift family; its dimension d is
+the column count of y.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
-from .fourier import CIRCULAR, ShiftSet, dft, shift_stack
+from .fourier import CIRCULAR, MODES, ShiftSet, dft, shift_stack
 from .rng import Rng, _count, _integral
 
 NOISE_KINDS = ("none", "poisson", "gaussian")
@@ -85,26 +88,29 @@ def add_noise(measurements: MeasurementSet, model: NoiseModel, rng: Rng) -> Meas
 class Problem:
     """Immutable reconstruction instance.
 
-    Fields beyond the measurements: smoothing ``epsilon`` of the amplitude
+    Measurements ``y``, one row per shift, checked as a ``MeasurementSet``;
+    ``d`` is their column count.  Smoothing ``epsilon`` of the amplitude
     loss, Tikhonov weights ``alpha`` (object) and ``beta`` (window), region
     sampling distribution ``p`` aligned with the offset list, and the
     stochastic batch size.  ``truth`` optionally carries the generating
     (object, window) pair.
     """
 
-    d: int
-    measurements: MeasurementSet
+    y: np.ndarray
+    shifts: ShiftSet
     epsilon: float
     alpha: float
     beta: float
     p: np.ndarray
     batch_size: int = 1
     truth: tuple[np.ndarray, np.ndarray] | None = None
+    d: int = field(init=False)
 
     def __post_init__(self):
+        y = MeasurementSet(self.y, self.shifts).values
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "d", y.shape[1])
         _require_integers(self, d=1, batch_size=1)
-        if self.measurements.values.shape[1] != self.d:
-            raise ValueError("measurement columns must equal d")
         if self.epsilon < 0 or not np.isfinite(self.epsilon):
             raise ValueError("epsilon must be finite and >= 0")
         if not (0 <= self.alpha < np.inf and 0 <= self.beta < np.inf):
@@ -131,14 +137,6 @@ class Problem:
             x.setflags(write=False)
             w.setflags(write=False)
             object.__setattr__(self, "truth", (x, w))
-
-    @property
-    def shifts(self) -> ShiftSet:
-        return self.measurements.shifts
-
-    @property
-    def y(self) -> np.ndarray:
-        return self.measurements.values
 
     @property
     def offsets(self) -> tuple[int, ...]:
@@ -197,7 +195,7 @@ def synthesize_problem(d: int,
     measured = add_noise(forward_intensities(x, w, shifts), noise, rng)
     if p is None:
         p = np.full(len(shifts), 1.0 / len(shifts))
-    return Problem(d=d, measurements=measured, epsilon=epsilon, alpha=alpha,
+    return Problem(y=measured.values, shifts=shifts, epsilon=epsilon, alpha=alpha,
                    beta=beta, p=p, batch_size=batch_size, truth=(x, w))
 
 
@@ -239,9 +237,11 @@ def _floats(value, ndim: int) -> np.ndarray:
     return array.astype(np.float64)
 
 
-def _string(value) -> str:
+def _mode(value) -> str:
     if type(value) is not str:
         raise ValueError(f"{value!r} is not a string")
+    if value not in MODES:
+        raise ValueError(f"unknown shift mode: {value!r}")
     return value
 
 
@@ -252,10 +252,11 @@ def _complex_pairs(value) -> np.ndarray:
     return pairs.view(np.complex128)[:, 0]
 
 
-def _offsets(value) -> tuple[int, ...]:
+def _offsets(value) -> list:
+    """A JSON array; ``ShiftSet`` reads each entry as an offset."""
     if type(value) is not list:
         raise ValueError(f"{value!r} is not an array")
-    return tuple(_count(o, "offsets") for o in value)
+    return value
 
 
 def _require_integers(obj, **least) -> None:
@@ -268,15 +269,25 @@ def _require_integers(obj, **least) -> None:
 
 # document field -> conversion; x and w (the truth) are optional as a pair.
 # Numbers must be JSON numbers: no bool and no string, in arrays as well.
-_FIELDS = {"d": lambda v: _count(v, "d", 1), "mode": _string, "offsets": _offsets,
+_FIELDS = {"d": lambda v: _count(v, "d", 1), "mode": _mode, "offsets": _offsets,
            "epsilon": _number, "alpha_T": _number, "beta_T": _number,
            "p": lambda v: _floats(v, 1), "K": lambda v: _count(v, "K", 1),
            "y": lambda v: _floats(v, 2), "x": _complex_pairs, "w": _complex_pairs}
 
 
+@contextmanager
+def _field(key: str):
+    """Raise an error of the block as a ValueError naming problem field ``key``."""
+    try:
+        yield
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"problem field {key!r}: {exc}") from None
+
+
 def problem_from_json(text: str) -> Problem:
     """Inverse of problem_to_json; a missing field, or one of the wrong type
-    or shape, raises ValueError naming it."""
+    or shape, a ``d`` other than y's column count, or offsets that do not
+    form a shift family of dimension d, raises ValueError naming it."""
     data = json.loads(text)
     if not isinstance(data, dict):
         raise ValueError("problem document must be a JSON object")
@@ -285,14 +296,18 @@ def problem_from_json(text: str) -> Problem:
     for key in keys:
         if key not in data:
             raise ValueError(f"problem document is missing field {key!r}")
-        try:
+        with _field(key):
             values[key] = _FIELDS[key](data[key])
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ValueError(f"problem field {key!r}: {exc}") from None
-    shifts = ShiftSet(values["offsets"], values["mode"])
-    return Problem(d=values["d"], measurements=MeasurementSet(values["y"], shifts),
-                   epsilon=values["epsilon"], alpha=values["alpha_T"],
-                   beta=values["beta_T"], p=values["p"], batch_size=values["K"],
+    d, y = values["d"], values["y"]
+    with _field("d"):
+        if d != y.shape[1]:
+            raise ValueError(f"d must equal the column count of y ({y.shape[1]}): {d}")
+    with _field("offsets"):
+        shifts = ShiftSet(values["offsets"], values["mode"])
+        shifts.validate_for_dim(d)
+    return Problem(y=y, shifts=shifts, epsilon=values["epsilon"],
+                   alpha=values["alpha_T"], beta=values["beta_T"], p=values["p"],
+                   batch_size=values["K"],
                    truth=(values["x"], values["w"]) if "x" in values else None)
 
 

@@ -1,5 +1,6 @@
 import json
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -74,12 +75,14 @@ def test_measurement_validation():
 
 
 def test_add_noise_none_is_bit_exact(small_problem):
-    out = add_noise(small_problem.measurements, NoiseModel("none"), Rng(0))
+    clean = forward_intensities(*small_problem.truth, small_problem.shifts)
+    out = add_noise(clean, NoiseModel("none"), Rng(0))
     assert np.array_equal(out.values, small_problem.y)
 
 
 def test_add_noise_gaussian_zero_sigma(small_problem):
-    out = add_noise(small_problem.measurements, NoiseModel("gaussian", 0.0), Rng(0))
+    clean = forward_intensities(*small_problem.truth, small_problem.shifts)
+    out = add_noise(clean, NoiseModel("gaussian", 0.0), Rng(0))
     assert np.array_equal(out.values, small_problem.y)
 
 
@@ -110,7 +113,8 @@ def test_add_noise_gaussian_matches_scalar_loop(sigma):
 
 
 def test_add_noise_poisson_preserves_shape_and_sign(small_problem):
-    out = add_noise(small_problem.measurements, NoiseModel("poisson"), Rng(5))
+    clean = forward_intensities(*small_problem.truth, small_problem.shifts)
+    out = add_noise(clean, NoiseModel("poisson"), Rng(5))
     assert out.values.shape == small_problem.y.shape
     assert np.all(out.values >= 0)
 
@@ -136,6 +140,7 @@ def test_noiseless_loss_at_truth_is_zero():
 
 _PROB = synthesize_problem(4, seed=0)
 _P = np.full(4, 0.25)
+_DOC = json.loads(problem_to_json(_PROB))
 
 
 @pytest.mark.parametrize("call,message", [
@@ -146,18 +151,18 @@ _P = np.full(4, 0.25)
      "values must be a 2-d array (regions x frequencies)"),
     (lambda: forward_intensities(np.ones(4), np.ones(3), ShiftSet((0,))),
      "x and w must be 1-d arrays of equal length"),
-    (lambda: Problem(d=0, measurements=_PROB.measurements, epsilon=0.0, alpha=0.0,
-                     beta=0.0, p=_P), "d must be >= 1"),
-    (lambda: Problem(d=5, measurements=_PROB.measurements, epsilon=0.0, alpha=0.0,
-                     beta=0.0, p=_P), "measurement columns must equal d"),
-    (lambda: Problem(d=4, measurements=_PROB.measurements, epsilon=-1.0, alpha=0.0,
+    (lambda: Problem(y=np.zeros((4, 0)), shifts=_PROB.shifts, epsilon=0.0, alpha=0.0,
+                     beta=0.0, p=_P), "d must be >= 1: 0"),
+    (lambda: problem_from_json(json.dumps({**_DOC, "d": 5})),
+     "problem field 'd': d must equal the column count of y (4): 5"),
+    (lambda: Problem(y=_PROB.y, shifts=_PROB.shifts, epsilon=-1.0, alpha=0.0,
                      beta=0.0, p=_P), "epsilon must be finite and >= 0"),
-    (lambda: Problem(d=4, measurements=_PROB.measurements, epsilon=np.nan, alpha=0.0,
+    (lambda: Problem(y=_PROB.y, shifts=_PROB.shifts, epsilon=np.nan, alpha=0.0,
                      beta=0.0, p=_P), "epsilon must be finite and >= 0"),
-    (lambda: Problem(d=4, measurements=MeasurementSet(_PROB.y, ShiftSet((3, 2, 1, 0))),
+    (lambda: Problem(y=_PROB.y, shifts=ShiftSet((3, 2, 1, 0)),
                      epsilon=0.0, alpha=0.0, beta=0.0, p=_P),
      "offsets must be strictly ascending"),
-    (lambda: Problem(d=4, measurements=_PROB.measurements, epsilon=0.0, alpha=0.0,
+    (lambda: Problem(y=_PROB.y, shifts=_PROB.shifts, epsilon=0.0, alpha=0.0,
                      beta=0.0, p=_P, truth=(np.ones(3), np.ones(4))),
      "truth vectors must have length d"),
     (lambda: problem_from_json("[1, 2]"), "problem document must be a JSON object"),
@@ -165,7 +170,7 @@ _P = np.full(4, 0.25)
     (lambda: synthesize_problem(-3), "d must be >= 1: -3"),
     (lambda: synthesize_problem(2.5), "d must be an integer: 2.5"),
     (lambda: synthesize_problem(True), "d must be an integer: True"),
-    (lambda: problem_from_json(json.dumps({**json.loads(problem_to_json(_PROB)), "K": 1.5})),
+    (lambda: problem_from_json(json.dumps({**_DOC, "K": 1.5})),
      "problem field 'K': K must be an integer: 1.5"),
 ], ids=["noise-kind", "sigma-negative", "sigma-nan", "values-1d", "forward-lengths",
         "d-zero", "columns", "epsilon-negative", "epsilon-nan", "offsets-descending",
@@ -180,39 +185,49 @@ def test_problem_validation_messages():
     prob = synthesize_problem(4, seed=0)
     bad_p = np.array([0.5, 0.5, 0.0, 0.0])
     with pytest.raises(ValueError, match="p entries"):
-        Problem(d=4, measurements=prob.measurements, epsilon=0.0, alpha=0.0,
+        Problem(y=prob.y, shifts=prob.shifts, epsilon=0.0, alpha=0.0,
                 beta=0.0, p=bad_p, batch_size=1)
     with pytest.raises(ValueError, match="sum to 1"):
-        Problem(d=4, measurements=prob.measurements, epsilon=0.0, alpha=0.0,
+        Problem(y=prob.y, shifts=prob.shifts, epsilon=0.0, alpha=0.0,
                 beta=0.0, p=np.full(4, 0.3), batch_size=1)
     with pytest.raises(ValueError, match="batch_size"):
-        Problem(d=4, measurements=prob.measurements, epsilon=0.0, alpha=0.0,
+        Problem(y=prob.y, shifts=prob.shifts, epsilon=0.0, alpha=0.0,
                 beta=0.0, p=np.full(4, 0.25), batch_size=0)
     with pytest.raises(ValueError, match="one entry per shift"):
         synthesize_problem(4, seed=0, p=np.array([1.0]))
     with pytest.raises(ValueError, match="batch_size must be an integer"):
         synthesize_problem(8, batch_size=2.5)
-    for bad in (4.5, np.nan, np.inf, "4"):
-        with pytest.raises(ValueError, match="d must be an integer"):
-            Problem(d=bad, measurements=prob.measurements, epsilon=0.0,
-                    alpha=0.0, beta=0.0, p=np.full(4, 0.25))
+    # d is read from y, never passed
+    with pytest.raises(TypeError, match="'d'"):
+        Problem(d=4, y=prob.y, shifts=prob.shifts, epsilon=0.0, alpha=0.0,
+                beta=0.0, p=np.full(4, 0.25))
     # integral floats load as ints
-    whole = Problem(d=4.0, measurements=prob.measurements, epsilon=0.0,
+    whole = Problem(y=prob.y, shifts=prob.shifts, epsilon=0.0,
                     alpha=0.0, beta=0.0, p=np.full(4, 0.25), batch_size=2.0)
     assert (type(whole.d), type(whole.batch_size)) == (int, int)
     with pytest.raises(ValueError, match="p entries"):
-        Problem(d=4, measurements=prob.measurements, epsilon=0.0, alpha=0.0,
+        Problem(y=prob.y, shifts=prob.shifts, epsilon=0.0, alpha=0.0,
                 beta=0.0, p=[np.nan, 0.5, 0.25, 0.25], batch_size=1)
     for alpha, beta in ((np.inf, 0.0), (0.0, np.inf), (np.nan, 0.0), (0.0, np.nan)):
         with pytest.raises(ValueError, match="alpha and beta"):
-            Problem(d=4, measurements=prob.measurements, epsilon=0.0,
+            Problem(y=prob.y, shifts=prob.shifts, epsilon=0.0,
                     alpha=alpha, beta=beta, p=np.full(4, 0.25), batch_size=1)
     x, w = prob.truth
     for bad in ((np.where(np.arange(4) == 1, np.nan, x), w),
                 (x, np.where(np.arange(4) == 2, np.inf, w))):
         with pytest.raises(ValueError, match="truth vectors must be finite"):
-            Problem(d=4, measurements=prob.measurements, epsilon=0.0, alpha=0.0,
+            Problem(y=prob.y, shifts=prob.shifts, epsilon=0.0, alpha=0.0,
                     beta=0.0, p=np.full(4, 0.25), batch_size=1, truth=bad)
+
+
+def test_problem_reads_d_from_y():
+    prob = synthesize_problem(4, seed=0)
+    assert prob.d == prob.y.shape[1] == 4
+    # replace rebuilds the instance: d is read again and y checked again
+    bare = replace(prob, truth=None)
+    assert (bare.d, bare.truth, bare.y.tobytes()) == (4, None, prob.y.tobytes())
+    with pytest.raises(ValueError, match="values must be nonnegative"):
+        replace(prob, y=-prob.y)
 
 
 def test_json_round_trip_bitwise():
@@ -268,6 +283,10 @@ def test_json_integer_fields_not_truncated():
     ("d", 0, "d must be >= 1: 0"),
     ("K", 0, "K must be >= 1: 0"),
     ("offsets", 5, "5 is not an array"),
+    ("mode", "bogus", "unknown shift mode: 'bogus'"),
+    ("offsets", [0, 0, 1, 2], "offsets must be distinct"),
+    ("offsets", [], "offsets must contain at least one shift"),
+    ("offsets", [0, 1, 2, 4], "circular offsets must be distinct modulo d"),
 ])
 def test_json_number_fields_take_json_numbers_only(key, value, message):
     # json booleans and numeric strings are not numbers, inside arrays too,
@@ -302,8 +321,8 @@ def test_json_round_trip_property(d, mode, with_truth, seed):
     if with_truth:
         truth = tuple(planted((d, 2), True).view(np.complex128)[:, 0]
                       for _ in range(2))
-    prob = Problem(d=d, measurements=MeasurementSet(planted((d, d), False), shifts),
-                   epsilon=-0.0, alpha=5e-324, beta=1.7976931348623157e308,
+    prob = Problem(y=planted((d, d), False), shifts=shifts, epsilon=-0.0,
+                   alpha=5e-324, beta=1.7976931348623157e308,
                    p=np.full(d, 1.0 / d), batch_size=1, truth=truth)
     text = problem_to_json(prob)
     back = problem_from_json(text)

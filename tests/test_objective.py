@@ -118,13 +118,12 @@ def test_gradient_pure_quartic_case_fd():
     # all-zero measurements with eps = 0 leave only the quartic data term;
     # compare against finite differences of a smoothed copy as eps -> 0
     prob0 = synthesize_problem(8, seed=15, epsilon=0.0, alpha=0.0, beta=0.0)
-    zeroed = prob0.measurements.values.copy()
-    zeroed[:] = 0.0
-    from blindptycho import MeasurementSet, Problem
-    prob = Problem(d=8, measurements=MeasurementSet(zeroed, prob0.shifts),
-                   epsilon=0.0, alpha=0.0, beta=0.0, p=prob0.p, batch_size=1)
-    smooth = Problem(d=8, measurements=MeasurementSet(zeroed, prob0.shifts),
-                     epsilon=1e-12, alpha=0.0, beta=0.0, p=prob0.p, batch_size=1)
+    zeroed = np.zeros_like(prob0.y)
+    from blindptycho import Problem
+    prob = Problem(y=zeroed, shifts=prob0.shifts, epsilon=0.0, alpha=0.0,
+                   beta=0.0, p=prob0.p, batch_size=1)
+    smooth = Problem(y=zeroed, shifts=prob0.shifts, epsilon=1e-12, alpha=0.0,
+                     beta=0.0, p=prob0.p, batch_size=1)
     z, v = np_pair(8, 16)
     g = gradient(prob, z, v)
     fd = fd_wirtinger_gradient(smooth, z, v)
@@ -246,10 +245,9 @@ def test_step_curvature_bound_values():
     assert step_curvature_bound(prob, zeros, zeros) == pytest.approx(expected, rel=1e-12)
 
     # unit-norm pair with zeroed measurements: 20 d plus the Tikhonov term
-    from blindptycho import MeasurementSet, Problem
-    zeroed = MeasurementSet(np.zeros_like(prob.y), prob.shifts)
-    clean = Problem(d=4, measurements=zeroed, epsilon=0.0, alpha=0.0, beta=0.0,
-                    p=prob.p, batch_size=1)
+    from blindptycho import Problem
+    clean = Problem(y=np.zeros_like(prob.y), shifts=prob.shifts, epsilon=0.0,
+                    alpha=0.0, beta=0.0, p=prob.p, batch_size=1)
     e = np.zeros(4, complex)
     e[0] = 1.0
     assert step_curvature_bound(clean, e, e) == pytest.approx(80.0, rel=1e-12)

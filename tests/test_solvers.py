@@ -32,11 +32,10 @@ def test_gd_step_zero_gradient_uses_curvature_bound():
 def test_gd_step_gradient_branch():
     # zeroed measurements, zero iterates, no Tikhonov: the curvature bound
     # vanishes and only the gradient-norm branches remain
-    from blindptycho import MeasurementSet, Problem
+    from blindptycho import Problem
     base = synthesize_problem(4, seed=3)
-    zeroed = MeasurementSet(np.zeros_like(base.y), base.shifts)
-    prob = Problem(d=4, measurements=zeroed, epsilon=0.0, alpha=0.0, beta=0.0,
-                   p=base.p, batch_size=1)
+    prob = Problem(y=np.zeros_like(base.y), shifts=base.shifts, epsilon=0.0,
+                   alpha=0.0, beta=0.0, p=base.p, batch_size=1)
     zeros = np.zeros(4, complex)
     g = np.zeros(4, complex)
     g[0] = 2.0
@@ -48,11 +47,10 @@ def test_gd_step_gradient_branch():
 
 
 def test_gd_step_arithmetic_example():
-    from blindptycho import MeasurementSet, Problem
+    from blindptycho import Problem
     base = synthesize_problem(4, seed=4)
-    zeroed = MeasurementSet(np.zeros_like(base.y), base.shifts)
-    prob = Problem(d=4, measurements=zeroed, epsilon=0.0, alpha=1.0, beta=1.0,
-                   p=base.p, batch_size=1)
+    prob = Problem(y=np.zeros_like(base.y), shifts=base.shifts, epsilon=0.0,
+                   alpha=1.0, beta=1.0, p=base.p, batch_size=1)
     zeros = np.zeros(4, complex)
     pair = GradientPair(zeros, zeros)
     mu, _ = gd_step_sizes(prob, zeros, zeros, *pair.norms())

@@ -20,11 +20,10 @@ from conftest import np_pair
 def test_fd_recovers_tikhonov_term():
     # zero window and zeroed measurements leave only alpha ||z||^2 in the
     # object direction
-    from blindptycho import MeasurementSet, Problem
+    from blindptycho import Problem
     base = synthesize_problem(6, seed=1)
-    zeroed = MeasurementSet(np.zeros_like(base.y), base.shifts)
-    prob = Problem(d=6, measurements=zeroed, epsilon=1e-3, alpha=0.37,
-                   beta=0.0, p=base.p, batch_size=1)
+    prob = Problem(y=np.zeros_like(base.y), shifts=base.shifts, epsilon=1e-3,
+                   alpha=0.37, beta=0.0, p=base.p, batch_size=1)
     z, _ = np_pair(6, 2)
     v = np.zeros(6, complex)
     fd = fd_wirtinger_gradient(prob, z, v)
