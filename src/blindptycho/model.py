@@ -84,6 +84,49 @@ def add_noise(measurements: MeasurementSet, model: NoiseModel, rng: Rng) -> Meas
     return MeasurementSet(out.reshape(values.shape), measurements.shifts)
 
 
+# Problem's checks, one field each: problem_from_json runs them again, under
+# the key of the file field each one reads, to name the field it rejects.
+
+def _smoothing(epsilon) -> None:
+    if epsilon < 0 or not np.isfinite(epsilon):
+        raise ValueError("epsilon must be finite and >= 0")
+
+
+def _tikhonov(weight) -> None:
+    if not 0 <= weight < np.inf:
+        raise ValueError("alpha and beta must be finite and >= 0")
+
+
+def _family(shifts: ShiftSet, d: int) -> ShiftSet:
+    offsets = shifts.offsets
+    if any(b <= a for a, b in zip(offsets, offsets[1:])):
+        raise ValueError("offsets must be strictly ascending")
+    shifts.validate_for_dim(d)
+    return shifts
+
+
+def _distribution(p, n: int) -> np.ndarray:
+    p = np.array(p, dtype=np.float64)
+    if p.shape != (n,):
+        raise ValueError("p must have one entry per shift")
+    if not np.all((p > 0) & np.isfinite(p)):
+        raise ValueError("p entries must be finite and strictly positive")
+    if abs(p.sum() - 1.0) > 1e-12:
+        raise ValueError("p must sum to 1 within 1e-12")
+    p.setflags(write=False)
+    return p
+
+
+def _truth_vector(a, d: int) -> np.ndarray:
+    a = np.array(a, dtype=np.complex128)
+    if a.shape != (d,):
+        raise ValueError("truth vectors must have length d")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("truth vectors must be finite")
+    a.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True)
 class Problem:
     """Immutable reconstruction instance.
@@ -111,32 +154,14 @@ class Problem:
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "d", y.shape[1])
         _require_integers(self, d=1, batch_size=1)
-        if self.epsilon < 0 or not np.isfinite(self.epsilon):
-            raise ValueError("epsilon must be finite and >= 0")
-        if not (0 <= self.alpha < np.inf and 0 <= self.beta < np.inf):
-            raise ValueError("alpha and beta must be finite and >= 0")
-        offsets = self.shifts.offsets
-        if any(b <= a for a, b in zip(offsets, offsets[1:])):
-            raise ValueError("offsets must be strictly ascending")
-        self.shifts.validate_for_dim(self.d)
-        p = np.array(self.p, dtype=np.float64)
-        if p.shape != (len(offsets),):
-            raise ValueError("p must have one entry per shift")
-        if not np.all((p > 0) & np.isfinite(p)):
-            raise ValueError("p entries must be finite and strictly positive")
-        if abs(p.sum() - 1.0) > 1e-12:
-            raise ValueError("p must sum to 1 within 1e-12")
-        p.setflags(write=False)
-        object.__setattr__(self, "p", p)
+        _smoothing(self.epsilon)
+        _tikhonov(self.alpha)
+        _tikhonov(self.beta)
+        _family(self.shifts, self.d)
+        object.__setattr__(self, "p", _distribution(self.p, len(self.shifts)))
         if self.truth is not None:
-            x, w = (np.array(a, dtype=np.complex128) for a in self.truth)
-            if x.shape != (self.d,) or w.shape != (self.d,):
-                raise ValueError("truth vectors must have length d")
-            if not (np.all(np.isfinite(x)) and np.all(np.isfinite(w))):
-                raise ValueError("truth vectors must be finite")
-            x.setflags(write=False)
-            w.setflags(write=False)
-            object.__setattr__(self, "truth", (x, w))
+            object.__setattr__(self, "truth",
+                               tuple(_truth_vector(a, self.d) for a in self.truth))
 
     @property
     def offsets(self) -> tuple[int, ...]:
@@ -286,8 +311,10 @@ def _field(key: str):
 
 def problem_from_json(text: str) -> Problem:
     """Inverse of problem_to_json; a missing field, or one of the wrong type
-    or shape, a ``d`` other than y's column count, or offsets that do not
-    form a shift family of dimension d, raises ValueError naming it."""
+    or shape, a ``d`` other than y's column count, or any value ``Problem``
+    rejects (offsets that do not form an ascending shift family of dimension
+    d, a y row per offset, epsilon, the weights, p, x and w), raises
+    ValueError naming its field."""
     data = json.loads(text)
     if not isinstance(data, dict):
         raise ValueError("problem document must be a JSON object")
@@ -303,12 +330,24 @@ def problem_from_json(text: str) -> Problem:
         if d != y.shape[1]:
             raise ValueError(f"d must equal the column count of y ({y.shape[1]}): {d}")
     with _field("offsets"):
-        shifts = ShiftSet(values["offsets"], values["mode"])
-        shifts.validate_for_dim(d)
-    return Problem(y=y, shifts=shifts, epsilon=values["epsilon"],
-                   alpha=values["alpha_T"], beta=values["beta_T"], p=values["p"],
-                   batch_size=values["K"],
-                   truth=(values["x"], values["w"]) if "x" in values else None)
+        shifts = _family(ShiftSet(values["offsets"], values["mode"]), d)
+    try:
+        return Problem(y=y, shifts=shifts, epsilon=values["epsilon"],
+                       alpha=values["alpha_T"], beta=values["beta_T"], p=values["p"],
+                       batch_size=values["K"],
+                       truth=(values["x"], values["w"]) if "x" in values else None)
+    except ValueError:
+        # Name the field: run Problem's checks again, each under the key of
+        # the value it reads (only on failure, so a valid file is checked once).
+        checks = {"y": lambda a: MeasurementSet(a, shifts), "epsilon": _smoothing,
+                  "alpha_T": _tikhonov, "beta_T": _tikhonov,
+                  "p": lambda a: _distribution(a, len(shifts)),
+                  "x": lambda a: _truth_vector(a, d), "w": lambda a: _truth_vector(a, d)}
+        for key, check in checks.items():
+            if key in values:
+                with _field(key):
+                    check(values[key])
+        raise
 
 
 def save_problem(path, problem: Problem) -> None:

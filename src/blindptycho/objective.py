@@ -150,12 +150,16 @@ def _residual_back(target, amp, spectrum, epsilon: float) -> np.ndarray:
 
 def _gradient(problem: Problem, z, v, windows, back, rows, weights=None,
               tikhonov: float = 1.0) -> GradientPair:
-    """The gradient reduction of ``_evaluate`` from its per-row arrays."""
+    """The gradient reduction of ``_evaluate`` from its per-row arrays.
+    ``tikhonov == 0`` skips the Tikhonov adds, whose zero terms could
+    change only the sign of an exact zero of the data part."""
     if weights is not None:
         back = weights[:, np.newaxis] * back
-    g_z = (np.conj(windows) * back).sum(axis=0) + tikhonov * problem.alpha * z
-    g_v = unshift_sum(np.conj(z) * back, problem.shifts, rows) \
-        + tikhonov * problem.beta * v
+    g_z = (np.conj(windows) * back).sum(axis=0)
+    g_v = unshift_sum(np.conj(z) * back, problem.shifts, rows)
+    if tikhonov != 0:
+        g_z = g_z + tikhonov * problem.alpha * z
+        g_v = g_v + tikhonov * problem.beta * v
     return GradientPair(g_z, g_v)
 
 
@@ -245,12 +249,22 @@ def partial_lipschitz(problem: Problem, z, v) -> tuple[float, float]:
     gradient by d max_j sum_r |(S_r v)_j|^2 + alpha, the window update by
     d max_j sum_r |(S_{-r} z)_j|^2 + beta.  Both are at most
     d ||.||^2 + weight since each coordinate collects at most the full
-    energy of the shifted vector.
+    energy of the shifted vector.  The first depends on v alone and the
+    second on z alone; ``_partial_lipschitz`` computes them, and interval
+    descent passes it the one its last step left unchanged.
     """
-    z, v = _as_iterate(problem, z, v)
-    d = problem.d
-    win_energy = np.sum(shift_stack(np.abs(v) ** 2, problem.shifts), axis=0)
-    obj_energy = unshift_sum(np.abs(z) ** 2, problem.shifts)
-    object_step = d * float(np.max(win_energy)) + problem.alpha
-    window_step = d * float(np.max(obj_energy)) + problem.beta
+    return _partial_lipschitz(problem, *_as_iterate(problem, z, v))
+
+
+def _partial_lipschitz(problem: Problem, z, v, object_step: float | None = None,
+                       window_step: float | None = None) -> tuple[float, float]:
+    """``partial_lipschitz`` of complex128 vectors of length d, computing
+    only the constant not given: each is one gather (or scatter), one
+    reduction and one max."""
+    if object_step is None:
+        win_energy = shift_stack(np.abs(v) ** 2, problem.shifts).sum(axis=0)
+        object_step = problem.d * float(win_energy.max()) + problem.alpha
+    if window_step is None:
+        obj_energy = unshift_sum(np.abs(z) ** 2, problem.shifts)
+        window_step = problem.d * float(obj_energy.max()) + problem.beta
     return object_step, window_step

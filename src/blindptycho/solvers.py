@@ -51,7 +51,12 @@ Step-size policies:
 * interval:  minimize J over a gamma grid of the loop's update with
   (mu_t, nu_t) = (gamma / L_obj, (1 - gamma) / L_win), whose ends are the
   single-variable updates of z (gamma = 1) and v (gamma = 0); the selected
-  trial's forward pass is the next monitor's.
+  trial's forward pass is the next monitor's.  L_obj reads only v and
+  L_win only z, so a step that selected an end carries the curvature of
+  the side it left in place (L_obj when nu_t = 0, L_win when mu_t = 0) and
+  the next step computes only the other: that side moved by 0 * g with g
+  finite, which keeps every |entry|^2, so the carried value is the one
+  ``partial_lipschitz`` would compute, bit for bit.
 """
 
 from __future__ import annotations
@@ -65,16 +70,16 @@ from typing import ClassVar
 
 import numpy as np
 
-# dft, shift, gradient_region, loss, loss_and_gradient, step_curvature_bound
-# and stochastic_gradient_bounds are not called here but stay bound:
-# perfbench/tracing.py wraps them under these names.
+# dft, shift, gradient_region, loss, loss_and_gradient, partial_lipschitz,
+# step_curvature_bound and stochastic_gradient_bounds are not called here but
+# stay bound: perfbench/tracing.py wraps them under these names.
 from .fourier import dft, shift  # noqa: F401
 from .model import Problem, _require_integers
 from .objective import (GradientPair, _as_iterate, _Bounds,  # noqa: F401
-                        _evaluate, _gradient, _residual_back, _sq_norm,
-                        gradient_region, loss, loss_and_gradient,
-                        partial_lipschitz, step_curvature_bound,
-                        stochastic_gradient_bounds)
+                        _evaluate, _gradient, _partial_lipschitz,
+                        _residual_back, _sq_norm, gradient_region, loss,
+                        loss_and_gradient, partial_lipschitz,
+                        step_curvature_bound, stochastic_gradient_bounds)
 from .rng import Rng, _count
 
 ALGORITHMS = ("gd", "sgd", "epie", "interval")
@@ -335,7 +340,7 @@ def sgd_max_step(problem: Problem, z, v, t: int, theta: float,
 def _epie_steps(problem: Problem, config: SolverConfig, z, v, t, row):
     """The engine's sgd steps alpha p_r / (d ||v||_inf^2), beta p_r / (d ||z||_inf^2)
     for region ``row``."""
-    linf_v, linf_z = float(np.max(np.abs(v))), float(np.max(np.abs(z)))
+    linf_v, linf_z = float(np.abs(v).max()), float(np.abs(z).max())
     if linf_v == 0.0 or linf_z == 0.0:
         raise DivergenceError(f"epie step undefined at iteration {t}: zero iterate")
     share = float(problem.p[row])
@@ -356,7 +361,7 @@ def _sgd(problem: Problem, config: SolverConfig):
         rows = _draw_rows(cdf, problem.batch_size, rng)
         # the step reuses the monitor's rows: no transform of its own
         g = _gradient(problem, z, v, ev.windows.take(rows, 0),
-                      ev.back.take(rows, 0), rows, weights[rows])
+                      ev.back.take(rows, 0), rows, weights.take(rows))
         if not bounded:
             return (*_epie_steps(problem, config, z, v, t, rows[0]), g, None)
         m = rule(ev.z_sq, ev.v_sq, t)
@@ -385,10 +390,10 @@ def _epie(problem: Problem, config: SolverConfig):
         mu_t, nu_t = _epie_steps(problem, config, z, v, t, rows[0])
         # the projection residual of the monitor's row is the kernel's at eps = 0
         spectrum = ev.spectrum.take(rows, 0)
-        back = _residual_back(magnitude[rows], np.sqrt(np.abs(spectrum) ** 2),
-                              spectrum, 0.0)
+        back = _residual_back(magnitude.take(rows, 0),
+                              np.sqrt(np.abs(spectrum) ** 2), spectrum, 0.0)
         g = _gradient(problem, z, v, ev.windows.take(rows, 0), back, rows,
-                      weights[rows], tikhonov=0.0)
+                      weights.take(rows), tikhonov=0.0)
         return mu_t, nu_t, g, None
     return step, None
 
@@ -401,9 +406,11 @@ def _interval(problem: Problem, config: SolverConfig):
         raise ValueError("interval descent requires positive Tikhonov weights")
     gammas = np.linspace(0.0, 1.0, config.gamma_grid).tolist()
     steps: list[IntervalStep] = []
+    carried = (None, None)   # (L_obj, L_win) the last step left valid
 
     def step(z, v, t, ev, gz, gv):
-        object_curv, window_curv = partial_lipschitz(problem, z, v)
+        nonlocal carried
+        object_curv, window_curv = _partial_lipschitz(problem, z, v, *carried)
         g = ev.grad
         # Only the running best trial is kept, with its forward pass, which
         # the next monitor reuses; it is np.argmin's choice (the first NaN,
@@ -417,6 +424,11 @@ def _interval(problem: Problem, config: SolverConfig):
                     math.isnan(forward.J) or forward.J < best[3].J):
                 best = (gamma, mu, nu, forward)
         gamma, mu_t, nu_t, forward = best
+        # A zero step moves its side by 0 * g with g finite (the monitor
+        # checked it), which changes at most the sign of a zero, so the
+        # curvature read from that side alone holds at the next iterate.
+        carried = (object_curv if nu_t == 0.0 else None,
+                   window_curv if mu_t == 0.0 else None)
         steps.append(IntervalStep(
             gamma=gamma,
             loss_object_endpoint=values[-1],

@@ -287,6 +287,11 @@ def test_json_integer_fields_not_truncated():
     ("offsets", [0, 0, 1, 2], "offsets must be distinct"),
     ("offsets", [], "offsets must contain at least one shift"),
     ("offsets", [0, 1, 2, 4], "circular offsets must be distinct modulo d"),
+    ("y", [[1.0] * 4] * 3, "row count of values must equal the number of shifts"),
+    ("p", [0.5, 0.5], "p must have one entry per shift"),
+    ("epsilon", -1.0, "epsilon must be finite and >= 0"),
+    ("x", [[1.0, 0.0]] * 3, "truth vectors must have length d"),
+    ("offsets", [3, 2, 1, 0], "offsets must be strictly ascending"),
 ])
 def test_json_number_fields_take_json_numbers_only(key, value, message):
     # json booleans and numeric strings are not numbers, inside arrays too,

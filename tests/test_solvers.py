@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 from dataclasses import FrozenInstanceError, replace
@@ -11,6 +12,7 @@ from blindptycho import (ALGORITHMS, DivergenceError, NoiseModel, Rng,
                          read_trace, run, sample_indices, sgd_max_step,
                          step_curvature_bound, stochastic_gradient,
                          synthesize_problem, trace_to_csv, write_trace)
+from blindptycho import solvers
 from blindptycho.fourier import dft, idft, shift
 from blindptycho.objective import GradientPair, _sq_norm
 from blindptycho.solvers import TRACE_HEADER, _draw_rows
@@ -648,12 +650,17 @@ def test_interval_decrease_bounds():
 
 def test_interval_steps_match_partial_lipschitz():
     # mu_t = gamma / L_z and nu_t = (1 - gamma) / L_v with the public
-    # curvature constants at the recorded iterate, bit for bit
-    for epsilon in (1e-8, 0.0):
-        prob = synthesize_problem(8, seed=45, epsilon=epsilon)
-        z0, v0 = np_pair(8, 46)
+    # curvature constants at the recorded iterate, bit for bit, also where
+    # the step carried one of them over from the step before (an endpoint
+    # was selected: at gamma_grid 2, every step)
+    for (mode, d), epsilon, gamma_grid in itertools.product(
+            (("circular", 8), ("zero-padded", 12)), (1e-8, 0.0), (2, 5)):
+        prob = synthesize_problem(d, shifts=ShiftSet.all_shifts(d, mode),
+                                  seed=45, epsilon=epsilon)
+        z0, v0 = np_pair(d, 46)
         res = run(prob, z0, v0, SolverConfig(algorithm="interval", max_iters=20,
-                                             gamma_grid=5), record_iterates=True)
+                                             gamma_grid=gamma_grid),
+                  record_iterates=True)
         for rec, step, (z, v), (z_next, v_next) in zip(
                 res.trace, res.interval_steps, res.iterates, res.iterates[1:]):
             object_curv, window_curv = partial_lipschitz(prob, z, v)
@@ -664,6 +671,35 @@ def test_interval_steps_match_partial_lipschitz():
             g = gradient(prob, z, v)
             assert np.array_equal(z_next, z - rec.mu_t * g.z)
             assert np.array_equal(v_next, v - rec.nu_t * g.v)
+        # both sides were carried: each endpoint was selected at least once
+        assert {0.0, 1.0} <= {s.gamma for s in res.interval_steps}
+
+
+@pytest.mark.parametrize("mode,d", [("circular", 8), ("zero-padded", 12)])
+def test_interval_endpoint_steps_compute_one_curvature(monkeypatch, mode, d):
+    # At gamma_grid 2 every step leaves z or v where it was, so each step
+    # after the first computes one curvature energy and is handed the other.
+    # The side whose energy is handed over is replaced by None, which a
+    # computed energy would fail on, and both constants are still those of
+    # partial_lipschitz at the iterate, bit for bit.
+    prob = synthesize_problem(d, shifts=ShiftSet.all_shifts(d, mode), seed=49)
+    z0, v0 = np_pair(d, 50)
+    computed = []
+    helper = solvers._partial_lipschitz
+
+    def one_side(problem, z, v, object_step=None, window_step=None):
+        computed.append((object_step is None) + (window_step is None))
+        curvatures = helper(problem, z if window_step is None else None,
+                            v if object_step is None else None,
+                            object_step, window_step)
+        assert curvatures == partial_lipschitz(problem, z, v)
+        return curvatures
+
+    monkeypatch.setattr(solvers, "_partial_lipschitz", one_side)
+    cfg = SolverConfig(algorithm="interval", max_iters=30, gamma_grid=2)
+    res = run(prob, z0, v0, cfg)
+    assert computed == [2] + [1] * (cfg.max_iters - 1)
+    assert {0.0, 1.0} <= {s.gamma for s in res.interval_steps}
 
 
 @pytest.mark.parametrize("mode,d", [("circular", 8), ("zero-padded", 12)])
