@@ -135,11 +135,13 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_run(args) -> int:
+    # the two counts whose flags are not named after the field they set
+    iters, reps = _count(args.iters, "--iters", 0), _count(args.reps, "--reps", 1)
     problem = load_problem(args.problem)
     options = {f.name: getattr(args, f.name) for f in _RUN_FIELDS}
-    solver = SolverConfig(algorithm=args.algo, max_iters=args.iters, **options)
+    solver = SolverConfig(algorithm=args.algo, max_iters=iters, **options)
     experiment = ExperimentConfig(
-        problem=problem, solvers=[solver], repetitions=args.reps,
+        problem=problem, solvers=[solver], repetitions=reps,
         base_seed=args.seed, init_scale=args.init_scale, out_dir=args.out_dir)
     # A divergence is reported as one error line (exit 3), not numpy warnings.
     with np.errstate(over="ignore", invalid="ignore"):

@@ -13,7 +13,8 @@ In both shift flavours the transpose of S_r is S_{-r}, which the gradient
 code relies on.  A zero-padded family gathers from its input widened by a
 zero column at index d, which every emptied entry reads.  ``shift_stack``
 takes one vector and ``unshift_sum`` one row per offset, or a single 1-d
-row that stands for the same row under every offset.
+row that stands for the same row under every offset (or, with an int
+``select``, under that one offset).
 
 The transforms are numpy's FFT (``np.fft``) along the last axis, for any d;
 ``dft_direct`` is the O(d^2) summation kept as an independent oracle.  Row i
@@ -188,19 +189,25 @@ def unshift_sum(rows: np.ndarray, shifts: ShiftSet, select=None) -> np.ndarray:
     the result collects rows[i, j + r_i] subject to the mode's boundary
     rule.  With ``select``, row i of ``rows`` belongs to the offset with
     index ``select[i]``, as for ``shift_stack(v, shifts, select)``.  A 1-d
-    ``rows`` is the same row for every (selected) offset.
+    ``rows`` is the same row for every (selected) offset.  An int
+    ``select`` takes a 1-d row and returns S_{-r} of it for that one
+    offset: a single gather of the cached plan row, with no sum.
     """
     rows = np.asarray(rows)
     width, idx, flat = _gather_plan(shifts.offsets, rows.shape[-1], shifts.mode, -1)
+    if isinstance(select, (int, np.integer)):
+        if rows.ndim != 1:
+            raise ValueError("an int select takes one 1-d row")
+        return _widen(rows, width)[idx[select]]
     if select is not None:
         idx = idx.take(select, 0)
         flat = idx + _row_base(len(idx), width)
     if rows.ndim == 1:
-        return _widen(rows, width)[idx].sum(axis=0)
+        return np.add.reduce(_widen(rows, width)[idx], 0)
     if len(rows) != len(idx):
         raise ValueError("rows must hold one row per selected offset")
     # one flat gather: row i of the result reads row i of ``rows``
-    return _widen(rows, width).reshape(-1)[flat].sum(axis=0)
+    return np.add.reduce(_widen(rows, width).reshape(-1)[flat], 0)
 
 
 # ---------------------------------------------------------------------------

@@ -30,8 +30,10 @@ is ``_sq_norm`` or its square root.  It has two halves: the forward half
 runs, and the back half (ratio, back transform and gradient reduction) runs
 on a forward half, either its own or one passed as ``forward=`` that an
 earlier ``grad=False`` call computed for the same arguments.  The engine's
-step runs the back half's two parts, ``_residual_back`` at eps = 0 and
-``_gradient``, on one row of the solver monitor's forward half.
+step (and sgd's at K = 1) runs the back half's two parts, ``_residual_back``
+at eps = 0 and ``_gradient``, in their one-row form: on 1-d views of one
+row of the solver monitor's forward half, with an int row and a float
+weight, so nothing is stacked and no sum runs over one row.
 
 The bound formulas are written once, on ``_Bounds``, which computes the
 per-problem constants sqrt(||y||_1 / d), 3 max(alpha, beta), sqrt(15d/4)
@@ -53,7 +55,7 @@ from .model import Problem
 _TINY = 1e-300
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GradientPair:
     """Object- and window-direction gradients of equal length."""
 
@@ -120,7 +122,7 @@ def _evaluate(problem: Problem, z, v, rows=None, weights=None,
         misfit = (amp - target) ** 2
         if weights is not None:
             misfit = weights[:, np.newaxis] * misfit
-        data = float(misfit.sum())
+        data = float(np.add.reduce(misfit, None))
         z_sq, v_sq = _sq_norm(z), _sq_norm(v)
         total = data + problem.alpha * tikhonov * z_sq + problem.beta * tikhonov * v_sq
         if not grad:
@@ -151,11 +153,22 @@ def _residual_back(target, amp, spectrum, epsilon: float) -> np.ndarray:
 def _gradient(problem: Problem, z, v, windows, back, rows, weights=None,
               tikhonov: float = 1.0) -> GradientPair:
     """The gradient reduction of ``_evaluate`` from its per-row arrays.
-    ``tikhonov == 0`` skips the Tikhonov adds, whose zero terms could
-    change only the sign of an exact zero of the data part."""
-    if weights is not None:
-        back = weights[:, np.newaxis] * back
-    g_z = (np.conj(windows) * back).sum(axis=0)
+
+    An int ``rows`` is the one-row form: ``windows`` and ``back`` are that
+    row's 1-d arrays and ``weights`` a float or None, and nothing is
+    stacked or summed over one row.  Its values are those of the stack
+    ``[rows]``; an axis-0 sum turns -0 into +0, so it can differ only in
+    the sign of an exact zero.  ``tikhonov == 0`` skips the Tikhonov adds,
+    whose zero terms could likewise change only the sign of an exact zero
+    of the data part."""
+    if isinstance(rows, (int, np.integer)):
+        if weights is not None:
+            back = weights * back
+        g_z = np.conj(windows) * back
+    else:
+        if weights is not None:
+            back = weights[:, np.newaxis] * back
+        g_z = np.add.reduce(np.conj(windows) * back, 0)
     g_v = unshift_sum(np.conj(z) * back, problem.shifts, rows)
     if tikhonov != 0:
         g_z = g_z + tikhonov * problem.alpha * z

@@ -43,10 +43,14 @@ Step-size policies:
   K = 1 (it is infinite) or theta = 0 (the condition it guards is vacuous).
   These steps certify convergence but barely move J; the practical
   stochastic path is ``sgd_step_rule="epie_scaled"`` (the engine's steps).
+  The sampled gradient reduces the K drawn rows of the monitor; at K = 1
+  the factory picks the kernel's one-row form once (an int row, 1-d views,
+  a float weight), which gives the stack form's values.
 * epie:      magnitude projection of one region's exit wave followed by the
   decoupling updates with factors alpha_t / ||v||_inf^2, beta_t / ||z||_inf^2.
   That is the importance-weighted sgd step on the eps = 0 residual without
-  Tikhonov terms, mu_t = alpha_t p_r / (d ||v||_inf^2), and it is computed so.
+  Tikhonov terms, mu_t = alpha_t p_r / (d ||v||_inf^2), and it is computed so,
+  in the kernel's one-row form on views of the monitor's row r.
   With K = 1, eps = 0 and no Tikhonov terms it equals epie_scaled sgd bit for bit.
 * interval:  minimize J over a gamma grid of the loop's update with
   (mu_t, nu_t) = (gamma / L_obj, (1 - gamma) / L_win), whose ends are the
@@ -280,12 +284,16 @@ def _gd(problem: Problem, config: SolverConfig):
 # ---------------------------------------------------------------------------
 # stochastic gradient descent
 
-def _draw_rows(cdf: list[float], k: int, rng: Rng) -> list[int]:
-    """k i.i.d. rows by inverse CDF over ``cdf = cumsum(problem.p).tolist()``
-    (the offsets ascend), one ``rng.uniform()`` each; a draw at or past the
+def _draw_row(cdf: list[float], rng: Rng) -> int:
+    """One row by inverse CDF over ``cdf = cumsum(problem.p).tolist()``
+    (the offsets ascend) and one ``rng.uniform()``; a draw at or past the
     last entry takes the last row."""
-    last = len(cdf) - 1
-    return [min(bisect_right(cdf, rng.uniform()), last) for _ in range(k)]
+    return min(bisect_right(cdf, rng.uniform()), len(cdf) - 1)
+
+
+def _draw_rows(cdf: list[float], k: int, rng: Rng) -> list[int]:
+    """k i.i.d. ``_draw_row`` draws."""
+    return [_draw_row(cdf, rng) for _ in range(k)]
 
 
 def sample_indices(problem: Problem, k: int, rng: Rng) -> list[int]:
@@ -353,17 +361,30 @@ def _sgd(problem: Problem, config: SolverConfig):
         raise ValueError("epie_scaled steps require batch_size 1")
     rng = Rng(config.seed)
     cdf = np.cumsum(problem.p).tolist()
-    weights = _importance_weights(problem.p, problem.batch_size)
+    k = problem.batch_size
+    weights = _importance_weights(problem.p, k)
     bounded = config.sgd_step_rule == "bounded"
     rule = _sgd_rule(problem, config.theta, config.kappa)
 
+    # Either form reuses the monitor's rows: no transform of its own.
+    if k == 1:
+        weight = weights.tolist()
+
+        def sampled(z, v, ev):
+            row = _draw_row(cdf, rng)
+            return row, _gradient(problem, z, v, ev.windows[row], ev.back[row],
+                                  row, weight[row])
+    else:
+        def sampled(z, v, ev):
+            rows = _draw_rows(cdf, k, rng)
+            return rows[0], _gradient(problem, z, v, ev.windows.take(rows, 0),
+                                      ev.back.take(rows, 0), rows,
+                                      weights.take(rows))
+
     def step(z, v, t, ev, gz, gv):
-        rows = _draw_rows(cdf, problem.batch_size, rng)
-        # the step reuses the monitor's rows: no transform of its own
-        g = _gradient(problem, z, v, ev.windows.take(rows, 0),
-                      ev.back.take(rows, 0), rows, weights.take(rows))
+        row, g = sampled(z, v, ev)
         if not bounded:
-            return (*_epie_steps(problem, config, z, v, t, rows[0]), g, None)
+            return (*_epie_steps(problem, config, z, v, t, row), g, None)
         m = rule(ev.z_sq, ev.v_sq, t)
         return config.mu * m, config.nu * m, g, None
     return step, None
@@ -376,24 +397,25 @@ def _epie(problem: Problem, config: SolverConfig):
     rng = Rng(config.seed)
     cdf = np.cumsum(problem.p).tolist()
     magnitude = np.sqrt(problem.y)
-    weights = _importance_weights(problem.p, 1)
+    weight = _importance_weights(problem.p, 1).tolist()
     schedule: list[int] = []
 
     def step(z, v, t, ev, gz, gv):
         if config.epie_schedule == "iid":
-            rows = _draw_rows(cdf, 1, rng)
+            row = _draw_row(cdf, rng)
         else:
             if not schedule:
                 schedule.extend(range(problem.n_regions))
                 rng.shuffle(schedule)
-            rows = [schedule.pop()]
-        mu_t, nu_t = _epie_steps(problem, config, z, v, t, rows[0])
-        # the projection residual of the monitor's row is the kernel's at eps = 0
-        spectrum = ev.spectrum.take(rows, 0)
-        back = _residual_back(magnitude.take(rows, 0),
-                              np.sqrt(np.abs(spectrum) ** 2), spectrum, 0.0)
-        g = _gradient(problem, z, v, ev.windows.take(rows, 0), back, rows,
-                      weights.take(rows), tikhonov=0.0)
+            row = schedule.pop()
+        mu_t, nu_t = _epie_steps(problem, config, z, v, t, row)
+        # the projection residual of the monitor's row is the kernel's at
+        # eps = 0, reduced in its one-row form
+        spectrum = ev.spectrum[row]
+        back = _residual_back(magnitude[row], np.sqrt(np.abs(spectrum) ** 2),
+                              spectrum, 0.0)
+        g = _gradient(problem, z, v, ev.windows[row], back, row, weight[row],
+                      tikhonov=0.0)
         return mu_t, nu_t, g, None
     return step, None
 

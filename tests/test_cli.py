@@ -159,7 +159,8 @@ def _problem_with(tmp_path, **fields):
                                   "epsilon-string", "synth-noise-sigma",
                                   "synth-shifts-token", "synth-p-token",
                                   "synth-shifts-repeated", "synth-shifts-modulo-d",
-                                  "synth-d-zero", "synth-d-negative"])
+                                  "synth-d-zero", "synth-d-negative",
+                                  "run-iters-negative", "run-reps-zero"])
 def test_bad_input_exit_2_one_line(tmp_path, capsys, case):
     bad = {"x-not-pairs": {"x": [1, 2]}, "offsets-not-a-list": {"offsets": 5},
            "K-not-integral": {"K": 2.9},
@@ -200,6 +201,9 @@ def test_bad_input_exit_2_one_line(tmp_path, capsys, case):
         "synth-shifts-modulo-d": (synth + ["8", "--shifts", "0,8"], "--shifts"),
         "synth-d-zero": (synth + ["0", "--shifts", "0"], "--d"),
         "synth-d-negative": (synth + ["-3"], "--d"),
+        "run-iters-negative": (run[:6] + ["-1"] + run[7:],
+                               "--iters must be >= 0: -1"),
+        "run-reps-zero": (run + ["--reps", "0"], "--reps must be >= 1: 0"),
     }[case]
     capsys.readouterr()
     assert main(argv) == 2

@@ -190,6 +190,22 @@ def test_unshift_sum_of_one_row(mode):
 
 
 @pytest.mark.parametrize("mode", ["circular", "zero-padded"])
+def test_unshift_sum_of_one_offset(mode):
+    # an int select gathers S_{-r} of one 1-d row: the one-row selection
+    # [i] and the single-offset shift, for offsets within and beyond d
+    rng = np.random.default_rng(6)
+    row = rng.normal(size=8) + 1j * rng.normal(size=8)
+    shifts = ShiftSet((-11, -3, 0, 2, 6, 10), mode)
+    for i, r in enumerate(shifts.offsets):
+        one = unshift_sum(row, shifts, i)
+        assert np.array_equal(one, unshift_sum(row, shifts, [i]))
+        assert np.array_equal(one, unshift_sum(row[np.newaxis], shifts, [i]))
+        assert np.array_equal(one, shift(row, -r, mode))
+    with pytest.raises(ValueError, match="one 1-d row"):
+        unshift_sum(row[np.newaxis], shifts, 0)
+
+
+@pytest.mark.parametrize("mode", ["circular", "zero-padded"])
 def test_unshift_sum_is_rowwise_adjoint(mode):
     rng = np.random.default_rng(5)
     rows = rng.normal(size=(3, 8)) + 1j * rng.normal(size=(3, 8))

@@ -8,7 +8,7 @@ from blindptycho import (ShiftSet, gradient, gradient_region, loss,
                          q_apply, shift, step_curvature_bound,
                          stochastic_gradient_bounds, synthesize_problem)
 from blindptycho.fourier import MODES, shift_stack, unshift_sum
-from blindptycho.objective import _evaluate
+from blindptycho.objective import _evaluate, _gradient
 from blindptycho.verify import fd_wirtinger_gradient
 
 from conftest import np_pair
@@ -233,6 +233,31 @@ def test_evaluate_on_handed_over_forward_pass(eps, mode):
     for a, b in [(resumed.grad.z, full.grad.z), (resumed.grad.v, full.grad.v),
                  (resumed.back, full.back)]:
         assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("shifts", [ShiftSet.all_shifts(8),
+                                    ShiftSet(tuple(range(-6, 12, 3)), "zero-padded")],
+                         ids=["circular-8", "zero-padded-12"])
+def test_one_row_gradient_equals_the_stack_row(shifts):
+    # an int row with 1-d windows and back (the engine's step) reduces to the
+    # values of the (1, d) stack [r]; equal nonzero floats have equal bits, and
+    # only the sign of an exact zero may differ (an axis-0 sum gives +0)
+    d = 8 if shifts.mode == "circular" else 12
+    prob = synthesize_problem(d, shifts=shifts, seed=26, epsilon=1e-3, alpha=0.1,
+                              beta=0.2)
+    z, v = np_pair(d, 27)
+    ev = _evaluate(prob, z, v)
+    for r in range(prob.n_regions):
+        for weight in (None, 1.0 / float(prob.p[r])):
+            stacked = None if weight is None else np.array([weight])
+            for tikhonov in (0.0, 1.0):
+                one = _gradient(prob, z, v, ev.windows[r], ev.back[r], r, weight,
+                                tikhonov)
+                stack = _gradient(prob, z, v, ev.windows[[r]], ev.back[[r]], [r],
+                                  stacked, tikhonov)
+                assert one.z.shape == one.v.shape == (d,)
+                assert np.array_equal(one.z, stack.z)
+                assert np.array_equal(one.v, stack.v)
 
 
 # ---------------------------------------------------------------------------

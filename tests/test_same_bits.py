@@ -17,11 +17,12 @@ def test_same_bits_smoke():
     assert proc.returncode == 0, proc.stderr
     digests = json.loads(proc.stdout)
     assert list(digests) == sorted(digests)
-    # 2 shapes x 3 seeds x (problem + 7 solvers x 4 outputs), and 3 verify runs;
+    # 3 shapes x 3 seeds x (problem + 7 solvers x 4 outputs), and 3 verify runs;
     # sgd-epie is rejected at K = 4, one error digest instead of four
-    assert len(digests) == 2 * 3 * (1 + 7 * 4) + 3 - 3 * (4 - 1)
+    assert len(digests) == 3 * 3 * (1 + 7 * 4) + 3 - 3 * (4 - 1)
     assert "sparse-d100-padded/seed0/sgd-epie/error" in digests
     assert "small-d8/seed0/sgd-epie/error" not in digests
+    assert "sparse-d100-padded-k1/seed0/sgd-epie/trace" in digests
     assert all(re.fullmatch("[0-9a-f]{64}", value) for value in digests.values())
     empty = hashlib.sha256(b"").hexdigest()
     assert digests["small-d8/seed0/gd/interval_steps"] == empty

@@ -513,19 +513,25 @@ def test_epie_zero_iterate_aborts(algo):
 
 
 def test_epie_matches_sgd_with_mapped_steps():
-    prob = synthesize_problem(8, seed=31, epsilon=0.0, alpha=0.0, beta=0.0)
-    z0, v0 = np_pair(8, 32)
+    # on a circular family with uniform p and a zero-padded one with ramped p
+    padded = ShiftSet(tuple(range(-6, 12, 3)), "zero-padded")
+    ramp = np.linspace(1.0, 3.0, len(padded))
+    problems = [(8, synthesize_problem(8, seed=31, epsilon=0.0, alpha=0.0, beta=0.0)),
+                (12, synthesize_problem(12, shifts=padded, seed=33, epsilon=0.0,
+                                        alpha=0.0, beta=0.0, p=ramp / ramp.sum()))]
     kwargs = dict(max_iters=300, seed=4, epie_alpha=0.4, epie_beta=0.6)
-    res_e = run(prob, z0, v0, SolverConfig(algorithm="epie", **kwargs),
-                record_iterates=True)
-    res_s = run(prob, z0, v0, SolverConfig(algorithm="sgd",
-                                           sgd_step_rule="epie_scaled",
-                                           **kwargs), record_iterates=True)
-    assert len(res_e.iterates) == len(res_s.iterates) == 301
-    for (za, va), (zb, vb) in zip(res_e.iterates, res_s.iterates):
-        assert np.array_equal(za, zb) and np.array_equal(va, vb)
-    assert [(r.J, r.mu_t, r.nu_t) for r in res_e.trace] == \
-        [(r.J, r.mu_t, r.nu_t) for r in res_s.trace]
+    for d, prob in problems:
+        z0, v0 = np_pair(d, 32)
+        res_e = run(prob, z0, v0, SolverConfig(algorithm="epie", **kwargs),
+                    record_iterates=True)
+        res_s = run(prob, z0, v0, SolverConfig(algorithm="sgd",
+                                               sgd_step_rule="epie_scaled",
+                                               **kwargs), record_iterates=True)
+        assert len(res_e.iterates) == len(res_s.iterates) == 301
+        for (za, va), (zb, vb) in zip(res_e.iterates, res_s.iterates):
+            assert np.array_equal(za, zb) and np.array_equal(va, vb)
+        assert [(r.J, r.mu_t, r.nu_t) for r in res_e.trace] == \
+            [(r.J, r.mu_t, r.nu_t) for r in res_s.trace]
 
 
 def _projection_step(problem, z, v, row, a, b):

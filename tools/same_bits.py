@@ -7,7 +7,9 @@ imports ``blindptycho`` from ``<tree>/src`` and prints one JSON object with
 sorted keys.  Two trees compute the same numbers when their outputs are
 equal, e.g. ``diff <(python tools/same_bits.py old) <(python tools/same_bits.py .)``.
 
-Shapes are perfbench's ``small-d8`` and ``sparse-d100-padded`` at seeds 0-2,
+Shapes are perfbench's ``small-d8`` and ``sparse-d100-padded``, and
+``sparse-d100-padded-k1``, the sparse shape at batch size 1 (so sgd's one-row
+path and ``epie_scaled`` steps run on a zero-padded family), at seeds 0-2,
 with perfbench's starting pairs ``initial_guess(d, 1_000_000 + s, init_scale)``
 and solver seeds.  Per shape and seed it hashes the problem-JSON bytes and,
 for gd, sgd, sgd with ``epie_scaled`` steps, epie with the iid and the
@@ -38,6 +40,8 @@ SHAPES = {
     "small-d8": (8, "circular", None, ("none",), False, 1, 4.0),
     "sparse-d100-padded": (100, "zero-padded", tuple(range(-60, 100, 4)),
                            ("gaussian", 1.0), True, 4, 2.0),
+    "sparse-d100-padded-k1": (100, "zero-padded", tuple(range(-60, 100, 4)),
+                              ("gaussian", 1.0), True, 1, 2.0),
 }
 # label -> SolverConfig keywords
 SOLVERS = {"gd": {"algorithm": "gd"}, "sgd": {"algorithm": "sgd"},
