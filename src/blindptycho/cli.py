@@ -65,6 +65,10 @@ _RUN_HELP = {
             "same seed starts at its ground truth at --init-scale 1",
     "grad_tol": "stop at the first iterate whose joint gradient norm is at "
                 "most this, with a closing row (0: off)",
+    "theta": "exponent in (0, 1) of bounded sgd's step rule; at the default "
+             "0.5 (kappa 0.2) its certified steps are tiny: at d = 8, 20 000 "
+             "iterations move J by about 0.2 %% (J_T/J_0 0.9977-0.9996 over ten "
+             "seeds); --sgd-step-rule epie_scaled is the practical path",
     **dict.fromkeys(("mu", "nu"), "factor in (0, 1] on gd's and bounded sgd's step"),
 }
 

@@ -16,14 +16,17 @@ takes one vector and ``unshift_sum`` one row per offset, or a single 1-d
 row that stands for the same row under every offset (or, with an int
 ``select``, under that one offset).
 
-The transforms are numpy's FFT (``np.fft``) along the last axis, for any d;
-``dft_direct`` is the O(d^2) summation kept as an independent oracle.  Row i
-of a batched transform equals the transform of row i alone, bit for bit,
+The transforms are numpy's FFT along the last axis, for any d.  ``dft``,
+``dft_adjoint`` and ``idft`` call the pocketfft gufuncs behind ``np.fft.fft``
+and ``np.fft.ifft`` (``numpy.fft._pocketfft_umath``, numpy >= 2.0) with the
+factor ``np.fft`` would pass (1; 1 for ``norm="forward"``; 1/d), so they give
+``np.fft``'s bits without its Python layer, a fixed cost per call as large
+as the transform itself at d = 8.  They keep the one check the kernels lack:
+a missing or empty last axis raises ``ValueError``.  Each writes into a
+fresh buffer of the input's shape, so the result never aliases the input.
+``dft_direct`` is the O(d^2) summation kept as an independent oracle.  Row
+i of a batched transform equals the transform of row i alone, bit for bit,
 which the solvers rely on when they reuse rows of the objective's stacks.
-``dft`` and ``dft_adjoint`` hand ``np.fft`` a fresh output buffer of the
-input's shape (``out=``, numpy >= 2.0), which skips numpy's own allocation
-path, a fixed cost that dominates a small transform; the result never
-aliases the input.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.fft import _pocketfft_umath as _pocketfft
 
 from .rng import _count
 
@@ -43,10 +47,18 @@ MODES = (CIRCULAR, ZERO_PADDED)
 # ---------------------------------------------------------------------------
 # transforms
 
+def _as_rows(x) -> np.ndarray:
+    """``x`` as complex128, with a last axis of length at least 1."""
+    x = np.asarray(x, dtype=np.complex128)
+    if x.ndim == 0 or x.shape[-1] == 0:
+        raise ValueError(f"a transform needs a nonempty last axis: shape {x.shape}")
+    return x
+
+
 def dft(x: np.ndarray) -> np.ndarray:
     """Forward transform along the last axis, into a new array."""
-    x = np.asarray(x, dtype=np.complex128)
-    return np.fft.fft(x, out=np.empty_like(x))
+    x = _as_rows(x)
+    return _pocketfft.fft(x, 1, out=np.empty_like(x))
 
 
 def dft_direct(x: np.ndarray) -> np.ndarray:
@@ -68,14 +80,15 @@ def _direct_matrix(d: int) -> np.ndarray:
 
 def idft(X: np.ndarray) -> np.ndarray:
     """Inverse transform: (1/d) times the conjugate-transpose transform."""
-    return np.fft.ifft(np.asarray(X, dtype=np.complex128))
+    X = _as_rows(X)
+    return _pocketfft.ifft(X, 1.0 / X.shape[-1], out=np.empty_like(X))
 
 
 def dft_adjoint(X: np.ndarray) -> np.ndarray:
     """Conjugate-transpose transform F^* X along the last axis: d idft(X),
     into a new array."""
-    X = np.asarray(X, dtype=np.complex128)
-    return np.fft.ifft(X, norm="forward", out=np.empty_like(X))
+    X = _as_rows(X)
+    return _pocketfft.ifft(X, 1, out=np.empty_like(X))
 
 
 # ---------------------------------------------------------------------------

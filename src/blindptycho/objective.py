@@ -146,7 +146,7 @@ def _residual_back(target, amp, spectrum, epsilon: float) -> np.ndarray:
     if epsilon > 0:
         ratio = target / amp
     else:
-        ratio = np.divide(target, amp, out=np.zeros_like(amp), where=amp > _TINY)
+        ratio = np.divide(target, amp, out=np.zeros(amp.shape), where=amp > _TINY)
     return dft_adjoint((1.0 - ratio) * spectrum)
 
 
@@ -273,11 +273,14 @@ def _partial_lipschitz(problem: Problem, z, v, object_step: float | None = None,
                        window_step: float | None = None) -> tuple[float, float]:
     """``partial_lipschitz`` of complex128 vectors of length d, computing
     only the constant not given: each is one gather (or scatter), one
-    reduction and one max."""
+    reduction and one max, called as ufunc reductions (``np.add.reduce``,
+    ``np.maximum.reduce``) without the ``.sum``/``.max`` method layer."""
     if object_step is None:
-        win_energy = shift_stack(np.abs(v) ** 2, problem.shifts).sum(axis=0)
-        object_step = problem.d * float(win_energy.max()) + problem.alpha
+        win_energy = np.add.reduce(shift_stack(np.abs(v) ** 2, problem.shifts), 0)
+        peak = float(np.maximum.reduce(win_energy, None))
+        object_step = problem.d * peak + problem.alpha
     if window_step is None:
         obj_energy = unshift_sum(np.abs(z) ** 2, problem.shifts)
-        window_step = problem.d * float(obj_energy.max()) + problem.beta
+        peak = float(np.maximum.reduce(obj_energy, None))
+        window_step = problem.d * peak + problem.beta
     return object_step, window_step

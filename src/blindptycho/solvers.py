@@ -348,7 +348,8 @@ def sgd_max_step(problem: Problem, z, v, t: int, theta: float,
 def _epie_steps(problem: Problem, config: SolverConfig, z, v, t, row):
     """The engine's sgd steps alpha p_r / (d ||v||_inf^2), beta p_r / (d ||z||_inf^2)
     for region ``row``."""
-    linf_v, linf_z = float(np.abs(v).max()), float(np.abs(z).max())
+    linf_v = float(np.maximum.reduce(np.abs(v), None))
+    linf_z = float(np.maximum.reduce(np.abs(z), None))
     if linf_v == 0.0 or linf_z == 0.0:
         raise DivergenceError(f"epie step undefined at iteration {t}: zero iterate")
     share = float(problem.p[row])

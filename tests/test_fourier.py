@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from blindptycho import (ShiftSet, dft, dft_direct, idft, q_apply, shift,
                          shift_stack)
-from blindptycho.fourier import MODES, dft_adjoint, unshift_sum
+from blindptycho.fourier import MODES, _pocketfft, dft_adjoint, unshift_sum
 
 from conftest import np_pair
 
@@ -35,11 +35,13 @@ def test_parseval_roundtrip_and_oracle(d):
 
 def test_dft_batched_rows_match_single():
     # bit for bit: the solvers take single-region spectra and residuals
-    # from rows of the objective's batched transforms
+    # from rows of the objective's batched transforms, and a (G, R, d)
+    # stack of G members' rows transforms member by member alike
     rng = np.random.default_rng(0)
     for d in (8, 16, 100, 256):
         for n in (1, 4, 40):
             block = rng.normal(size=(n, d)) + 1j * rng.normal(size=(n, d))
+            stack = rng.normal(size=(3, n, d)) + 1j * rng.normal(size=(3, n, d))
             for transform in (dft, idft, dft_adjoint):
                 batched = transform(block)
                 for i in range(n):
@@ -47,9 +49,51 @@ def test_dft_batched_rows_match_single():
                 if n == 40:               # a gather with a repeated row
                     pick = [2, 2, 5]
                     assert np.array_equal(transform(block[pick]), batched[pick])
+                members = transform(stack)
+                for g in range(len(stack)):
+                    assert np.array_equal(members[g], transform(stack[g]))
+                    assert np.array_equal(members[g, -1], transform(stack[g, -1]))
 
 
-@pytest.mark.parametrize("transform", [dft, dft_adjoint])
+# np.fft's public functions, each with the norm its kernel call stands for
+_NP_FFT = {dft: np.fft.fft,
+           dft_adjoint: lambda x: np.fft.ifft(x, norm="forward"),
+           idft: np.fft.ifft}
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 7, 8, 16, 97, 100, 128, 256, 1024])
+def test_transforms_equal_np_fft_bytes(d):
+    # the kernels are np.fft's own, called with np.fft's factors, so every
+    # shape and memory layout gives np.fft's bytes
+    rng = np.random.default_rng(d)
+    wide = rng.normal(size=(5, 2 * d)) + 1j * rng.normal(size=(5, 2 * d))
+    block = wide[:, :d].copy()
+    inputs = [block[0], block, np.stack([block, 2 * block]),
+              wide[:, ::2], np.asfortranarray(block), block.real]
+    for transform, reference in _NP_FFT.items():
+        for x in inputs:
+            out = transform(x)
+            assert out.shape == x.shape
+            assert out.tobytes() == reference(x).tobytes()
+
+
+def test_transforms_reject_a_missing_or_empty_last_axis():
+    # np.fft raises ValueError here; numpy's kernel alone would raise
+    # RuntimeError on (0,) and return an empty array for (3, 0)
+    for transform in _NP_FFT:
+        for shape in [(), (0,), (3, 0), (2, 3, 0)]:
+            with pytest.raises(ValueError, match="nonempty last axis"):
+                transform(np.zeros(shape, complex))
+
+
+def test_pocketfft_kernel_signatures():
+    # the transforms call numpy's private pocketfft gufuncs; a numpy release
+    # that changes them fails here, by name
+    assert _pocketfft.fft.signature == "(n),()->(m)"
+    assert _pocketfft.ifft.signature == "(m),()->(n)"
+
+
+@pytest.mark.parametrize("transform", [dft, dft_adjoint, idft])
 def test_transforms_return_fresh_arrays(transform):
     # the output buffer is new: writable, and never the input itself
     rng = np.random.default_rng(3)
