@@ -84,49 +84,6 @@ def add_noise(measurements: MeasurementSet, model: NoiseModel, rng: Rng) -> Meas
     return MeasurementSet(out.reshape(values.shape), measurements.shifts)
 
 
-# Problem's checks, one field each: problem_from_json runs them again, under
-# the key of the file field each one reads, to name the field it rejects.
-
-def _smoothing(epsilon) -> None:
-    if epsilon < 0 or not np.isfinite(epsilon):
-        raise ValueError("epsilon must be finite and >= 0")
-
-
-def _tikhonov(weight) -> None:
-    if not 0 <= weight < np.inf:
-        raise ValueError("alpha and beta must be finite and >= 0")
-
-
-def _family(shifts: ShiftSet, d: int) -> ShiftSet:
-    offsets = shifts.offsets
-    if any(b <= a for a, b in zip(offsets, offsets[1:])):
-        raise ValueError("offsets must be strictly ascending")
-    shifts.validate_for_dim(d)
-    return shifts
-
-
-def _distribution(p, n: int) -> np.ndarray:
-    p = np.array(p, dtype=np.float64)
-    if p.shape != (n,):
-        raise ValueError("p must have one entry per shift")
-    if not np.all((p > 0) & np.isfinite(p)):
-        raise ValueError("p entries must be finite and strictly positive")
-    if abs(p.sum() - 1.0) > 1e-12:
-        raise ValueError("p must sum to 1 within 1e-12")
-    p.setflags(write=False)
-    return p
-
-
-def _truth_vector(a, d: int) -> np.ndarray:
-    a = np.array(a, dtype=np.complex128)
-    if a.shape != (d,):
-        raise ValueError("truth vectors must have length d")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("truth vectors must be finite")
-    a.setflags(write=False)
-    return a
-
-
 @dataclass(frozen=True)
 class Problem:
     """Immutable reconstruction instance.
@@ -136,7 +93,10 @@ class Problem:
     loss, Tikhonov weights ``alpha`` (object) and ``beta`` (window), region
     sampling distribution ``p`` aligned with the offset list, and the
     stochastic batch size.  ``truth`` optionally carries the generating
-    (object, window) pair.
+    (object, window) pair.  Each field is checked once, when built; the
+    ValueError of a rejected value carries the name of the field it read
+    as ``field`` (``y`` for d, ``x`` and ``w`` for the truth), which
+    ``problem_from_json`` reports under the file's key.
     """
 
     y: np.ndarray
@@ -150,18 +110,47 @@ class Problem:
     d: int = field(init=False)
 
     def __post_init__(self):
-        y = MeasurementSet(self.y, self.shifts).values
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "d", y.shape[1])
-        _require_integers(self, d=1, batch_size=1)
-        _smoothing(self.epsilon)
-        _tikhonov(self.alpha)
-        _tikhonov(self.beta)
-        _family(self.shifts, self.d)
-        object.__setattr__(self, "p", _distribution(self.p, len(self.shifts)))
-        if self.truth is not None:
-            object.__setattr__(self, "truth",
-                               tuple(_truth_vector(a, self.d) for a in self.truth))
+        key = "y"
+        try:
+            y = MeasurementSet(self.y, self.shifts).values
+            object.__setattr__(self, "y", y)
+            object.__setattr__(self, "d", _count(y.shape[1], "d", 1))
+            key = "batch_size"
+            _require_integers(self, batch_size=1)
+            key = "epsilon"
+            if self.epsilon < 0 or not np.isfinite(self.epsilon):
+                raise ValueError("epsilon must be finite and >= 0")
+            for key in ("alpha", "beta"):
+                if not 0 <= getattr(self, key) < np.inf:
+                    raise ValueError("alpha and beta must be finite and >= 0")
+            key = "shifts"
+            if any(b <= a for a, b in zip(self.offsets, self.offsets[1:])):
+                raise ValueError("offsets must be strictly ascending")
+            self.shifts.validate_for_dim(self.d)
+            key = "p"
+            p = np.array(self.p, dtype=np.float64)
+            if p.shape != (len(self.shifts),):
+                raise ValueError("p must have one entry per shift")
+            if not np.all((p > 0) & np.isfinite(p)):
+                raise ValueError("p entries must be finite and strictly positive")
+            if abs(p.sum() - 1.0) > 1e-12:
+                raise ValueError("p must sum to 1 within 1e-12")
+            p.setflags(write=False)
+            object.__setattr__(self, "p", p)
+            if self.truth is not None:
+                truth = []
+                for key, a in zip(("x", "w"), self.truth):
+                    a = np.array(a, dtype=np.complex128)
+                    if a.shape != (self.d,):
+                        raise ValueError("truth vectors must have length d")
+                    if not np.all(np.isfinite(a)):
+                        raise ValueError("truth vectors must be finite")
+                    a.setflags(write=False)
+                    truth.append(a)
+                object.__setattr__(self, "truth", tuple(truth))
+        except ValueError as exc:
+            exc.field = key
+            raise
 
     @property
     def offsets(self) -> tuple[int, ...]:
@@ -298,6 +287,8 @@ _FIELDS = {"d": lambda v: _count(v, "d", 1), "mode": _mode, "offsets": _offsets,
            "epsilon": _number, "alpha_T": _number, "beta_T": _number,
            "p": lambda v: _floats(v, 1), "K": lambda v: _count(v, "K", 1),
            "y": lambda v: _floats(v, 2), "x": _complex_pairs, "w": _complex_pairs}
+# Problem field -> document key, where they differ
+_FILE_KEYS = {"alpha": "alpha_T", "beta": "beta_T", "shifts": "offsets"}
 
 
 @contextmanager
@@ -314,7 +305,8 @@ def problem_from_json(text: str) -> Problem:
     or shape, a ``d`` other than y's column count, or any value ``Problem``
     rejects (offsets that do not form an ascending shift family of dimension
     d, a y row per offset, epsilon, the weights, p, x and w), raises
-    ValueError naming its field."""
+    ValueError naming its field: ``Problem`` checks the values once and tags
+    the field it rejects."""
     data = json.loads(text)
     if not isinstance(data, dict):
         raise ValueError("problem document must be a JSON object")
@@ -330,24 +322,15 @@ def problem_from_json(text: str) -> Problem:
         if d != y.shape[1]:
             raise ValueError(f"d must equal the column count of y ({y.shape[1]}): {d}")
     with _field("offsets"):
-        shifts = _family(ShiftSet(values["offsets"], values["mode"]), d)
+        shifts = ShiftSet(values["offsets"], values["mode"])
     try:
         return Problem(y=y, shifts=shifts, epsilon=values["epsilon"],
                        alpha=values["alpha_T"], beta=values["beta_T"], p=values["p"],
                        batch_size=values["K"],
                        truth=(values["x"], values["w"]) if "x" in values else None)
-    except ValueError:
-        # Name the field: run Problem's checks again, each under the key of
-        # the value it reads (only on failure, so a valid file is checked once).
-        checks = {"y": lambda a: MeasurementSet(a, shifts), "epsilon": _smoothing,
-                  "alpha_T": _tikhonov, "beta_T": _tikhonov,
-                  "p": lambda a: _distribution(a, len(shifts)),
-                  "x": lambda a: _truth_vector(a, d), "w": lambda a: _truth_vector(a, d)}
-        for key, check in checks.items():
-            if key in values:
-                with _field(key):
-                    check(values[key])
-        raise
+    except ValueError as exc:
+        key = _FILE_KEYS.get(exc.field, exc.field)
+        raise ValueError(f"problem field {key!r}: {exc}") from None
 
 
 def save_problem(path, problem: Problem) -> None:

@@ -132,7 +132,10 @@ class SolverConfig:
         _require_integers(self, max_iters=0, seed=None, gamma_grid=2)
         for name in ("grad_tol", "theta", "kappa", "mu", "nu", "epie_alpha",
                      "epie_beta"):
-            if not np.isfinite(getattr(self, name)):
+            value = getattr(self, name)
+            if isinstance(value, (bool, np.bool_)):
+                raise ValueError(f"{name} must be a number: {value!r}")
+            if not np.isfinite(value):
                 raise ValueError(f"{name} must be finite")
         if self.grad_tol < 0:
             raise ValueError("grad_tol must be >= 0")

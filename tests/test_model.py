@@ -220,6 +220,27 @@ def test_problem_validation_messages():
                     beta=0.0, p=np.full(4, 0.25), batch_size=1, truth=bad)
 
 
+@pytest.mark.parametrize("field,change,message", [
+    ("y", {"y": -_PROB.y}, "values must be nonnegative"),
+    ("y", {"y": np.zeros((4, 0))}, "d must be >= 1: 0"),
+    ("batch_size", {"batch_size": 0}, "batch_size must be >= 1: 0"),
+    ("epsilon", {"epsilon": -1.0}, "epsilon must be finite and >= 0"),
+    ("alpha", {"alpha": -1.0}, "alpha and beta must be finite and >= 0"),
+    ("beta", {"beta": np.nan}, "alpha and beta must be finite and >= 0"),
+    ("shifts", {"shifts": ShiftSet((3, 2, 1, 0))}, "offsets must be strictly ascending"),
+    ("p", {"p": np.full(4, 0.5)}, "p must sum to 1 within 1e-12"),
+    ("x", {"truth": (np.ones(3), np.ones(4))}, "truth vectors must have length d"),
+    ("w", {"truth": (np.ones(4), np.full(4, np.inf))}, "truth vectors must be finite"),
+])
+def test_problem_tags_the_field_it_rejects(field, change, message):
+    # a plain ValueError with the check's own text, tagged with the field read
+    args = dict(y=_PROB.y, shifts=_PROB.shifts, epsilon=0.0, alpha=0.0, beta=0.0, p=_P)
+    with pytest.raises(ValueError, match=re.escape(message)) as info:
+        Problem(**{**args, **change})
+    assert type(info.value) is ValueError
+    assert str(info.value) == message and info.value.field == field
+
+
 def test_problem_reads_d_from_y():
     prob = synthesize_problem(4, seed=0)
     assert prob.d == prob.y.shape[1] == 4
@@ -292,6 +313,13 @@ def test_json_integer_fields_not_truncated():
     ("epsilon", -1.0, "epsilon must be finite and >= 0"),
     ("x", [[1.0, 0.0]] * 3, "truth vectors must have length d"),
     ("offsets", [3, 2, 1, 0], "offsets must be strictly ascending"),
+    ("alpha_T", -1.0, "alpha and beta must be finite and >= 0"),
+    ("beta_T", float("inf"), "alpha and beta must be finite and >= 0"),
+    ("y", [[1.0] * 4] * 3 + [[1.0, 1.0, 1.0, -1.0]], "values must be nonnegative"),
+    ("p", [0.5] * 4, "p must sum to 1 within 1e-12"),
+    ("w", [[1.0, 0.0]] * 3, "truth vectors must have length d"),
+    ("w", [[1.0, 0.0]] * 3 + [[float("nan"), 0.0]], "truth vectors must be finite"),
+    ("x", [[1.0, 0.0, 0.0]] * 4, "expected a list of [re, im] pairs"),
 ])
 def test_json_number_fields_take_json_numbers_only(key, value, message):
     # json booleans and numeric strings are not numbers, inside arrays too,

@@ -17,9 +17,11 @@ def test_same_bits_smoke():
     assert proc.returncode == 0, proc.stderr
     digests = json.loads(proc.stdout)
     assert list(digests) == sorted(digests)
-    # 3 shapes x 3 seeds x (problem + 7 solvers x 4 outputs), and 3 verify runs;
-    # sgd-epie is rejected at K = 4, one error digest instead of four
-    assert len(digests) == 3 * 3 * (1 + 7 * 4) + 3 - 3 * (4 - 1)
+    # 3 shapes x 3 seeds x (problem + 7 solvers x 4 outputs), 3 verify runs and
+    # the problem-file error texts; sgd-epie is rejected at K = 4, one error
+    # digest instead of four
+    assert len(digests) == 3 * 3 * (1 + 7 * 4) + 3 + 1 - 3 * (4 - 1)
+    assert "errors/problem_json" in digests
     assert "sparse-d100-padded/seed0/sgd-epie/error" in digests
     assert "small-d8/seed0/sgd-epie/error" not in digests
     assert "sparse-d100-padded-k1/seed0/sgd-epie/trace" in digests

@@ -104,7 +104,7 @@ def test_gd_update_rule_matches_trace():
             assert np.array_equal(v, vt)
 
 
-def test_gd_cap_mode_scales_steps_and_still_descends():
+def test_gd_step_factors_scale_steps_and_still_descend():
     prob = synthesize_problem(8, seed=10)
     z0, v0 = np_pair(8, 90)
     rate = run(prob, z0, v0, SolverConfig(algorithm="gd", max_iters=50))
@@ -366,10 +366,8 @@ def test_sgd_step_is_public_stochastic_gradient(mode, d, k, rule):
             z, v = res.iterates[t]
             g = stochastic_gradient(prob, z, v, sample_indices(prob, k, rng))
             z_next, v_next = res.iterates[t + 1]
-            assert np.max(np.abs(z_next - (z - row.mu_t * g.z))) \
-                <= 1e-13 * row.mu_t * np.max(np.abs(g.z))
-            assert np.max(np.abs(v_next - (v - row.nu_t * g.v))) \
-                <= 1e-13 * row.nu_t * np.max(np.abs(g.v))
+            assert np.array_equal(z_next, z - row.mu_t * g.z)
+            assert np.array_equal(v_next, v - row.nu_t * g.v)
             if rule == "bounded":
                 m = sgd_max_step(prob, z, v, t, cfg.theta, cfg.kappa)
                 assert (row.mu_t, row.nu_t) == (cfg.mu * m, cfg.nu * m)
@@ -421,6 +419,17 @@ def test_sgd_config_validation():
                 SolverConfig(algorithm=algo, **{name: value})
         kept = getattr(SolverConfig(algorithm=algo, **{name: 2.0}), name)
         assert kept == 2 and type(kept) is int
+
+
+@pytest.mark.parametrize("name", ["grad_tol", "theta", "kappa", "mu", "nu",
+                                  "epie_alpha", "epie_beta"])
+def test_real_settings_reject_a_bool(name):
+    # a bool is not a number, as it is not a count: not even True for mu = 1
+    for value in (True, False):
+        with pytest.raises(ValueError, match=re.escape(f"{name} must be a number: {value}")):
+            SolverConfig(**{name: value})
+    with pytest.raises(ValueError, match=f"{name} must be a number: "):
+        SolverConfig(**{name: np.True_})
 
 
 def test_solver_config_checked_when_built_and_frozen():

@@ -17,7 +17,9 @@ shuffled schedule and interval at ``gamma_grid`` 2 and 5 (200 iterations
 each), the trace rows without ``wall_ns``, the final pair, the
 ``IntervalStep`` records and the summary JSON with ``wall_ns`` set to 0; a
 run the solver rejects (``epie_scaled`` at K > 1) gets one ``error`` digest
-of its message instead.  It also hashes the ``verify`` JSON of every suite.
+of its message instead.  It also hashes the ``verify`` JSON of every suite,
+and as ``errors/problem_json`` the error texts ``problem_from_json`` gives
+for a fixed list of malformed problem documents.
 Only public names that have been stable across releases are used, so older
 trees run it too.
 """
@@ -51,6 +53,27 @@ SOLVERS = {"gd": {"algorithm": "gd"}, "sgd": {"algorithm": "sgd"},
            "interval-g2": {"algorithm": "interval", "gamma_grid": 2},
            "interval-g5": {"algorithm": "interval", "gamma_grid": 5}}
 
+NAN, INF = float("nan"), float("inf")
+# (key, value) put into a valid d = 4 problem document, one fault each
+BAD_FIELDS = [
+    ("d", True), ("d", 0), ("d", 4.7), ("d", 5),
+    ("mode", 1), ("mode", "bogus"),
+    ("offsets", 5), ("offsets", []), ("offsets", [False, True, 2, 3]),
+    ("offsets", [0, 1.6, 2, 3]), ("offsets", [0, 0, 1, 2]), ("offsets", [0, 1, 2, 4]),
+    ("offsets", [3, 2, 1, 0]),
+    ("epsilon", "1e-8"), ("epsilon", None), ("epsilon", -1.0), ("epsilon", NAN),
+    ("alpha_T", True), ("alpha_T", -1.0), ("beta_T", INF),
+    ("p", ["0.25"] * 4), ("p", [0.25, 0.25, 0.25, True]), ("p", [[0.25] * 4]),
+    ("p", 0.5), ("p", [0.5, 0.5]), ("p", [0.5] * 4), ("p", [0.5, 0.5, 0.0, 0.0]),
+    ("K", True), ("K", 0), ("K", 1.5), ("K", INF),
+    ("y", [["1"] * 4] * 4), ("y", [[1.0] * 4] * 3 + [[1.0, 1.0, 1.0, False]]),
+    ("y", []), ("y", 5), ("y", [[1, 2], 3]), ("y", [[1.0] * 4] * 3 + [[1.0] * 3]),
+    ("y", [[1.0] * 4] * 3), ("y", [[1.0] * 4] * 3 + [[1.0, 1.0, 1.0, -1.0]]),
+    ("y", [[1.0] * 4] * 3 + [[1.0, 1.0, 1.0, INF]]),
+    ("x", [[True, 0.0]] * 4), ("x", [[1.0, 0.0]] * 3), ("x", [[1.0, 0.0, 0.0]] * 4),
+    ("w", [[1.0, 0.0]] * 3), ("w", [[1.0, 0.0]] * 3 + [[NAN, 0.0]]),
+]
+
 
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -58,6 +81,22 @@ def _sha(data: bytes) -> str:
 
 def _floats(rows) -> bytes:
     return np.asarray(rows, dtype=np.float64).tobytes()
+
+
+def problem_json_errors(bp) -> list[str]:
+    """The error text of each malformed document, or ``accepted``."""
+    doc = json.loads(bp.problem_to_json(bp.synthesize_problem(4, seed=2)))
+    texts = [json.dumps({**doc, key: value}) for key, value in BAD_FIELDS]
+    texts += ["[1, 2]", json.dumps({k: v for k, v in doc.items() if k != "w"})]
+    out = []
+    for text in texts:
+        try:
+            bp.problem_from_json(text)
+        except ValueError as exc:
+            out.append(str(exc))
+        else:
+            out.append("accepted")
+    return out
 
 
 def digests(bp) -> dict[str, str]:
@@ -96,6 +135,7 @@ def digests(bp) -> dict[str, str]:
     for seed in SEEDS:
         reports = bp.run_suite(bp.verify.SUITES, seed=seed, samples=10)
         out[f"verify/seed{seed}"] = _sha(bp.reports_to_json(reports).encode())
+    out["errors/problem_json"] = _sha("\n".join(problem_json_errors(bp)).encode())
     return out
 
 
