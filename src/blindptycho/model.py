@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .fourier import CIRCULAR, MODES, ShiftSet, dft, shift_stack
-from .rng import Rng, _count, _integral
+from .rng import Rng, _count, _integral, _real
 
 NOISE_KINDS = ("none", "poisson", "gaussian")
 
@@ -93,10 +93,11 @@ class Problem:
     loss, Tikhonov weights ``alpha`` (object) and ``beta`` (window), region
     sampling distribution ``p`` aligned with the offset list, and the
     stochastic batch size.  ``truth`` optionally carries the generating
-    (object, window) pair.  Each field is checked once, when built; the
-    ValueError of a rejected value carries the name of the field it read
-    as ``field`` (``y`` for d, ``x`` and ``w`` for the truth), which
-    ``problem_from_json`` reports under the file's key.
+    (object, window) pair.  Each field is checked once, when built, and
+    the reals are stored as floats; the ValueError of a rejected value
+    carries the name of the field it read as ``field`` (``y`` for d,
+    ``truth`` for a truth that is not a pair, ``x`` and ``w`` for its
+    vectors), which ``problem_from_json`` reports under the file's key.
     """
 
     y: np.ndarray
@@ -117,12 +118,12 @@ class Problem:
             object.__setattr__(self, "d", _count(y.shape[1], "d", 1))
             key = "batch_size"
             _require_integers(self, batch_size=1)
-            key = "epsilon"
-            if self.epsilon < 0 or not np.isfinite(self.epsilon):
-                raise ValueError("epsilon must be finite and >= 0")
-            for key in ("alpha", "beta"):
-                if not 0 <= getattr(self, key) < np.inf:
-                    raise ValueError("alpha and beta must be finite and >= 0")
+            for key in ("epsilon", "alpha", "beta"):
+                value = _real(getattr(self, key), key)
+                if not 0 <= value < np.inf:
+                    raise ValueError("epsilon must be finite and >= 0" if key == "epsilon"
+                                     else "alpha and beta must be finite and >= 0")
+                object.__setattr__(self, key, value)
             key = "shifts"
             if any(b <= a for a, b in zip(self.offsets, self.offsets[1:])):
                 raise ValueError("offsets must be strictly ascending")
@@ -138,6 +139,9 @@ class Problem:
             p.setflags(write=False)
             object.__setattr__(self, "p", p)
             if self.truth is not None:
+                key = "truth"
+                if not isinstance(self.truth, (tuple, list)) or len(self.truth) != 2:
+                    raise ValueError("truth must be an (object, window) pair")
                 truth = []
                 for key, a in zip(("x", "w"), self.truth):
                     a = np.array(a, dtype=np.complex128)

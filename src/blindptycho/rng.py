@@ -32,7 +32,7 @@ callers.
 from __future__ import annotations
 
 import math
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -62,6 +62,15 @@ def _count(value, name: str, least: int | None = None) -> int:
     if least is not None and value < least:
         raise ValueError(f"{name} must be >= {least}: {value}")
     return value
+
+
+def _real(value, name: str) -> float:
+    """``value`` as a float, the one check of every real setting: a value
+    that is not a real number (a bool is not one) raises
+    ``"{name} must be a number: {value!r}"``."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, Real):
+        raise ValueError(f"{name} must be a number: {value!r}")
+    return float(value)
 
 
 class Rng:

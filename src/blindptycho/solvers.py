@@ -14,13 +14,13 @@ the iterate, there only, to (z - mu_t g.z, v - nu_t g.v), where ``g`` is
 ``ahead`` is None or the new pair's ``_evaluate(..., grad=False)``, which
 interval hands over (its selected trial): the monitor then runs only the
 kernel's back half.
-The factories ``_gd/_sgd/_epie/_interval(problem, config)`` check the
-problem, build the algorithm's state and return (step, interval_steps or
-None).  ``ev`` is the monitor's evaluation, whose rows the sgd and epie
-steps reuse, and (gz, gv) its gradient norms.  A step raises DivergenceError
-on a degenerate iterate and ``run`` attaches the partial run.  Stochastic
-solvers own a fresh ``Rng(config.seed)``, so runs are bit-reproducible from
-(problem, initial pair, config).
+The factories ``_gd/_sgd/_interval(problem, config)`` check the problem,
+build the algorithm's state and return (step, interval_steps or None);
+``_sgd`` serves sgd and epie.  ``ev`` is the monitor's evaluation, whose
+rows the sgd and epie steps reuse, and (gz, gv) its gradient norms.  A
+step raises DivergenceError on a degenerate iterate and ``run`` attaches
+the partial run.  Stochastic solvers own a fresh ``Rng(config.seed)``, so
+runs are bit-reproducible from (problem, initial pair, config).
 
 A factory computes once per run what depends only on the problem and the
 config: the step rules ``_gd_rule``/``_sgd_rule`` with their constants
@@ -44,14 +44,16 @@ Step-size policies:
   These steps certify convergence but barely move J; the practical
   stochastic path is ``sgd_step_rule="epie_scaled"`` (the engine's steps).
   The sampled gradient reduces the K drawn rows of the monitor; at K = 1
-  the factory picks the kernel's one-row form once (an int row, 1-d views,
-  a float weight), which gives the stack form's values.
+  in the kernel's one-row form (an int row, 1-d views, a float weight),
+  which gives the stack form's values.
 * epie:      magnitude projection of one region's exit wave followed by the
   decoupling updates with factors alpha_t / ||v||_inf^2, beta_t / ||z||_inf^2.
   That is the importance-weighted sgd step on the eps = 0 residual without
-  Tikhonov terms, mu_t = alpha_t p_r / (d ||v||_inf^2), and it is computed so,
-  in the kernel's one-row form on views of the monitor's row r.
-  With K = 1, eps = 0 and no Tikhonov terms it equals epie_scaled sgd bit for bit.
+  Tikhonov terms, mu_t = alpha_t p_r / (d ||v||_inf^2), so ``_sgd`` runs it
+  as its special case: K = 1 whatever the problem's batch size, the
+  epie_scaled steps, that residual on the monitor's row r, and i.i.d. or
+  (``epie_schedule="shuffled"``) shuffled draws.  With eps = 0 and no
+  Tikhonov terms it equals epie_scaled sgd bit for bit.
 * interval:  minimize J over a gamma grid of the loop's update with
   (mu_t, nu_t) = (gamma / L_obj, (1 - gamma) / L_win), whose ends are the
   single-variable updates of z (gamma = 1) and v (gamma = 0); the selected
@@ -84,7 +86,7 @@ from .objective import (GradientPair, _as_iterate, _Bounds,  # noqa: F401
                         _residual_back, _sq_norm, gradient_region, loss,
                         loss_and_gradient, partial_lipschitz,
                         step_curvature_bound, stochastic_gradient_bounds)
-from .rng import Rng, _count
+from .rng import Rng, _count, _real
 
 ALGORITHMS = ("gd", "sgd", "epie", "interval")
 
@@ -132,11 +134,10 @@ class SolverConfig:
         _require_integers(self, max_iters=0, seed=None, gamma_grid=2)
         for name in ("grad_tol", "theta", "kappa", "mu", "nu", "epie_alpha",
                      "epie_beta"):
-            value = getattr(self, name)
-            if isinstance(value, (bool, np.bool_)):
-                raise ValueError(f"{name} must be a number: {value!r}")
-            if not np.isfinite(value):
+            value = _real(getattr(self, name), name)
+            if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite")
+            object.__setattr__(self, name, value)
         if self.grad_tol < 0:
             raise ValueError("grad_tol must be >= 0")
         if not 0.0 < self.theta < 1.0:
@@ -348,79 +349,59 @@ def sgd_max_step(problem: Problem, z, v, t: int, theta: float,
     return _sgd_rule(problem, theta, kappa)(_sq_norm(z), _sq_norm(v), t)
 
 
-def _epie_steps(problem: Problem, config: SolverConfig, z, v, t, row):
-    """The engine's sgd steps alpha p_r / (d ||v||_inf^2), beta p_r / (d ||z||_inf^2)
-    for region ``row``."""
-    linf_v = float(np.maximum.reduce(np.abs(v), None))
-    linf_z = float(np.maximum.reduce(np.abs(z), None))
-    if linf_v == 0.0 or linf_z == 0.0:
-        raise DivergenceError(f"epie step undefined at iteration {t}: zero iterate")
-    share = float(problem.p[row])
-    return (config.epie_alpha * share / (problem.d * linf_v ** 2),
-            config.epie_beta * share / (problem.d * linf_z ** 2))
-
-
 def _sgd(problem: Problem, config: SolverConfig):
-    if config.sgd_step_rule == "epie_scaled" and problem.batch_size != 1:
+    """sgd, and epie as its special case: K = 1, the engine's ``scaled``
+    steps, its eps = 0 residual without Tikhonov terms and, on request, a
+    ``shuffled`` schedule (bounded sgd's certificate assumes i.i.d. draws,
+    so sgd never shuffles)."""
+    engine = config.algorithm == "epie"
+    k = 1 if engine else problem.batch_size
+    scaled = engine or config.sgd_step_rule == "epie_scaled"
+    if scaled and k != 1:
         raise ValueError("epie_scaled steps require batch_size 1")
+    shuffled = engine and config.epie_schedule == "shuffled"
+    tikhonov = 0.0 if engine else 1.0
+    magnitude = np.sqrt(problem.y) if engine else None
     rng = Rng(config.seed)
     cdf = np.cumsum(problem.p).tolist()
-    k = problem.batch_size
     weights = _importance_weights(problem.p, k)
-    bounded = config.sgd_step_rule == "bounded"
-    rule = _sgd_rule(problem, config.theta, config.kappa)
-
-    # Either form reuses the monitor's rows: no transform of its own.
-    if k == 1:
-        weight = weights.tolist()
-
-        def sampled(z, v, ev):
-            row = _draw_row(cdf, rng)
-            return row, _gradient(problem, z, v, ev.windows[row], ev.back[row],
-                                  row, weight[row])
-    else:
-        def sampled(z, v, ev):
-            rows = _draw_rows(cdf, k, rng)
-            return rows[0], _gradient(problem, z, v, ev.windows.take(rows, 0),
-                                      ev.back.take(rows, 0), rows,
-                                      weights.take(rows))
-
-    def step(z, v, t, ev, gz, gv):
-        row, g = sampled(z, v, ev)
-        if not bounded:
-            return (*_epie_steps(problem, config, z, v, t, row), g, None)
-        m = rule(ev.z_sq, ev.v_sq, t)
-        return config.mu * m, config.nu * m, g, None
-    return step, None
-
-
-# ---------------------------------------------------------------------------
-# ptychographic iterative engine
-
-def _epie(problem: Problem, config: SolverConfig):
-    rng = Rng(config.seed)
-    cdf = np.cumsum(problem.p).tolist()
-    magnitude = np.sqrt(problem.y)
-    weight = _importance_weights(problem.p, 1).tolist()
+    weight, share = weights.tolist(), problem.p.tolist()
+    rule = None if scaled else _sgd_rule(problem, config.theta, config.kappa)
     schedule: list[int] = []
 
+    # Both gradient forms reduce the monitor's rows: no forward transform.
     def step(z, v, t, ev, gz, gv):
-        if config.epie_schedule == "iid":
-            row = _draw_row(cdf, rng)
+        if k > 1:
+            rows = _draw_rows(cdf, k, rng)
+            g = _gradient(problem, z, v, ev.windows.take(rows, 0),
+                          ev.back.take(rows, 0), rows, weights.take(rows))
         else:
-            if not schedule:
-                schedule.extend(range(problem.n_regions))
-                rng.shuffle(schedule)
-            row = schedule.pop()
-        mu_t, nu_t = _epie_steps(problem, config, z, v, t, row)
-        # the projection residual of the monitor's row is the kernel's at
-        # eps = 0, reduced in its one-row form
-        spectrum = ev.spectrum[row]
-        back = _residual_back(magnitude[row], np.sqrt(np.abs(spectrum) ** 2),
-                              spectrum, 0.0)
-        g = _gradient(problem, z, v, ev.windows[row], back, row, weight[row],
-                      tikhonov=0.0)
-        return mu_t, nu_t, g, None
+            if shuffled:
+                if not schedule:
+                    schedule.extend(range(problem.n_regions))
+                    rng.shuffle(schedule)
+                row = schedule.pop()
+            else:
+                row = _draw_row(cdf, rng)
+            if engine:
+                # the projection residual of the row: the kernel's at eps = 0
+                spectrum = ev.spectrum[row]
+                back = _residual_back(magnitude[row], np.sqrt(np.abs(spectrum) ** 2),
+                                      spectrum, 0.0)
+            else:
+                back = ev.back[row]
+            g = _gradient(problem, z, v, ev.windows[row], back, row, weight[row],
+                          tikhonov)
+        if scaled:
+            # alpha p_r / (d ||v||_inf^2), beta p_r / (d ||z||_inf^2)
+            linf_v = float(np.maximum.reduce(np.abs(v), None))
+            linf_z = float(np.maximum.reduce(np.abs(z), None))
+            if linf_v == 0.0 or linf_z == 0.0:
+                raise DivergenceError(f"epie step undefined at iteration {t}: zero iterate")
+            return (config.epie_alpha * share[row] / (problem.d * linf_v ** 2),
+                    config.epie_beta * share[row] / (problem.d * linf_z ** 2), g, None)
+        m = rule(ev.z_sq, ev.v_sq, t)
+        return config.mu * m, config.nu * m, g, None
     return step, None
 
 
@@ -470,7 +451,7 @@ def _interval(problem: Problem, config: SolverConfig):
 
 # ---------------------------------------------------------------------------
 
-_FACTORIES = {"gd": _gd, "sgd": _sgd, "epie": _epie, "interval": _interval}
+_FACTORIES = {"gd": _gd, "sgd": _sgd, "epie": _sgd, "interval": _interval}
 
 
 def trace_to_csv(trace: list[TraceRecord]) -> str:

@@ -231,6 +231,10 @@ def test_problem_validation_messages():
     ("p", {"p": np.full(4, 0.5)}, "p must sum to 1 within 1e-12"),
     ("x", {"truth": (np.ones(3), np.ones(4))}, "truth vectors must have length d"),
     ("w", {"truth": (np.ones(4), np.full(4, np.inf))}, "truth vectors must be finite"),
+    # a truth that is not a pair would write a file the reader rejects, or
+    # be cut to two vectors
+    ("truth", {"truth": (np.ones(4),)}, "truth must be an (object, window) pair"),
+    ("truth", {"truth": (np.ones(4),) * 3}, "truth must be an (object, window) pair"),
 ])
 def test_problem_tags_the_field_it_rejects(field, change, message):
     # a plain ValueError with the check's own text, tagged with the field read

@@ -6,7 +6,7 @@ from dataclasses import FrozenInstanceError, replace
 import numpy as np
 import pytest
 
-from blindptycho import (ALGORITHMS, DivergenceError, NoiseModel, Rng,
+from blindptycho import (ALGORITHMS, DivergenceError, NoiseModel, Problem, Rng,
                          ShiftSet, SolverConfig, gd_step_sizes, gradient,
                          gradient_region, loss_and_gradient, partial_lipschitz,
                          read_trace, run, sample_indices, sgd_max_step,
@@ -432,6 +432,35 @@ def test_real_settings_reject_a_bool(name):
         SolverConfig(**{name: np.True_})
 
 
+_PROBLEM_ARGS = dict(epsilon=0.0, alpha=0.0, beta=0.0)
+
+
+@pytest.mark.parametrize("owner,name", [
+    *[(SolverConfig, name) for name in ("grad_tol", "theta", "kappa", "mu", "nu",
+                                        "epie_alpha", "epie_beta")],
+    *[(Problem, name) for name in _PROBLEM_ARGS]])
+def test_real_settings_reject_non_numbers(owner, name):
+    # one number rule: the same text for every real setting, tagged with the
+    # field by a Problem, and a number stored as a float
+    base = synthesize_problem(4, seed=9)
+
+    def build(value):
+        if owner is SolverConfig:
+            return SolverConfig(**{name: value})
+        return Problem(y=base.y, shifts=base.shifts, p=base.p,
+                       **{**_PROBLEM_ARGS, name: value})
+    for value in ("0.5", None, True, np.True_, [0.5], 1j):
+        with pytest.raises(ValueError) as info:
+            build(value)
+        assert type(info.value) is ValueError
+        assert str(info.value) == f"{name} must be a number: {value!r}"
+        if owner is Problem:
+            assert info.value.field == name
+    number = 0.25 if name == "kappa" else 0.5
+    kept = getattr(build(np.float32(number)), name)
+    assert kept == number and type(kept) is float
+
+
 def test_solver_config_checked_when_built_and_frozen():
     with pytest.raises(ValueError, match="theta"):
         SolverConfig(theta=0.0)
@@ -601,6 +630,32 @@ def test_epie_shuffled_schedule_covers_all_regions():
     res = run(prob, z0, v0, cfg)
     # one full pass every R iterations: step sizes reflect 16 region visits
     assert len(res.trace) == 17
+
+
+@pytest.mark.parametrize("base,change", [
+    ({"algorithm": "epie"}, {"batch_size": 4}),
+    ({"algorithm": "epie"}, {"sgd_step_rule": "epie_scaled", "mu": 0.5, "nu": 0.25,
+                             "theta": 0.9, "kappa": 0.3}),
+    ({"algorithm": "sgd"}, {"epie_schedule": "shuffled"}),
+    ({"algorithm": "sgd", "batch_size": 4}, {"epie_schedule": "shuffled"}),
+    ({"algorithm": "sgd", "sgd_step_rule": "epie_scaled"}, {"epie_schedule": "shuffled"}),
+], ids=["epie-batch-size", "epie-sgd-settings", "sgd-schedule", "sgd-k4-schedule",
+        "sgd-epie-scaled-schedule"])
+def test_sampled_algorithms_ignore_what_they_do_not_read(base, change):
+    # epie is sgd's factory at K = 1 with its own steps and schedule; what it
+    # does not read (and the schedule, for sgd) leaves every bit in place
+    padded = ShiftSet(tuple(range(-6, 12, 3)), "zero-padded")
+    ramp = np.linspace(1.0, 3.0, len(padded))
+    prob = synthesize_problem(12, shifts=padded, seed=50, noise=NoiseModel("gaussian", 0.5),
+                              epsilon=1e-3, alpha=1e-2, beta=1e-2, p=ramp / ramp.sum())
+    z0, v0 = np_pair(12, 51)
+
+    def outcome(options):
+        options = {"max_iters": 60, "seed": 3, **options}
+        problem = replace(prob, batch_size=options.pop("batch_size", 1))
+        res = run(problem, z0, v0, SolverConfig(**options))
+        return [(r.J, r.mu_t, r.nu_t) for r in res.trace], res.z.tobytes(), res.v.tobytes()
+    assert outcome(base) == outcome({**base, **change})
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,74 @@
+"""Print a work ledger of each solver on the benchmark's two problem shapes:
+exact counts of the work a run does, which do not depend on the host's speed.
+
+    python tools/ledger.py <tree> > ledger.json
+
+imports ``blindptycho`` from ``<tree>/src`` and prints one JSON object with
+sorted keys.  For gd, sgd, epie and interval (their default settings,
+``gamma_grid`` 2) on perfbench's ``small-d8`` and ``sparse-d100-padded``
+shapes (seed 0, the shapes and starting pairs of ``same_bits.py``), it
+profiles one ``run`` of ``iters`` iterations with ``cProfile`` and reports,
+under ``<shape>/<solver>/``:
+
+* ``calls_per_iter``: the profile's ``total_calls`` over ``iters``;
+* ``dft``, ``dft_adjoint``, ``shift_stack`` and ``unshift_sum``: how often
+  each of those ``fourier`` functions was called (0 where a tree lacks one).
+
+The counts repeat exactly run to run; ``calls_per_iter`` depends on the
+Python and numpy versions, so compare two trees on one interpreter, e.g.
+``diff <(python tools/ledger.py old) <(python tools/ledger.py .)``.
+"""
+
+from __future__ import annotations
+
+import cProfile
+import json
+import pstats
+import sys
+from pathlib import Path
+
+from same_bits import INIT_SEED_OFFSET, synthesize
+
+ITERS = 200
+SHAPE_NAMES = ("small-d8", "sparse-d100-padded")
+ALGORITHMS = ("gd", "sgd", "epie", "interval")
+COUNTED = ("dft", "dft_adjoint", "shift_stack", "unshift_sum")
+
+
+def ledger(bp) -> dict[str, float]:
+    out: dict[str, float] = {"iters": ITERS}
+    fourier_file = Path(bp.fourier.__file__).resolve()
+    for name in SHAPE_NAMES:
+        problem, (z0, v0) = synthesize(bp, name, 0)
+        for algorithm in ALGORITHMS:
+            config = bp.SolverConfig(algorithm=algorithm, max_iters=ITERS,
+                                     seed=INIT_SEED_OFFSET)
+            profile = cProfile.Profile()
+            profile.enable()
+            bp.run(problem, z0, v0, config)
+            profile.disable()
+            stats = pstats.Stats(profile)
+            calls = dict.fromkeys(COUNTED, 0)
+            for (path, _, fn), (_, ncalls, *_) in stats.stats.items():
+                if fn in calls and Path(path).resolve() == fourier_file:
+                    calls[fn] += ncalls
+            key = f"{name}/{algorithm}"
+            out[f"{key}/calls_per_iter"] = stats.total_calls / ITERS
+            for fn, count in calls.items():
+                out[f"{key}/{fn}"] = count
+    return out
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        print("usage: python tools/ledger.py <tree>", file=sys.stderr)
+        return 2
+    sys.path.insert(0, str(Path(argv[1]).resolve() / "src"))
+    import blindptycho as bp
+
+    print(json.dumps(ledger(bp), indent=1, sort_keys=True))
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main(sys.argv))

@@ -99,23 +99,29 @@ def problem_json_errors(bp) -> list[str]:
     return out
 
 
+def synthesize(bp, name: str, seed: int):
+    """The problem of shape ``name`` at ``seed`` and perfbench's starting pair."""
+    d, mode, offsets, noise, ramp, k, scale = SHAPES[name]
+    shifts = (bp.ShiftSet.all_shifts(d, mode) if offsets is None
+              else bp.ShiftSet(offsets, mode))
+    p = None
+    if ramp:
+        p = np.linspace(1.0, 3.0, len(shifts))
+        p = p / p.sum()
+    problem = bp.synthesize_problem(d, shifts=shifts, seed=seed,
+                                    noise=bp.NoiseModel(*noise), p=p, batch_size=k)
+    return problem, bp.initial_guess(d, INIT_SEED_OFFSET + seed, scale)
+
+
 def digests(bp) -> dict[str, str]:
     out = {}
-    for name, (d, mode, offsets, noise, ramp, k, scale) in SHAPES.items():
-        shifts = (bp.ShiftSet.all_shifts(d, mode) if offsets is None
-                  else bp.ShiftSet(offsets, mode))
-        p = None
-        if ramp:
-            p = np.linspace(1.0, 3.0, len(shifts))
-            p = p / p.sum()
+    for name in SHAPES:
         for seed in SEEDS:
             key = f"{name}/seed{seed}"
-            text = bp.problem_to_json(bp.synthesize_problem(
-                d, shifts=shifts, seed=seed, noise=bp.NoiseModel(*noise), p=p,
-                batch_size=k))
+            synthesized, (z0, v0) = synthesize(bp, name, seed)
+            text = bp.problem_to_json(synthesized)
             out[f"{key}/problem_json"] = _sha(text.encode())
             problem = bp.problem_from_json(text)
-            z0, v0 = bp.initial_guess(d, INIT_SEED_OFFSET + seed, scale)
             for label, options in SOLVERS.items():
                 config = bp.SolverConfig(max_iters=ITERS,
                                          seed=INIT_SEED_OFFSET + seed, **options)
