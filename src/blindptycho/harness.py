@@ -11,9 +11,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import Problem, _require_integers
+from .model import Problem, _require
 from .objective import _sq_norm
-from .rng import Rng, _count
+from .rng import Rng, _count, _real
 from .solvers import (DivergenceError, SolverConfig, SolverRun, TraceRecord,
                       cell, run, write_trace)
 
@@ -97,11 +97,9 @@ def summary_to_json(summary: Summary, config: SolverConfig,
                     problem: Problem) -> str:
     """Summary document; every solver setting, defaults included, is written
     for provenance."""
-    cfg = {key: value.item() if isinstance(value, np.generic) else value
-           for key, value in asdict(config).items()}
-    cfg.update(d=int(problem.d), mode=problem.shifts.mode,
-               epsilon=float(problem.epsilon), alpha_T=float(problem.alpha),
-               beta_T=float(problem.beta), K=int(problem.batch_size))
+    cfg = asdict(config)
+    cfg.update(d=problem.d, mode=problem.shifts.mode, epsilon=problem.epsilon,
+               alpha_T=problem.alpha, beta_T=problem.beta, K=problem.batch_size)
     doc = {**asdict(summary), "config": cfg}
     return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
@@ -126,9 +124,8 @@ class ExperimentConfig:
     out_dir: str | Path = "."
 
     def __post_init__(self):
-        _require_integers(self, repetitions=1)
-        if not np.isfinite(self.init_scale):
-            raise ValueError("init_scale must be finite")
+        _require(self, _count, repetitions=1, base_seed=None)
+        _require(self, _real, init_scale=None)
 
 
 def run_experiment(config: ExperimentConfig) -> list[tuple[Path, Path, Summary]]:

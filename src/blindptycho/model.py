@@ -27,6 +27,18 @@ from .rng import Rng, _count, _integral, _real
 NOISE_KINDS = ("none", "poisson", "gaussian")
 
 
+def _require(obj, rule, **least) -> None:
+    """Store each field of ``obj`` named in ``least`` as ``rule`` (``_count`` or
+    ``_real``) reads it against its bound (None for none); the ValueError of a
+    value it rejects names the field and carries it as ``field``."""
+    for name, bound in least.items():
+        try:
+            object.__setattr__(obj, name, rule(getattr(obj, name), name, bound))
+        except ValueError as exc:
+            exc.field = name
+            raise
+
+
 @dataclass(frozen=True)
 class NoiseModel:
     kind: str = "none"
@@ -35,8 +47,7 @@ class NoiseModel:
     def __post_init__(self):
         if self.kind not in NOISE_KINDS:
             raise ValueError(f"unknown noise kind: {self.kind!r}")
-        if self.kind == "gaussian" and (self.sigma < 0 or not np.isfinite(self.sigma)):
-            raise ValueError("gaussian noise sigma must be finite and >= 0")
+        _require(self, _real, sigma=0)
 
 
 @dataclass(frozen=True)
@@ -92,12 +103,12 @@ class Problem:
     ``d`` is their column count.  Smoothing ``epsilon`` of the amplitude
     loss, Tikhonov weights ``alpha`` (object) and ``beta`` (window), region
     sampling distribution ``p`` aligned with the offset list, and the
-    stochastic batch size.  ``truth`` optionally carries the generating
-    (object, window) pair.  Each field is checked once, when built, and
-    the reals are stored as floats; the ValueError of a rejected value
-    carries the name of the field it read as ``field`` (``y`` for d,
-    ``truth`` for a truth that is not a pair, ``x`` and ``w`` for its
-    vectors), which ``problem_from_json`` reports under the file's key.
+    stochastic batch size, at most the number of shifts.  ``truth`` optionally
+    carries the generating (object, window) pair.  Each field is checked once,
+    when built, and the reals (finite, >= 0) are stored as floats; the
+    ValueError of a rejected value carries the name of the field it read as
+    ``field`` (``y`` for d, ``truth`` for a truth that is not a pair, ``x`` and
+    ``w`` for its vectors), which ``problem_from_json`` reports under its key.
     """
 
     y: np.ndarray
@@ -116,14 +127,12 @@ class Problem:
             y = MeasurementSet(self.y, self.shifts).values
             object.__setattr__(self, "y", y)
             object.__setattr__(self, "d", _count(y.shape[1], "d", 1))
+            _require(self, _count, batch_size=1)
             key = "batch_size"
-            _require_integers(self, batch_size=1)
-            for key in ("epsilon", "alpha", "beta"):
-                value = _real(getattr(self, key), key)
-                if not 0 <= value < np.inf:
-                    raise ValueError("epsilon must be finite and >= 0" if key == "epsilon"
-                                     else "alpha and beta must be finite and >= 0")
-                object.__setattr__(self, key, value)
+            if self.batch_size > self.n_regions:
+                raise ValueError(f"batch_size must be <= the number of shifts "
+                                 f"({self.n_regions}): {self.batch_size}")
+            _require(self, _real, epsilon=0, alpha=0, beta=0)
             key = "shifts"
             if any(b <= a for a, b in zip(self.offsets, self.offsets[1:])):
                 raise ValueError("offsets must be strictly ascending")
@@ -153,7 +162,7 @@ class Problem:
                     truth.append(a)
                 object.__setattr__(self, "truth", tuple(truth))
         except ValueError as exc:
-            exc.field = key
+            exc.field = getattr(exc, "field", key)
             raise
 
     @property
@@ -224,34 +233,27 @@ def problem_to_json(problem: Problem) -> str:
     """One JSON document with a fixed key order; ``x`` and ``w`` are lists of
     [re, im] pairs.  Floats are written in shortest exact form, so a file
     reloads to the same bits, signed zeros included."""
-    doc = {"d": int(problem.d), "mode": problem.shifts.mode,
-           "offsets": list(problem.offsets), "epsilon": float(problem.epsilon),
-           "alpha_T": float(problem.alpha), "beta_T": float(problem.beta),
-           "p": problem.p.tolist(), "K": int(problem.batch_size),
-           "y": problem.y.tolist()}
+    doc = {"d": problem.d, "mode": problem.shifts.mode,
+           "offsets": list(problem.offsets), "epsilon": problem.epsilon,
+           "alpha_T": problem.alpha, "beta_T": problem.beta,
+           "p": problem.p.tolist(), "K": problem.batch_size, "y": problem.y.tolist()}
     if problem.truth is not None:
         for key, vec in zip(("x", "w"), problem.truth):
             doc[key] = vec.view(np.float64).reshape(-1, 2).tolist()
     return json.dumps(doc, allow_nan=False) + "\n"
 
 
-def _number(value) -> float:
-    """A JSON number as a float; a bool (JSON true or false) or a string raises."""
-    if type(value) not in (int, float):
-        raise ValueError(f"{value!r} is not a number")
-    return float(value)
-
-
 def _floats(value, ndim: int) -> np.ndarray:
     """A JSON array of ``ndim`` levels, rows of equal length, as float64; any
-    other shape raises, and each entry is checked as by ``_number``
-    (``np.array`` takes bools and numeric strings)."""
+    other shape raises, and so does an entry other than a JSON number, such as
+    a bool or a string (``np.array`` takes bools and numeric strings)."""
     array = np.array(value, dtype=object)
     kinds = set(map(type, array.flat))
     if array.ndim != ndim or list in kinds:
         raise ValueError(f"expected a {ndim}-d array of numbers")
     if not kinds <= {int, float}:
-        _number(next(x for x in array.flat if type(x) not in (int, float)))
+        bad = next(x for x in array.flat if type(x) not in (int, float))
+        raise ValueError(f"{bad!r} is not a number")
     return array.astype(np.float64)
 
 
@@ -277,22 +279,15 @@ def _offsets(value) -> list:
     return value
 
 
-def _require_integers(obj, **least) -> None:
-    """Store each field of ``obj`` named in ``least`` as an int, checked by
-    ``_count`` against its bound (None for no bound), so a non-integral or
-    too small value raises ValueError naming the field."""
-    for name, bound in least.items():
-        object.__setattr__(obj, name, _count(getattr(obj, name), name, bound))
-
-
-# document field -> conversion; x and w (the truth) are optional as a pair.
-# Numbers must be JSON numbers: no bool and no string, in arrays as well.
+# document field -> conversion, None where ``Problem`` reads the value as it is;
+# x and w (the truth) are optional as a pair.  Array entries are JSON numbers.
 _FIELDS = {"d": lambda v: _count(v, "d", 1), "mode": _mode, "offsets": _offsets,
-           "epsilon": _number, "alpha_T": _number, "beta_T": _number,
-           "p": lambda v: _floats(v, 1), "K": lambda v: _count(v, "K", 1),
+           "epsilon": None, "alpha_T": None, "beta_T": None,
+           "p": lambda v: _floats(v, 1), "K": None,
            "y": lambda v: _floats(v, 2), "x": _complex_pairs, "w": _complex_pairs}
 # Problem field -> document key, where they differ
-_FILE_KEYS = {"alpha": "alpha_T", "beta": "beta_T", "shifts": "offsets"}
+_FILE_KEYS = {"alpha": "alpha_T", "beta": "beta_T", "shifts": "offsets",
+              "batch_size": "K"}
 
 
 @contextmanager
@@ -308,7 +303,7 @@ def problem_from_json(text: str) -> Problem:
     """Inverse of problem_to_json; a missing field, or one of the wrong type
     or shape, a ``d`` other than y's column count, or any value ``Problem``
     rejects (offsets that do not form an ascending shift family of dimension
-    d, a y row per offset, epsilon, the weights, p, x and w), raises
+    d, a y row per offset, K, epsilon, the weights, p, x and w), raises
     ValueError naming its field: ``Problem`` checks the values once and tags
     the field it rejects."""
     data = json.loads(text)
@@ -320,7 +315,7 @@ def problem_from_json(text: str) -> Problem:
         if key not in data:
             raise ValueError(f"problem document is missing field {key!r}")
         with _field(key):
-            values[key] = _FIELDS[key](data[key])
+            values[key] = data[key] if _FIELDS[key] is None else _FIELDS[key](data[key])
     d, y = values["d"], values["y"]
     with _field("d"):
         if d != y.shape[1]:

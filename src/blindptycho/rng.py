@@ -64,13 +64,23 @@ def _count(value, name: str, least: int | None = None) -> int:
     return value
 
 
-def _real(value, name: str) -> float:
-    """``value`` as a float, the one check of every real setting: a value
-    that is not a real number (a bool is not one) raises
-    ``"{name} must be a number: {value!r}"``."""
+def _real(value, name: str, least: float | None = None) -> float:
+    """``value`` as a float, the one check of every real setting and the twin of
+    ``_count``: a value that is not a real number (a bool is not one) raises
+    ``"{name} must be a number: {value!r}"``, one that is not finite (an int
+    too large for a float is infinite) ``"{name} must be finite: {value}"`` and
+    one below ``least`` (if given) ``"{name} must be >= {least}: {value}"``."""
     if isinstance(value, (bool, np.bool_)) or not isinstance(value, Real):
         raise ValueError(f"{name} must be a number: {value!r}")
-    return float(value)
+    try:
+        value = float(value)
+    except OverflowError:
+        value = math.inf if value > 0 else -math.inf
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite: {value}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be >= {least}: {value}")
+    return value
 
 
 class Rng:

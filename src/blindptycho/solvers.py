@@ -80,7 +80,7 @@ import numpy as np
 # step_curvature_bound and stochastic_gradient_bounds are not called here but
 # stay bound: perfbench/tracing.py wraps them under these names.
 from .fourier import dft, shift  # noqa: F401
-from .model import Problem, _require_integers
+from .model import Problem, _require
 from .objective import (GradientPair, _as_iterate, _Bounds,  # noqa: F401
                         _evaluate, _gradient, _partial_lipschitz,
                         _residual_back, _sq_norm, gradient_region, loss,
@@ -131,15 +131,9 @@ class SolverConfig:
         for name, allowed in self.CHOICES.items():
             if getattr(self, name) not in allowed:
                 raise ValueError(f"unknown {name}: {getattr(self, name)!r}")
-        _require_integers(self, max_iters=0, seed=None, gamma_grid=2)
-        for name in ("grad_tol", "theta", "kappa", "mu", "nu", "epie_alpha",
-                     "epie_beta"):
-            value = _real(getattr(self, name), name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite")
-            object.__setattr__(self, name, value)
-        if self.grad_tol < 0:
-            raise ValueError("grad_tol must be >= 0")
+        _require(self, _count, max_iters=0, seed=None, gamma_grid=2)
+        _require(self, _real, grad_tol=0, theta=None, kappa=None, mu=None, nu=None,
+                 epie_alpha=None, epie_beta=None)
         if not 0.0 < self.theta < 1.0:
             raise ValueError("theta must lie in (0, 1)")
         if not 0.0 <= self.kappa < self.theta / (1.0 + self.theta):

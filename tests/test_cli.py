@@ -160,13 +160,17 @@ def _problem_with(tmp_path, **fields):
                                   "synth-shifts-token", "synth-p-token",
                                   "synth-shifts-repeated", "synth-shifts-modulo-d",
                                   "synth-d-zero", "synth-d-negative",
-                                  "run-iters-negative", "run-reps-zero"])
+                                  "run-iters-negative", "run-reps-zero",
+                                  "K-above-regions", "epsilon-overflow"])
 def test_bad_input_exit_2_one_line(tmp_path, capsys, case):
     bad = {"x-not-pairs": {"x": [1, 2]}, "offsets-not-a-list": {"offsets": 5},
            "K-not-integral": {"K": 2.9},
            "offsets-not-integral": {"offsets": [o + 0.6 for o in range(8)]},
            "interval-no-tikhonov": {"alpha_T": 0}, "epie-scaled-batch": {"K": 2},
-           "epsilon-string": {"epsilon": "1e-8"}}
+           "epsilon-string": {"epsilon": "1e-8"},
+           # more rows per batch than the problem has regions; an int too
+           # large for a float
+           "K-above-regions": {"K": 10**30}, "epsilon-overflow": {"epsilon": 10**400}}
     problem = str(_problem_with(tmp_path, **bad.get(case, {})))
     if case == "truth-half":
         doc = json.loads(Path(problem).read_text())
@@ -204,6 +208,9 @@ def test_bad_input_exit_2_one_line(tmp_path, capsys, case):
         "run-iters-negative": (run[:6] + ["-1"] + run[7:],
                                "--iters must be >= 0: -1"),
         "run-reps-zero": (run + ["--reps", "0"], "--reps must be >= 1: 0"),
+        "K-above-regions": (run, "problem field 'K': batch_size must be <= the number "
+                                 f"of shifts (8): {10**30}"),
+        "epsilon-overflow": (run, "problem field 'epsilon': epsilon must be finite: inf"),
     }[case]
     capsys.readouterr()
     assert main(argv) == 2

@@ -131,11 +131,18 @@ def test_summary_writes_infinite_error_as_null():
     (lambda tmp_path: ExperimentConfig(problem=synthesize_problem(4, seed=1),
                                        solvers=[], repetitions=0),
      "repetitions must be >= 1"),
+    (lambda tmp_path: ExperimentConfig(problem=synthesize_problem(4, seed=1),
+                                       solvers=[], base_seed=True),
+     "base_seed must be an integer: True"),
+    (lambda tmp_path: ExperimentConfig(problem=synthesize_problem(4, seed=1),
+                                       solvers=[], base_seed=1.5),
+     "base_seed must be an integer: 1.5"),
     (lambda tmp_path: aggregate_summaries([_write(tmp_path / "a.json", "[1]")]),
      "a.json: not a summary document"),
     (lambda tmp_path: aggregate_summaries([_write(tmp_path / "b.json", '{"config": 1}')]),
      "b.json: not a summary document"),
-], ids=["repetitions-zero", "summary-a-list", "summary-config-not-object"])
+], ids=["repetitions-zero", "base-seed-bool", "base-seed-fraction", "summary-a-list",
+        "summary-config-not-object"])
 def test_input_checks(tmp_path, make, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         make(tmp_path)
@@ -182,6 +189,7 @@ def test_experiment_config_integral_repetitions(tmp_path):
         with pytest.raises(ValueError, match="repetitions must be an integer"):
             ExperimentConfig(problem=prob, solvers=[], repetitions=value)
     cfg = ExperimentConfig(problem=prob, solvers=[SolverConfig(max_iters=2)],
-                           repetitions=2.0, out_dir=tmp_path)
+                           repetitions=2.0, base_seed=3.0, out_dir=tmp_path)
     assert cfg.repetitions == 2 and type(cfg.repetitions) is int
+    assert cfg.base_seed == 3 and type(cfg.base_seed) is int
     assert len(run_experiment(cfg)) == 2

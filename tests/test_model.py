@@ -145,8 +145,8 @@ _DOC = json.loads(problem_to_json(_PROB))
 
 @pytest.mark.parametrize("call,message", [
     (lambda: NoiseModel("bogus"), "unknown noise kind: 'bogus'"),
-    (lambda: NoiseModel("gaussian", -1.0), "gaussian noise sigma must be finite and >= 0"),
-    (lambda: NoiseModel("gaussian", np.nan), "gaussian noise sigma must be finite and >= 0"),
+    (lambda: NoiseModel("gaussian", -1.0), "sigma must be >= 0: -1.0"),
+    (lambda: NoiseModel("gaussian", np.nan), "sigma must be finite: nan"),
     (lambda: MeasurementSet(np.ones(4), ShiftSet((0,))),
      "values must be a 2-d array (regions x frequencies)"),
     (lambda: forward_intensities(np.ones(4), np.ones(3), ShiftSet((0,))),
@@ -156,9 +156,9 @@ _DOC = json.loads(problem_to_json(_PROB))
     (lambda: problem_from_json(json.dumps({**_DOC, "d": 5})),
      "problem field 'd': d must equal the column count of y (4): 5"),
     (lambda: Problem(y=_PROB.y, shifts=_PROB.shifts, epsilon=-1.0, alpha=0.0,
-                     beta=0.0, p=_P), "epsilon must be finite and >= 0"),
+                     beta=0.0, p=_P), "epsilon must be >= 0: -1.0"),
     (lambda: Problem(y=_PROB.y, shifts=_PROB.shifts, epsilon=np.nan, alpha=0.0,
-                     beta=0.0, p=_P), "epsilon must be finite and >= 0"),
+                     beta=0.0, p=_P), "epsilon must be finite: nan"),
     (lambda: Problem(y=_PROB.y, shifts=ShiftSet((3, 2, 1, 0)),
                      epsilon=0.0, alpha=0.0, beta=0.0, p=_P),
      "offsets must be strictly ascending"),
@@ -171,11 +171,13 @@ _DOC = json.loads(problem_to_json(_PROB))
     (lambda: synthesize_problem(2.5), "d must be an integer: 2.5"),
     (lambda: synthesize_problem(True), "d must be an integer: True"),
     (lambda: problem_from_json(json.dumps({**_DOC, "K": 1.5})),
-     "problem field 'K': K must be an integer: 1.5"),
+     "problem field 'K': batch_size must be an integer: 1.5"),
+    # sigma is read for every noise kind
+    (lambda: NoiseModel("poisson", "x"), "sigma must be a number: 'x'"),
 ], ids=["noise-kind", "sigma-negative", "sigma-nan", "values-1d", "forward-lengths",
         "d-zero", "columns", "epsilon-negative", "epsilon-nan", "offsets-descending",
         "truth-length", "json-not-object", "synth-d-zero", "synth-d-negative",
-        "synth-d-fraction", "synth-d-bool", "json-K-fraction"])
+        "synth-d-fraction", "synth-d-bool", "json-K-fraction", "poisson-sigma-string"])
 def test_input_checks(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call()
@@ -208,10 +210,12 @@ def test_problem_validation_messages():
     with pytest.raises(ValueError, match="p entries"):
         Problem(y=prob.y, shifts=prob.shifts, epsilon=0.0, alpha=0.0,
                 beta=0.0, p=[np.nan, 0.5, 0.25, 0.25], batch_size=1)
-    for alpha, beta in ((np.inf, 0.0), (0.0, np.inf), (np.nan, 0.0), (0.0, np.nan)):
-        with pytest.raises(ValueError, match="alpha and beta"):
-            Problem(y=prob.y, shifts=prob.shifts, epsilon=0.0,
-                    alpha=alpha, beta=beta, p=np.full(4, 0.25), batch_size=1)
+    for name, value in (("alpha", np.inf), ("beta", np.inf), ("alpha", np.nan),
+                        ("beta", np.nan)):
+        weights = {"alpha": 0.0, "beta": 0.0, name: value}
+        with pytest.raises(ValueError, match=f"^{name} must be finite: {value}$"):
+            Problem(y=prob.y, shifts=prob.shifts, epsilon=0.0, p=np.full(4, 0.25),
+                    batch_size=1, **weights)
     x, w = prob.truth
     for bad in ((np.where(np.arange(4) == 1, np.nan, x), w),
                 (x, np.where(np.arange(4) == 2, np.inf, w))):
@@ -224,9 +228,14 @@ def test_problem_validation_messages():
     ("y", {"y": -_PROB.y}, "values must be nonnegative"),
     ("y", {"y": np.zeros((4, 0))}, "d must be >= 1: 0"),
     ("batch_size", {"batch_size": 0}, "batch_size must be >= 1: 0"),
-    ("epsilon", {"epsilon": -1.0}, "epsilon must be finite and >= 0"),
-    ("alpha", {"alpha": -1.0}, "alpha and beta must be finite and >= 0"),
-    ("beta", {"beta": np.nan}, "alpha and beta must be finite and >= 0"),
+    # these rows read the real rule's text; each keeps an id that states
+    # its requirement, so its test name stays stable
+    pytest.param("epsilon", {"epsilon": -1.0}, "epsilon must be >= 0: -1.0",
+                 id="epsilon-change3-epsilon must be finite and >= 0"),
+    pytest.param("alpha", {"alpha": -1.0}, "alpha must be >= 0: -1.0",
+                 id="alpha-change4-alpha and beta must be finite and >= 0"),
+    pytest.param("beta", {"beta": np.nan}, "beta must be finite: nan",
+                 id="beta-change5-alpha and beta must be finite and >= 0"),
     ("shifts", {"shifts": ShiftSet((3, 2, 1, 0))}, "offsets must be strictly ascending"),
     ("p", {"p": np.full(4, 0.5)}, "p must sum to 1 within 1e-12"),
     ("x", {"truth": (np.ones(3), np.ones(4))}, "truth vectors must have length d"),
@@ -235,6 +244,13 @@ def test_problem_validation_messages():
     # be cut to two vectors
     ("truth", {"truth": (np.ones(4),)}, "truth must be an (object, window) pair"),
     ("truth", {"truth": (np.ones(4),) * 3}, "truth must be an (object, window) pair"),
+    # an int too large for a float is infinite, not an OverflowError
+    ("epsilon", {"epsilon": 10**400}, "epsilon must be finite: inf"),
+    ("alpha", {"alpha": -10**400}, "alpha must be finite: -inf"),
+    # a batch is drawn from the regions, so it holds at most one per shift
+    ("batch_size", {"batch_size": 5}, "batch_size must be <= the number of shifts (4): 5"),
+    ("batch_size", {"batch_size": 10**30},
+     f"batch_size must be <= the number of shifts (4): {10**30}"),
 ])
 def test_problem_tags_the_field_it_rejects(field, change, message):
     # a plain ValueError with the check's own text, tagged with the field read
@@ -287,11 +303,17 @@ def test_json_integer_fields_not_truncated():
 
 
 @pytest.mark.parametrize("key,value,message", [
-    ("K", True, "K must be an integer: True"),
+    # Problem reads K, epsilon, alpha_T and beta_T by its own rules, under its
+    # field names; each such row keeps an id that states its requirement
+    pytest.param("K", True, "batch_size must be an integer: True",
+                 id="K-True-K must be an integer: True"),
     ("d", True, "d must be an integer: True"),
-    ("alpha_T", True, "True is not a number"),
-    ("epsilon", "1e-8", "'1e-8' is not a number"),
-    ("epsilon", None, "None is not a number"),
+    pytest.param("alpha_T", True, "alpha must be a number: True",
+                 id="alpha_T-True-True is not a number"),
+    pytest.param("epsilon", "1e-8", "epsilon must be a number: '1e-8'",
+                 id="epsilon-1e-8-'1e-8' is not a number"),
+    pytest.param("epsilon", None, "epsilon must be a number: None",
+                 id="epsilon-None-None is not a number"),
     ("p", ["0.25"] * 4, "'0.25' is not a number"),
     ("p", [0.25, 0.25, 0.25, True], "True is not a number"),
     ("y", [["1"] * 4] * 4, "'1' is not a number"),
@@ -306,7 +328,7 @@ def test_json_integer_fields_not_truncated():
     ("p", [[0.25] * 4], "expected a 1-d array of numbers"),
     ("p", 0.5, "expected a 1-d array of numbers"),
     ("d", 0, "d must be >= 1: 0"),
-    ("K", 0, "K must be >= 1: 0"),
+    pytest.param("K", 0, "batch_size must be >= 1: 0", id="K-0-K must be >= 1: 0"),
     ("offsets", 5, "5 is not an array"),
     ("mode", "bogus", "unknown shift mode: 'bogus'"),
     ("offsets", [0, 0, 1, 2], "offsets must be distinct"),
@@ -314,23 +336,31 @@ def test_json_integer_fields_not_truncated():
     ("offsets", [0, 1, 2, 4], "circular offsets must be distinct modulo d"),
     ("y", [[1.0] * 4] * 3, "row count of values must equal the number of shifts"),
     ("p", [0.5, 0.5], "p must have one entry per shift"),
-    ("epsilon", -1.0, "epsilon must be finite and >= 0"),
+    pytest.param("epsilon", -1.0, "epsilon must be >= 0: -1.0",
+                 id="epsilon--1.0-epsilon must be finite and >= 0"),
     ("x", [[1.0, 0.0]] * 3, "truth vectors must have length d"),
     ("offsets", [3, 2, 1, 0], "offsets must be strictly ascending"),
-    ("alpha_T", -1.0, "alpha and beta must be finite and >= 0"),
-    ("beta_T", float("inf"), "alpha and beta must be finite and >= 0"),
+    pytest.param("alpha_T", -1.0, "alpha must be >= 0: -1.0",
+                 id="alpha_T--1.0-alpha and beta must be finite and >= 0"),
+    pytest.param("beta_T", float("inf"), "beta must be finite: inf",
+                 id="beta_T-inf-alpha and beta must be finite and >= 0"),
     ("y", [[1.0] * 4] * 3 + [[1.0, 1.0, 1.0, -1.0]], "values must be nonnegative"),
     ("p", [0.5] * 4, "p must sum to 1 within 1e-12"),
     ("w", [[1.0, 0.0]] * 3, "truth vectors must have length d"),
     ("w", [[1.0, 0.0]] * 3 + [[float("nan"), 0.0]], "truth vectors must be finite"),
     ("x", [[1.0, 0.0, 0.0]] * 4, "expected a list of [re, im] pairs"),
+    ("epsilon", 10**400, "epsilon must be finite: inf"),
+    ("K", 5, "batch_size must be <= the number of shifts (4): 5"),
+    ("K", 10**30, f"batch_size must be <= the number of shifts (4): {10**30}"),
 ])
 def test_json_number_fields_take_json_numbers_only(key, value, message):
     # json booleans and numeric strings are not numbers, inside arrays too,
-    # and an array field of the wrong shape is named as well
+    # and an array field of the wrong shape is named as well; the scalars
+    # are read by Problem's own rules, under the file's key
     doc = json.loads(problem_to_json(synthesize_problem(4, seed=2)))
-    with pytest.raises(ValueError, match=re.escape(f"problem field '{key}': {message}")):
+    with pytest.raises(ValueError) as info:
         problem_from_json(json.dumps({**doc, key: value}))
+    assert str(info.value) == f"problem field '{key}': {message}"
 
 
 SPECIALS = (-0.0, 5e-324, 1.7976931348623157e308)

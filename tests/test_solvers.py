@@ -14,6 +14,7 @@ from blindptycho import (ALGORITHMS, DivergenceError, NoiseModel, Problem, Rng,
                          synthesize_problem, trace_to_csv, write_trace)
 from blindptycho import solvers
 from blindptycho.fourier import dft, idft, shift
+from blindptycho.harness import ExperimentConfig
 from blindptycho.objective import GradientPair, _sq_norm
 from blindptycho.solvers import TRACE_HEADER, _draw_rows
 
@@ -438,7 +439,8 @@ _PROBLEM_ARGS = dict(epsilon=0.0, alpha=0.0, beta=0.0)
 @pytest.mark.parametrize("owner,name", [
     *[(SolverConfig, name) for name in ("grad_tol", "theta", "kappa", "mu", "nu",
                                         "epie_alpha", "epie_beta")],
-    *[(Problem, name) for name in _PROBLEM_ARGS]])
+    *[(Problem, name) for name in _PROBLEM_ARGS],
+    (NoiseModel, "sigma"), (ExperimentConfig, "init_scale")])
 def test_real_settings_reject_non_numbers(owner, name):
     # one number rule: the same text for every real setting, tagged with the
     # field by a Problem, and a number stored as a float
@@ -447,6 +449,10 @@ def test_real_settings_reject_non_numbers(owner, name):
     def build(value):
         if owner is SolverConfig:
             return SolverConfig(**{name: value})
+        if owner is NoiseModel:
+            return NoiseModel("gaussian", value)
+        if owner is ExperimentConfig:
+            return ExperimentConfig(problem=base, solvers=[], init_scale=value)
         return Problem(y=base.y, shifts=base.shifts, p=base.p,
                        **{**_PROBLEM_ARGS, name: value})
     for value in ("0.5", None, True, np.True_, [0.5], 1j):
@@ -456,6 +462,14 @@ def test_real_settings_reject_non_numbers(owner, name):
         assert str(info.value) == f"{name} must be a number: {value!r}"
         if owner is Problem:
             assert info.value.field == name
+    # an int too large for a float is infinite: the rule's error, not an
+    # OverflowError
+    with pytest.raises(ValueError) as info:
+        build(10**400)
+    assert type(info.value) is ValueError
+    assert str(info.value) == f"{name} must be finite: inf"
+    if owner is Problem:
+        assert info.value.field == name
     number = 0.25 if name == "kappa" else 0.5
     kept = getattr(build(np.float32(number)), name)
     assert kept == number and type(kept) is float
@@ -478,7 +492,7 @@ _PAIR = np_pair(4, 10)
 
 @pytest.mark.parametrize("call,message", [
     (lambda: SolverConfig(max_iters=-1), "max_iters must be >= 0"),
-    (lambda: SolverConfig(grad_tol=-1.0), "grad_tol must be >= 0"),
+    (lambda: SolverConfig(grad_tol=-1.0), "grad_tol must be >= 0: -1.0"),
     (lambda: SolverConfig(algorithm="interval", gamma_grid=1), "gamma_grid must be >= 2"),
     (lambda: stochastic_gradient(_PROB, *_PAIR, []),
      "indices must contain at least one offset"),

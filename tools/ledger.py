@@ -7,15 +7,24 @@ imports ``blindptycho`` from ``<tree>/src`` and prints one JSON object with
 sorted keys.  For gd, sgd, epie and interval (their default settings,
 ``gamma_grid`` 2) on perfbench's ``small-d8`` and ``sparse-d100-padded``
 shapes (seed 0, the shapes and starting pairs of ``same_bits.py``), it
-profiles one ``run`` of ``iters`` iterations with ``cProfile`` and reports,
-under ``<shape>/<solver>/``:
+runs ``run`` for ``iters`` iterations three times and reports, under
+``<shape>/<solver>/``:
 
-* ``calls_per_iter``: the profile's ``total_calls`` over ``iters``;
-* ``dft``, ``dft_adjoint``, ``shift_stack`` and ``unshift_sum``: how often
-  each of those ``fourier`` functions was called (0 where a tree lacks one).
+* from a run under ``cProfile``:
+  * ``calls_per_iter``: the profile's ``total_calls`` over ``iters``;
+  * ``dft``, ``dft_adjoint``, ``shift_stack`` and ``unshift_sum``: how
+    often each of those ``fourier`` functions was called (0 where a tree
+    lacks one);
+* from a run under a ``sys.setprofile`` hook that reads the first argument
+  of each transform call, so a tree's names need no patching:
+  ``dft_rows`` and ``dft_adjoint_rows``, the rows each transform was
+  handed (a vector is one row, an (R, d) stack R);
+* from a run under ``tracemalloc``: ``peak_bytes``, the peak of the memory
+  traced while it ran.
 
 The counts repeat exactly run to run; ``calls_per_iter`` depends on the
-Python and numpy versions, so compare two trees on one interpreter, e.g.
+Python and numpy versions, and ``peak_bytes`` differs by a few hundred
+bytes between repeats, so compare two trees on one interpreter, e.g.
 ``diff <(python tools/ledger.py old) <(python tools/ledger.py .)``.
 """
 
@@ -23,9 +32,14 @@ from __future__ import annotations
 
 import cProfile
 import json
+import math
 import pstats
 import sys
+import tracemalloc
+from functools import partial
 from pathlib import Path
+
+import numpy as np
 
 from same_bits import INIT_SEED_OFFSET, synthesize
 
@@ -33,6 +47,38 @@ ITERS = 200
 SHAPE_NAMES = ("small-d8", "sparse-d100-padded")
 ALGORITHMS = ("gd", "sgd", "epie", "interval")
 COUNTED = ("dft", "dft_adjoint", "shift_stack", "unshift_sum")
+TRANSFORMS = ("dft", "dft_adjoint")
+
+
+def transform_rows(bp, run) -> dict[str, int]:
+    """The rows each of ``TRANSFORMS`` is handed while ``run()`` runs (0
+    where a tree lacks one), read from the first argument of each call."""
+    codes = {getattr(bp.fourier, fn).__code__: fn
+             for fn in TRANSFORMS if hasattr(bp.fourier, fn)}
+    rows = dict.fromkeys(TRANSFORMS, 0)
+
+    def hook(frame, event, arg):
+        fn = codes.get(frame.f_code) if event == "call" else None
+        if fn is not None:
+            shape = np.shape(frame.f_locals[frame.f_code.co_varnames[0]])
+            rows[fn] += math.prod(shape[:-1])
+
+    sys.setprofile(hook)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return rows
+
+
+def peak_bytes(run) -> int:
+    """The ``tracemalloc`` peak while ``run()`` runs."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def ledger(bp) -> dict[str, float]:
@@ -43,9 +89,10 @@ def ledger(bp) -> dict[str, float]:
         for algorithm in ALGORITHMS:
             config = bp.SolverConfig(algorithm=algorithm, max_iters=ITERS,
                                      seed=INIT_SEED_OFFSET)
+            run = partial(bp.run, problem, z0, v0, config)
             profile = cProfile.Profile()
             profile.enable()
-            bp.run(problem, z0, v0, config)
+            run()
             profile.disable()
             stats = pstats.Stats(profile)
             calls = dict.fromkeys(COUNTED, 0)
@@ -56,6 +103,9 @@ def ledger(bp) -> dict[str, float]:
             out[f"{key}/calls_per_iter"] = stats.total_calls / ITERS
             for fn, count in calls.items():
                 out[f"{key}/{fn}"] = count
+            for fn, count in transform_rows(bp, run).items():
+                out[f"{key}/{fn}_rows"] = count
+            out[f"{key}/peak_bytes"] = peak_bytes(run)
     return out
 
 

@@ -72,6 +72,7 @@ BAD_FIELDS = [
     ("y", [[1.0] * 4] * 3 + [[1.0, 1.0, 1.0, INF]]),
     ("x", [[True, 0.0]] * 4), ("x", [[1.0, 0.0]] * 3), ("x", [[1.0, 0.0, 0.0]] * 4),
     ("w", [[1.0, 0.0]] * 3), ("w", [[1.0, 0.0]] * 3 + [[NAN, 0.0]]),
+    ("epsilon", 10**400), ("K", 5),
 ]
 
 
