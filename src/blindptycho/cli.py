@@ -40,7 +40,11 @@ def _parse_noise(text: str) -> NoiseModel:
     if text == "none" or text == "poisson":
         return NoiseModel(text)
     if text.startswith("gaussian:"):
-        return NoiseModel("gaussian", _parse(float, text.split(":", 1)[1], "--noise"))
+        sigma = _parse(float, text.split(":", 1)[1], "--noise")
+        try:
+            return NoiseModel("gaussian", sigma)
+        except ValueError as exc:
+            raise ValueError(f"--noise: {exc}") from None
     raise ValueError("--noise must be 'none', 'poisson' or 'gaussian:<sigma>'")
 
 

@@ -12,15 +12,17 @@ Conventions used throughout the package:
 In both shift flavours the transpose of S_r is S_{-r}, which the gradient
 code relies on.  A zero-padded family gathers from its input widened by a
 zero column at index d, which every emptied entry reads.  ``shift_stack``
-takes one vector and ``unshift_sum`` one row per offset, or a single 1-d
-row that stands for the same row under every offset (or, with an int
-``select``, under that one offset).
+takes one vector; its adjoint gather ``unshift_stack`` and that gather's
+row sum ``unshift_sum`` take one row per offset, or a single 1-d row that
+stands for the same row under every offset (or, with an int ``select``,
+under that one offset).
 
 The transforms are numpy's FFT along the last axis, for any d.  ``dft``,
 ``dft_adjoint`` and ``idft`` call the pocketfft gufuncs behind ``np.fft.fft``
 and ``np.fft.ifft`` (``numpy.fft._pocketfft_umath``, numpy >= 2.0) with the
-factor ``np.fft`` would pass (1; 1 for ``norm="forward"``; 1/d), so they give
-``np.fft``'s bits without its Python layer, a fixed cost per call as large
+factor ``np.fft`` would pass (1; 1 for ``norm="forward"``; 1/d), as the
+float the gufunc takes, so they give ``np.fft``'s bits without its Python
+layer or a cast of the factor per call, a fixed cost per call as large
 as the transform itself at d = 8.  They keep the one check the kernels lack:
 a missing or empty last axis raises ``ValueError``.  Each writes into a
 fresh buffer of the input's shape, so the result never aliases the input.
@@ -58,7 +60,7 @@ def _as_rows(x) -> np.ndarray:
 def dft(x: np.ndarray) -> np.ndarray:
     """Forward transform along the last axis, into a new array."""
     x = _as_rows(x)
-    return _pocketfft.fft(x, 1, out=np.empty_like(x))
+    return _pocketfft.fft(x, 1.0, out=np.empty_like(x))
 
 
 def dft_direct(x: np.ndarray) -> np.ndarray:
@@ -88,7 +90,7 @@ def dft_adjoint(X: np.ndarray) -> np.ndarray:
     """Conjugate-transpose transform F^* X along the last axis: d idft(X),
     into a new array."""
     X = _as_rows(X)
-    return _pocketfft.ifft(X, 1, out=np.empty_like(X))
+    return _pocketfft.ifft(X, 1.0, out=np.empty_like(X))
 
 
 # ---------------------------------------------------------------------------
@@ -195,16 +197,16 @@ def shift_stack(v: np.ndarray, shifts: ShiftSet, select=None) -> np.ndarray:
     return _widen(v, width)[idx]
 
 
-def unshift_sum(rows: np.ndarray, shifts: ShiftSet, select=None) -> np.ndarray:
-    """Sum of S_{-r} applied to the matching row of ``rows``.
+def unshift_stack(rows: np.ndarray, shifts: ShiftSet, select=None) -> np.ndarray:
+    """Stack whose row i is S_{-r} applied to row i of ``rows``, r the
+    offset of that row: the adjoint gather of ``shift_stack``, with no sum.
 
-    This is the adjoint reduction used by the window gradient: entry j of
-    the result collects rows[i, j + r_i] subject to the mode's boundary
+    Entry j of row i reads rows[i, j + r] subject to the mode's boundary
     rule.  With ``select``, row i of ``rows`` belongs to the offset with
-    index ``select[i]``, as for ``shift_stack(v, shifts, select)``.  A 1-d
-    ``rows`` is the same row for every (selected) offset.  An int
-    ``select`` takes a 1-d row and returns S_{-r} of it for that one
-    offset: a single gather of the cached plan row, with no sum.
+    index ``select[i]``, as for ``shift_stack(v, shifts, select)``; without
+    it, to offset i.  A 1-d ``rows`` is the same row for every (selected)
+    offset.  An int ``select`` takes a 1-d row and returns S_{-r} of it for
+    that one offset: a single gather of the cached plan row.
     """
     rows = np.asarray(rows)
     width, idx, flat = _gather_plan(shifts.offsets, rows.shape[-1], shifts.mode, -1)
@@ -216,11 +218,21 @@ def unshift_sum(rows: np.ndarray, shifts: ShiftSet, select=None) -> np.ndarray:
         idx = idx.take(select, 0)
         flat = idx + _row_base(len(idx), width)
     if rows.ndim == 1:
-        return np.add.reduce(_widen(rows, width)[idx], 0)
+        return _widen(rows, width)[idx]
     if len(rows) != len(idx):
         raise ValueError("rows must hold one row per selected offset")
     # one flat gather: row i of the result reads row i of ``rows``
-    return np.add.reduce(_widen(rows, width).reshape(-1)[flat], 0)
+    return _widen(rows, width).reshape(-1)[flat]
+
+
+def unshift_sum(rows: np.ndarray, shifts: ShiftSet, select=None) -> np.ndarray:
+    """Sum of S_{-r} applied to the matching row of ``rows``: the row sum of
+    ``unshift_stack(rows, shifts, select)``, in row order, and the adjoint
+    reduction of the window gradient.  An int ``select`` has one row and
+    returns ``unshift_stack``'s, with no sum.
+    """
+    out = unshift_stack(rows, shifts, select)
+    return out if out.ndim == 1 else np.add.reduce(out, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -29,11 +29,20 @@ is ``_sq_norm`` or its square root.  It has two halves: the forward half
 (gather, transform, amplitudes, misfit and norms) is all that ``grad=False``
 runs, and the back half (ratio, back transform and gradient reduction) runs
 on a forward half, either its own or one passed as ``forward=`` that an
-earlier ``grad=False`` call computed for the same arguments.  The engine's
-step (and sgd's at K = 1) runs the back half's two parts, ``_residual_back``
-at eps = 0 and ``_gradient``, in their one-row form: on 1-d views of one
-row of the solver monitor's forward half, with an int row and a float
-weight, so nothing is stacked and no sum runs over one row.
+earlier ``grad=False`` call computed for the same arguments.
+
+The back half forms each row's data gradient, ``_parts``: conj(S_r v) B_r
+and S_{-r}(conj(z) B_r), with B = F^*(I - D) spectrum.  ``_weighted_sum``
+scales each row by its weight after those products, sums the rows in
+order and adds the Tikhonov terms (t alpha z, t beta v).  The evaluation
+keeps the unweighted parts and the Tikhonov terms, so sgd's step is a
+``_weighted_sum`` of drawn rows of the solver monitor's parts, with no
+product, gather or transform of its own; it equals the public
+``stochastic_gradient``, which evaluates its rows afresh, bit for bit.
+The engine's step runs the back half, ``_residual_back`` at eps = 0 and
+``_gradient``, in its one-row form: on 1-d views of one row of the
+monitor's forward half, with an int row and a float weight, so nothing
+is stacked and no sum runs over one row.
 
 The bound formulas are written once, on ``_Bounds``, which computes the
 per-problem constants sqrt(||y||_1 / d), 3 max(alpha, beta), sqrt(15d/4)
@@ -48,7 +57,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fourier import dft, dft_adjoint, shift_stack, unshift_sum
+from .fourier import dft, dft_adjoint, shift_stack, unshift_stack, unshift_sum
 from .fourier import shift  # noqa: F401  # perfbench/tracing.py wraps objective.shift
 from .model import Problem
 
@@ -82,10 +91,11 @@ def _as_iterate(problem: Problem, z, v):
 class _Evaluation:
     """One pass of the residual kernel.  Row i of each array belongs to the
     offset with index ``rows[i]`` (every offset, in listed order, when
-    ``rows`` is None); ``back`` and ``grad`` are None without a gradient,
-    ``amp`` (which only the back half reads) with one.  Slotted, not
-    frozen: a frozen build costs several times more, and every iteration
-    builds one or two; nothing assigns to a field after the kernel returns."""
+    ``rows`` is None); ``grad``, ``parts`` and ``tik`` are None without a
+    gradient (``tik`` also at tikhonov 0), ``amp`` (which only the back half
+    reads) with one.  Slotted, not frozen: a frozen build costs several
+    times more, and every iteration builds one or two; nothing assigns to a
+    field after the kernel returns."""
 
     J: float
     L_eps: float
@@ -93,7 +103,8 @@ class _Evaluation:
     windows: np.ndarray            # S_r v
     spectrum: np.ndarray           # dft(z * S_r v)
     amp: np.ndarray | None         # sqrt(|spectrum|^2 + eps)
-    back: np.ndarray | None        # F^* (I - D) spectrum
+    parts: tuple | None            # each row's data gradient (``_parts``)
+    tik: tuple | None              # (t alpha z, t beta v)
     z_sq: float                    # ||z||^2
     v_sq: float                    # ||v||^2
 
@@ -126,17 +137,19 @@ def _evaluate(problem: Problem, z, v, rows=None, weights=None,
         z_sq, v_sq = _sq_norm(z), _sq_norm(v)
         total = data + problem.alpha * tikhonov * z_sq + problem.beta * tikhonov * v_sq
         if not grad:
-            return _Evaluation(total, data, None, windows, spectrum, amp, None,
+            return _Evaluation(total, data, None, windows, spectrum, amp, None, None,
                                z_sq, v_sq)
     else:
         f = forward
         total, data, windows, spectrum, amp, z_sq, v_sq = \
             f.J, f.L_eps, f.windows, f.spectrum, f.amp, f.z_sq, f.v_sq
     back = _residual_back(target, amp, spectrum, problem.epsilon)
-    g = _gradient(problem, z, v, windows, back, rows, weights, tikhonov)
+    parts = _parts(problem, z, windows, back, rows)
+    tik = _tikhonov(problem, z, v, tikhonov)
     # amp has no reader after the back half; a monitor that kept it would
     # hold one more (R, d) array alive per iteration for every solver.
-    return _Evaluation(total, data, g, windows, spectrum, None, back, z_sq, v_sq)
+    return _Evaluation(total, data, _weighted_sum(parts, weights, tik), windows,
+                       spectrum, None, parts, tik, z_sq, v_sq)
 
 
 def _residual_back(target, amp, spectrum, epsilon: float) -> np.ndarray:
@@ -150,30 +163,53 @@ def _residual_back(target, amp, spectrum, epsilon: float) -> np.ndarray:
     return dft_adjoint((1.0 - ratio) * spectrum)
 
 
+def _parts(problem: Problem, z, windows, back, rows) -> tuple[np.ndarray, np.ndarray]:
+    """The unweighted data gradient of each row, (conj(S_r v) B_r,
+    S_{-r}(conj(z) B_r)), from ``_evaluate``'s per-row arrays; an int
+    ``rows`` takes that row's 1-d ``windows`` and ``back`` and gives 1-d
+    parts."""
+    # the window part first, and the object part's product in place: at
+    # most three (R, d) arrays are alive at once, back included
+    part_v = unshift_stack(np.conj(z) * back, problem.shifts, rows)
+    part_z = np.conj(windows)
+    part_z *= back
+    return part_z, part_v
+
+
+def _tikhonov(problem: Problem, z, v, tikhonov: float):
+    """The Tikhonov gradient (t alpha z, t beta v), or None at t = 0, whose
+    zero terms could change only the sign of an exact zero of a sum."""
+    if tikhonov == 0:
+        return None
+    return tikhonov * problem.alpha * z, tikhonov * problem.beta * v
+
+
+def _weighted_sum(parts, weights, tik) -> GradientPair:
+    """sum_i weights_i parts_i + tik: each row scaled by its weight after
+    the products, then the rows summed in order.  1-d parts (one row) take
+    a float weight or None, and nothing is summed over one row: its values
+    are those of the (1, d) stack, except that an axis-0 sum turns -0 into
+    +0."""
+    g_z, g_v = parts
+    if weights is not None:
+        if g_z.ndim > 1:
+            weights = weights[:, np.newaxis]
+        g_z, g_v = weights * g_z, weights * g_v
+    if g_z.ndim > 1:
+        g_z, g_v = np.add.reduce(g_z, 0), np.add.reduce(g_v, 0)
+    if tik is not None:
+        g_z, g_v = g_z + tik[0], g_v + tik[1]
+    return GradientPair(g_z, g_v)
+
+
 def _gradient(problem: Problem, z, v, windows, back, rows, weights=None,
               tikhonov: float = 1.0) -> GradientPair:
-    """The gradient reduction of ``_evaluate`` from its per-row arrays.
-
-    An int ``rows`` is the one-row form: ``windows`` and ``back`` are that
-    row's 1-d arrays and ``weights`` a float or None, and nothing is
-    stacked or summed over one row.  Its values are those of the stack
-    ``[rows]``; an axis-0 sum turns -0 into +0, so it can differ only in
-    the sign of an exact zero.  ``tikhonov == 0`` skips the Tikhonov adds,
-    whose zero terms could likewise change only the sign of an exact zero
-    of the data part."""
-    if isinstance(rows, (int, np.integer)):
-        if weights is not None:
-            back = weights * back
-        g_z = np.conj(windows) * back
-    else:
-        if weights is not None:
-            back = weights[:, np.newaxis] * back
-        g_z = np.add.reduce(np.conj(windows) * back, 0)
-    g_v = unshift_sum(np.conj(z) * back, problem.shifts, rows)
-    if tikhonov != 0:
-        g_z = g_z + tikhonov * problem.alpha * z
-        g_v = g_v + tikhonov * problem.beta * v
-    return GradientPair(g_z, g_v)
+    """The gradient reduction of ``_evaluate`` from its per-row arrays:
+    ``_weighted_sum`` of ``_parts`` and ``_tikhonov``.  An int ``rows`` is
+    the one-row form (1-d ``windows`` and ``back``, a float or None
+    weight), which nothing stacks or sums."""
+    return _weighted_sum(_parts(problem, z, windows, back, rows), weights,
+                         _tikhonov(problem, z, v, tikhonov))
 
 
 def loss(problem: Problem, z, v) -> tuple[float, float]:

@@ -15,8 +15,9 @@ single stream:
 Output i of the stream is the finalizer applied to seed + i * increment
 (mod 2**64), so ``next_u64_block`` computes n outputs at once in wrapping
 uint64 arithmetic and returns exactly what n ``next_u64`` calls would.
-``normal_vector`` and ``complex_normal_vector`` are built on it and keep the
-scalar draw order: entry j consumes outputs 2j (the uniform in (0, 1] under
+``uniform_vector`` (entry j from output j), ``normal_vector`` and
+``complex_normal_vector`` are built on it and keep the scalar draw order;
+a normal's entry j consumes outputs 2j (the uniform in (0, 1] under
 the logarithm) and 2j + 1 (the angle).  Their logarithms, cosines and sines
 go through ``math`` element by element, because numpy's SIMD versions may
 differ from ``math`` in the last bit (``np.log`` does on some CPUs); the
@@ -54,9 +55,11 @@ def _integral(value) -> bool:
 
 def _count(value, name: str, least: int | None = None) -> int:
     """``value`` as an int, the one check of every integer count: a value
-    that is not ``_integral`` raises ``"{name} must be an integer: {value!r}"``
-    and one below ``least`` (if given) ``"{name} must be >= {least}: {value}"``."""
-    if not _integral(value):
+    that is not ``_integral``, or a float of magnitude above 2**53 (where
+    consecutive integers are no longer all floats), raises
+    ``"{name} must be an integer: {value!r}"`` and one below ``least`` (if
+    given) ``"{name} must be >= {least}: {value}"``."""
+    if not _integral(value) or isinstance(value, float) and abs(value) > 2.0**53:
         raise ValueError(f"{name} must be an integer: {value!r}")
     value = int(value)
     if least is not None and value < least:
@@ -118,6 +121,12 @@ class Rng:
         """Uniform draw in [0, 1)."""
         return (self.next_u64() >> 11) * 2.0**-53
 
+    def uniform_vector(self, n: int) -> np.ndarray:
+        """n ``uniform`` draws, the same bits in the same order."""
+        f = (self.next_u64_block(n) >> 11).astype(np.float64)
+        f *= 2.0**-53
+        return f
+
     def _uniform_pos(self) -> float:
         # (0, 1]; keeps the logarithm in Box-Muller finite.
         return ((self.next_u64() >> 11) + 1) * 2.0**-53
@@ -138,8 +147,7 @@ class Rng:
         # Box-Muller draws; k * 2**-53 + 2**-53 is (k + 1) * 2**-53 exactly,
         # as k < 2**53
         n = _count(n, "n", 0)
-        f = (self.next_u64_block(2 * n) >> 11).astype(np.float64)
-        f *= 2.0**-53
+        f = self.uniform_vector(2 * n)
         log_u = np.fromiter(map(math.log, (f[0::2] + 2.0**-53).tolist()), np.float64, n)
         return n, log_u, 2.0 * math.pi * f[1::2]
 

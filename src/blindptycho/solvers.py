@@ -43,17 +43,22 @@ Step-size policies:
   K = 1 (it is infinite) or theta = 0 (the condition it guards is vacuous).
   These steps certify convergence but barely move J; the practical
   stochastic path is ``sgd_step_rule="epie_scaled"`` (the engine's steps).
-  The sampled gradient reduces the K drawn rows of the monitor; at K = 1
-  in the kernel's one-row form (an int row, 1-d views, a float weight),
-  which gives the stack form's values.
+  The sampled gradient (1/K) sum_k (1/p_{r_k}) grad J_{r_k} is the
+  ``objective._weighted_sum`` of the K drawn rows of the monitor's
+  per-row data gradients (``ev.parts``) plus its Tikhonov terms
+  (``ev.tik``); at K = 1 it is w_r parts[r] + tik, with no stack and no
+  sum.  Rows are drawn by inverse CDF (``_draw_row``) from uniforms that
+  the run takes from ``Rng.uniform_vector`` blocks of at most 256 (never
+  more than max_iters K in all), with the scalar stream's bits.
 * epie:      magnitude projection of one region's exit wave followed by the
   decoupling updates with factors alpha_t / ||v||_inf^2, beta_t / ||z||_inf^2.
   That is the importance-weighted sgd step on the eps = 0 residual without
   Tikhonov terms, mu_t = alpha_t p_r / (d ||v||_inf^2), so ``_sgd`` runs it
   as its special case: K = 1 whatever the problem's batch size, the
-  epie_scaled steps, that residual on the monitor's row r, and i.i.d. or
-  (``epie_schedule="shuffled"``) shuffled draws.  With eps = 0 and no
-  Tikhonov terms it equals epie_scaled sgd bit for bit.
+  epie_scaled steps, that residual on the monitor's row r (through the
+  kernel's one-row form), and i.i.d. or (``epie_schedule="shuffled"``)
+  shuffled draws; the shuffled schedule draws no uniforms.  With eps = 0
+  and no Tikhonov terms it equals epie_scaled sgd bit for bit.
 * interval:  minimize J over a gamma grid of the loop's update with
   (mu_t, nu_t) = (gamma / L_obj, (1 - gamma) / L_win), whose ends are the
   single-variable updates of z (gamma = 1) and v (gamma = 0); the selected
@@ -71,6 +76,7 @@ import math
 import time
 from bisect import bisect_right
 from dataclasses import dataclass, field, fields
+from itertools import chain
 from pathlib import Path
 from typing import ClassVar
 
@@ -83,7 +89,8 @@ from .fourier import dft, shift  # noqa: F401
 from .model import Problem, _require
 from .objective import (GradientPair, _as_iterate, _Bounds,  # noqa: F401
                         _evaluate, _gradient, _partial_lipschitz,
-                        _residual_back, _sq_norm, gradient_region, loss,
+                        _residual_back, _sq_norm, _weighted_sum,
+                        gradient_region, loss,
                         loss_and_gradient, partial_lipschitz,
                         step_curvature_bound, stochastic_gradient_bounds)
 from .rng import Rng, _count, _real
@@ -282,16 +289,29 @@ def _gd(problem: Problem, config: SolverConfig):
 # ---------------------------------------------------------------------------
 # stochastic gradient descent
 
-def _draw_row(cdf: list[float], rng: Rng) -> int:
-    """One row by inverse CDF over ``cdf = cumsum(problem.p).tolist()``
-    (the offsets ascend) and one ``rng.uniform()``; a draw at or past the
-    last entry takes the last row."""
-    return min(bisect_right(cdf, rng.uniform()), len(cdf) - 1)
+def _draw_row(cdf: list[float], u: float) -> int:
+    """The row of one uniform ``u`` by inverse CDF over
+    ``cdf = cumsum(problem.p).tolist()`` (the offsets ascend); a draw at or
+    past the last entry takes the last row."""
+    return min(bisect_right(cdf, u), len(cdf) - 1)
 
 
 def _draw_rows(cdf: list[float], k: int, rng: Rng) -> list[int]:
-    """k i.i.d. ``_draw_row`` draws."""
-    return [_draw_row(cdf, rng) for _ in range(k)]
+    """k i.i.d. ``_draw_row`` draws of ``rng.uniform()``."""
+    return [_draw_row(cdf, rng.uniform()) for _ in range(k)]
+
+
+_UNIFORM_BLOCK = 256
+
+
+def _uniforms(rng: Rng, total: int):
+    """An iterator over the next ``total`` ``rng.uniform()`` draws, taken from
+    ``uniform_vector`` blocks of at most ``_UNIFORM_BLOCK``: the same stream,
+    with one block call in place of up to 256 scalar ones.  A memoryview of
+    a block yields its entries as Python floats, one at a time."""
+    return chain.from_iterable(
+        memoryview(rng.uniform_vector(min(_UNIFORM_BLOCK, total - start)))
+        for start in range(0, total, _UNIFORM_BLOCK))
 
 
 def sample_indices(problem: Problem, k: int, rng: Rng) -> list[int]:
@@ -354,21 +374,24 @@ def _sgd(problem: Problem, config: SolverConfig):
     if scaled and k != 1:
         raise ValueError("epie_scaled steps require batch_size 1")
     shuffled = engine and config.epie_schedule == "shuffled"
-    tikhonov = 0.0 if engine else 1.0
     magnitude = np.sqrt(problem.y) if engine else None
     rng = Rng(config.seed)
+    # the run owns rng, and the shuffled schedule draws no uniforms
+    uniforms = _uniforms(rng, config.max_iters * k)
     cdf = np.cumsum(problem.p).tolist()
     weights = _importance_weights(problem.p, k)
     weight, share = weights.tolist(), problem.p.tolist()
     rule = None if scaled else _sgd_rule(problem, config.theta, config.kappa)
     schedule: list[int] = []
 
-    # Both gradient forms reduce the monitor's rows: no forward transform.
+    # The sampled gradient sums drawn rows of the monitor's per-row
+    # gradients: no product, gather or transform of its own.
     def step(z, v, t, ev, gz, gv):
         if k > 1:
-            rows = _draw_rows(cdf, k, rng)
-            g = _gradient(problem, z, v, ev.windows.take(rows, 0),
-                          ev.back.take(rows, 0), rows, weights.take(rows))
+            rows = [_draw_row(cdf, next(uniforms)) for _ in range(k)]
+            pz, pv = ev.parts
+            g = _weighted_sum((pz.take(rows, 0), pv.take(rows, 0)),
+                              weights.take(rows), ev.tik)
         else:
             if shuffled:
                 if not schedule:
@@ -376,16 +399,17 @@ def _sgd(problem: Problem, config: SolverConfig):
                     rng.shuffle(schedule)
                 row = schedule.pop()
             else:
-                row = _draw_row(cdf, rng)
+                row = _draw_row(cdf, next(uniforms))
             if engine:
                 # the projection residual of the row: the kernel's at eps = 0
                 spectrum = ev.spectrum[row]
                 back = _residual_back(magnitude[row], np.sqrt(np.abs(spectrum) ** 2),
                                       spectrum, 0.0)
+                g = _gradient(problem, z, v, ev.windows[row], back, row, weight[row],
+                              0.0)
             else:
-                back = ev.back[row]
-            g = _gradient(problem, z, v, ev.windows[row], back, row, weight[row],
-                          tikhonov)
+                pz, pv = ev.parts
+                g = _weighted_sum((pz[row], pv[row]), weight[row], ev.tik)
         if scaled:
             # alpha p_r / (d ||v||_inf^2), beta p_r / (d ||z||_inf^2)
             linf_v = float(np.maximum.reduce(np.abs(v), None))

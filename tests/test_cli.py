@@ -157,6 +157,7 @@ def _problem_with(tmp_path, **fields):
                                   "interval-no-tikhonov", "epie-scaled-batch",
                                   "truth-half", "verify-unknown-suite",
                                   "epsilon-string", "synth-noise-sigma",
+                                  "synth-noise-sigma-negative",
                                   "synth-shifts-token", "synth-p-token",
                                   "synth-shifts-repeated", "synth-shifts-modulo-d",
                                   "synth-d-zero", "synth-d-negative",
@@ -199,6 +200,8 @@ def test_bad_input_exit_2_one_line(tmp_path, capsys, case):
                                   "--out", str(table)], "'nope'"),
         "epsilon-string": (run, "'epsilon'"),
         "synth-noise-sigma": (synth + ["4", "--noise", "gaussian:abc"], "--noise"),
+        "synth-noise-sigma-negative": (synth + ["4", "--noise", "gaussian:-1"],
+                                       "--noise: sigma must be >= 0: -1.0"),
         "synth-shifts-token": (synth + ["4", "--shifts", "0,a"], "--shifts"),
         "synth-p-token": (synth + ["4", "--p", "0.5,x,0.25,0.25"], "--p"),
         "synth-shifts-repeated": (synth + ["8", "--shifts", "0,0"], "--shifts"),

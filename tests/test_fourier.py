@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from blindptycho import (ShiftSet, dft, dft_direct, idft, q_apply, shift,
                          shift_stack)
-from blindptycho.fourier import MODES, _pocketfft, dft_adjoint, unshift_sum
+from blindptycho.fourier import (MODES, _pocketfft, dft_adjoint, unshift_stack,
+                                 unshift_sum)
 
 from conftest import np_pair
 
@@ -289,6 +290,7 @@ def test_shift_stack_unshift_sum_adjoint_property(data, d, mode, seed):
     # numpy's sum over the stacked rows, not Python's left-to-right sum: at
     # d = 1 numpy reduces an (n, 1) stack pairwise
     unshifted = np.stack([shift(w[i], -r, mode) for i, r in enumerate(picked)])
+    assert np.array_equal(unshift_stack(w, shifts, select), unshifted)
     assert np.array_equal(unshift_sum(w, shifts, select), unshifted.sum(axis=0))
     # the output dtype follows the input
     for a, b in ((u, w), (u.real, w.real)):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from blindptycho import (MeasurementSet, NoiseModel, Problem, Rng, ShiftSet,
                          add_noise, forward_intensities, loss, q_apply,
                          synthesize_problem)
+from blindptycho.cli import main
 from blindptycho.fourier import MODES
 from blindptycho.model import problem_from_json, problem_to_json
 
@@ -352,6 +353,9 @@ def test_json_integer_fields_not_truncated():
     ("epsilon", 10**400, "epsilon must be finite: inf"),
     ("K", 5, "batch_size must be <= the number of shifts (4): 5"),
     ("K", 10**30, f"batch_size must be <= the number of shifts (4): {10**30}"),
+    # above 2**53 consecutive integers are not all floats: not a count
+    ("K", 1e300, "batch_size must be an integer: 1e+300"),
+    ("d", 1e300, "d must be an integer: 1e+300"),
 ])
 def test_json_number_fields_take_json_numbers_only(key, value, message):
     # json booleans and numeric strings are not numbers, inside arrays too,
@@ -361,6 +365,24 @@ def test_json_number_fields_take_json_numbers_only(key, value, message):
     with pytest.raises(ValueError) as info:
         problem_from_json(json.dumps({**doc, key: value}))
     assert str(info.value) == f"problem field '{key}': {message}"
+
+
+@pytest.mark.parametrize("key", ["K", "d"])
+def test_huge_float_count_is_one_error_line(tmp_path, capsys, key):
+    # a float count far past 2**53 is named in one short line, not printed
+    # as a 301-digit int, and the run writes nothing
+    doc = json.loads(problem_to_json(synthesize_problem(4, seed=2)))
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({**doc, key: 1e300}))
+    out_dir = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["run", "--problem", str(path), "--algo", "gd", "--iters", "2",
+                 "--out-dir", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == [
+        f"error: problem field '{key}': "
+        f"{'batch_size' if key == 'K' else 'd'} must be an integer: 1e+300"]
+    assert not out_dir.exists()
 
 
 SPECIALS = (-0.0, 5e-324, 1.7976931348623157e308)

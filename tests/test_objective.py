@@ -8,7 +8,7 @@ from blindptycho import (ShiftSet, gradient, gradient_region, loss,
                          q_apply, shift, step_curvature_bound,
                          stochastic_gradient_bounds, synthesize_problem)
 from blindptycho.fourier import MODES, shift_stack, unshift_sum
-from blindptycho.objective import _evaluate, _gradient
+from blindptycho.objective import _evaluate, _gradient, _residual_back
 from blindptycho.verify import fd_wirtinger_gradient
 
 from conftest import np_pair
@@ -231,8 +231,29 @@ def test_evaluate_on_handed_over_forward_pass(eps, mode):
     resumed = _evaluate(prob, z, v, forward=_evaluate(prob, z, v, grad=False))
     assert (resumed.J, resumed.L_eps) == (full.J, full.L_eps)
     for a, b in [(resumed.grad.z, full.grad.z), (resumed.grad.v, full.grad.v),
-                 (resumed.back, full.back)]:
+                 *zip(resumed.parts, full.parts), *zip(resumed.tik, full.tik)]:
         assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("eps", [1e-8, 0.0])
+@pytest.mark.parametrize("mode", MODES)
+def test_monitor_parts_sum_to_the_gradient(eps, mode):
+    # the kept row gradients are conj(S_r v) B_r and S_{-r}(conj(z) B_r);
+    # summed in row order, plus the Tikhonov terms, they are ev.grad exactly
+    prob = synthesize_problem(8, shifts=ShiftSet.all_shifts(8, mode), seed=28,
+                              epsilon=eps, alpha=0.1, beta=0.2)
+    z, v = np_pair(8, 29)
+    ev = _evaluate(prob, z, v)
+    back = _residual_back(prob.y_amplitude, np.sqrt(np.abs(ev.spectrum) ** 2 + eps),
+                          ev.spectrum, eps)
+    parts_z, parts_v = ev.parts
+    assert np.array_equal(parts_z, np.conj(ev.windows) * back)
+    for r, offset in enumerate(prob.offsets):
+        assert np.array_equal(parts_v[r], shift(np.conj(z) * back[r], -offset, mode))
+    tik_z, tik_v = ev.tik
+    assert np.array_equal(tik_z, prob.alpha * z) and np.array_equal(tik_v, prob.beta * v)
+    assert np.array_equal(np.add.reduce(parts_z, 0) + tik_z, ev.grad.z)
+    assert np.array_equal(np.add.reduce(parts_v, 0) + tik_v, ev.grad.v)
 
 
 @pytest.mark.parametrize("shifts", [ShiftSet.all_shifts(8),
@@ -246,14 +267,15 @@ def test_one_row_gradient_equals_the_stack_row(shifts):
     prob = synthesize_problem(d, shifts=shifts, seed=26, epsilon=1e-3, alpha=0.1,
                               beta=0.2)
     z, v = np_pair(d, 27)
-    ev = _evaluate(prob, z, v)
+    ev = _evaluate(prob, z, v, grad=False)
+    back = _residual_back(prob.y_amplitude, ev.amp, ev.spectrum, prob.epsilon)
     for r in range(prob.n_regions):
         for weight in (None, 1.0 / float(prob.p[r])):
             stacked = None if weight is None else np.array([weight])
             for tikhonov in (0.0, 1.0):
-                one = _gradient(prob, z, v, ev.windows[r], ev.back[r], r, weight,
+                one = _gradient(prob, z, v, ev.windows[r], back[r], r, weight,
                                 tikhonov)
-                stack = _gradient(prob, z, v, ev.windows[[r]], ev.back[[r]], [r],
+                stack = _gradient(prob, z, v, ev.windows[[r]], back[[r]], [r],
                                   stacked, tikhonov)
                 assert one.z.shape == one.v.shape == (d,)
                 assert np.array_equal(one.z, stack.z)

@@ -11,6 +11,7 @@ STREAM_SEEDS = [0, 1, -1, 2**64 - 1]
 # each stream: its scalar reference, its block method and the dtype of a block
 STREAMS = {
     "next_u64": (Rng.next_u64, Rng.next_u64_block, np.uint64),
+    "uniform": (Rng.uniform, Rng.uniform_vector, np.float64),
     "normal": (Rng.normal, Rng.normal_vector, np.float64),
     "complex_normal": (Rng.complex_normal, Rng.complex_normal_vector, np.complex128),
 }

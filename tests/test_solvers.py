@@ -347,19 +347,22 @@ def test_sgd_update_norm_identity():
 
 
 @pytest.mark.parametrize("mode,d,k,rule", [("circular", 8, 1, "epie_scaled"),
-                                            ("zero-padded", 16, 3, "bounded")])
+                                            ("zero-padded", 16, 3, "bounded"),
+                                            ("circular", 8, 3, "bounded")])
 def test_sgd_step_is_public_stochastic_gradient(mode, d, k, rule):
-    # the sgd step is built from the monitor's per-row arrays; it must be
+    # the sgd step sums drawn rows of the monitor's row gradients; it must be
     # the public stochastic gradient at the recorded iterate times mu_t, nu_t,
     # and a bounded step the public sgd_max_step, bit for bit (eps = 0 and
-    # eps > 0: the ratio term branches on eps)
+    # eps > 0: the ratio term branches on eps).  At K = 3 a run draws 300
+    # uniforms, from blocks of 256 and 44, against the reference's scalar
+    # draws.
     offsets = tuple(range(-4, d, 3)) if mode == "zero-padded" else tuple(range(d))
     p = np.linspace(1.0, 2.0, len(offsets))
     for epsilon in (1e-8, 0.0):
         prob = synthesize_problem(d, shifts=ShiftSet(offsets, mode), seed=49,
                                   epsilon=epsilon, p=p / p.sum(), batch_size=k)
         z0, v0 = np_pair(d, 50)
-        cfg = SolverConfig(algorithm="sgd", max_iters=25, seed=8,
+        cfg = SolverConfig(algorithm="sgd", max_iters=100, seed=8,
                            sgd_step_rule=rule)
         res = run(prob, z0, v0, cfg, record_iterates=True)
         rng = Rng(8)

@@ -12,9 +12,10 @@ runs ``run`` for ``iters`` iterations three times and reports, under
 
 * from a run under ``cProfile``:
   * ``calls_per_iter``: the profile's ``total_calls`` over ``iters``;
-  * ``dft``, ``dft_adjoint``, ``shift_stack`` and ``unshift_sum``: how
-    often each of those ``fourier`` functions was called (0 where a tree
-    lacks one);
+  * ``dft``, ``dft_adjoint``, ``shift_stack``, ``unshift_stack`` and
+    ``unshift_sum``: how often each of those ``fourier`` functions was
+    called (0 where a tree lacks one; ``unshift_sum`` calls
+    ``unshift_stack``, so a call of it counts under both);
 * from a run under a ``sys.setprofile`` hook that reads the first argument
   of each transform call, so a tree's names need no patching:
   ``dft_rows`` and ``dft_adjoint_rows``, the rows each transform was
@@ -46,7 +47,7 @@ from same_bits import INIT_SEED_OFFSET, synthesize
 ITERS = 200
 SHAPE_NAMES = ("small-d8", "sparse-d100-padded")
 ALGORITHMS = ("gd", "sgd", "epie", "interval")
-COUNTED = ("dft", "dft_adjoint", "shift_stack", "unshift_sum")
+COUNTED = ("dft", "dft_adjoint", "shift_stack", "unshift_stack", "unshift_sum")
 TRANSFORMS = ("dft", "dft_adjoint")
 
 
