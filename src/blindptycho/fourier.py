@@ -41,6 +41,9 @@ from numpy.fft import _pocketfft_umath as _pocketfft
 
 from .rng import _count
 
+# np.empty_like's own C function, without its array-function dispatch
+_empty_like = np.empty_like._implementation
+
 CIRCULAR = "circular"
 ZERO_PADDED = "zero-padded"
 MODES = (CIRCULAR, ZERO_PADDED)
@@ -60,7 +63,7 @@ def _as_rows(x) -> np.ndarray:
 def dft(x: np.ndarray) -> np.ndarray:
     """Forward transform along the last axis, into a new array."""
     x = _as_rows(x)
-    return _pocketfft.fft(x, 1.0, out=np.empty_like(x))
+    return _pocketfft.fft(x, 1.0, out=_empty_like(x))
 
 
 def dft_direct(x: np.ndarray) -> np.ndarray:
@@ -83,14 +86,14 @@ def _direct_matrix(d: int) -> np.ndarray:
 def idft(X: np.ndarray) -> np.ndarray:
     """Inverse transform: (1/d) times the conjugate-transpose transform."""
     X = _as_rows(X)
-    return _pocketfft.ifft(X, 1.0 / X.shape[-1], out=np.empty_like(X))
+    return _pocketfft.ifft(X, 1.0 / X.shape[-1], out=_empty_like(X))
 
 
 def dft_adjoint(X: np.ndarray) -> np.ndarray:
     """Conjugate-transpose transform F^* X along the last axis: d idft(X),
     into a new array."""
     X = _as_rows(X)
-    return _pocketfft.ifft(X, 1.0, out=np.empty_like(X))
+    return _pocketfft.ifft(X, 1.0, out=_empty_like(X))
 
 
 # ---------------------------------------------------------------------------

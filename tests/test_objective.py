@@ -290,6 +290,9 @@ def test_step_curvature_bound_values():
     zeros = np.zeros(4, complex)
     expected = 3 * 4 * np.sqrt(prob.y_total / 4) + 3 * 0.5
     assert step_curvature_bound(prob, zeros, zeros) == pytest.approx(expected, rel=1e-12)
+    # a Python float, not a numpy scalar: the step rules run on it each
+    # iteration, and numpy scalar arithmetic costs several times more
+    assert type(step_curvature_bound(prob, zeros, zeros)) is float
 
     # unit-norm pair with zeroed measurements: 20 d plus the Tikhonov term
     from blindptycho import Problem
@@ -322,6 +325,7 @@ def test_stochastic_gradient_bounds_values():
     b1, _ = stochastic_gradient_bounds(prob, z, v)
     b4, _ = stochastic_gradient_bounds(prob4, z, v)
     assert b4 == pytest.approx(b1 / 2, rel=1e-12)
+    assert all(type(b) is float for b in stochastic_gradient_bounds(prob4, z, v))
 
 
 def test_partial_lipschitz_values():
