@@ -17,10 +17,10 @@ row sum ``unshift_sum`` take one row per offset, or a single 1-d row that
 stands for the same row under every offset (or, with an int ``select``,
 under that one offset).
 
-The transforms are numpy's FFT along the last axis, for any d.  ``dft``,
-``dft_adjoint`` and ``idft`` call the pocketfft gufuncs behind ``np.fft.fft``
-and ``np.fft.ifft`` (``numpy.fft._pocketfft_umath``, numpy >= 2.0) with the
-factor ``np.fft`` would pass (1; 1 for ``norm="forward"``; 1/d), as the
+The transforms are numpy's FFT along the last axis, for any d.  ``dft``
+and ``dft_adjoint`` call the pocketfft gufuncs behind ``np.fft.fft`` and
+``np.fft.ifft`` (``numpy.fft._pocketfft_umath``, numpy >= 2.0) with the
+factor ``np.fft`` would pass (1; 1 for ``norm="forward"``), as the
 float the gufunc takes, so they give ``np.fft``'s bits without its Python
 layer or a cast of the factor per call, a fixed cost per call as large
 as the transform itself at d = 8.  They keep the one check the kernels lack:
@@ -83,15 +83,9 @@ def _direct_matrix(d: int) -> np.ndarray:
     return w
 
 
-def idft(X: np.ndarray) -> np.ndarray:
-    """Inverse transform: (1/d) times the conjugate-transpose transform."""
-    X = _as_rows(X)
-    return _pocketfft.ifft(X, 1.0 / X.shape[-1], out=_empty_like(X))
-
-
 def dft_adjoint(X: np.ndarray) -> np.ndarray:
-    """Conjugate-transpose transform F^* X along the last axis: d idft(X),
-    into a new array."""
+    """Conjugate-transpose transform F^* X along the last axis, d times the
+    inverse transform, into a new array."""
     X = _as_rows(X)
     return _pocketfft.ifft(X, 1.0, out=_empty_like(X))
 

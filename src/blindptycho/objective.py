@@ -1,4 +1,4 @@
-"""Amplitude loss, Wirtinger gradients, and step-size bound constants.
+"""Amplitude loss, Wirtinger gradients and the partial curvature constants.
 
 The data term compares smoothed amplitudes against the measurements,
 
@@ -40,14 +40,13 @@ keeps the unweighted parts and the Tikhonov terms, so sgd's step is a
 product, gather or transform of its own; it equals the public
 ``stochastic_gradient``, which evaluates its rows afresh, bit for bit.
 The engine's step runs the back half, ``_residual_back`` at eps = 0 and
-``_gradient``, in its one-row form: on 1-d views of one row of the
-monitor's forward half, with an int row and a float weight, so nothing
-is stacked and no sum runs over one row.
+``_weighted_sum`` of ``_parts`` without Tikhonov terms, in its one-row
+form: on 1-d views of one row of the monitor's forward half, with an int
+row and a float weight, so nothing is stacked and no sum runs over one row.
 
-The bound formulas are written once, on ``_Bounds``, which computes the
-per-problem constants sqrt(||y||_1 / d), 3 max(alpha, beta), sqrt(15d/4)
-and sqrt(K) min p when built: once per run by a solver, once per call by
-the public ``step_curvature_bound`` and ``stochastic_gradient_bounds``.
+``partial_lipschitz`` gives interval descent's single-variable curvatures;
+the joint curvature bound and the sampled-gradient envelopes live in
+``solvers``, beside the step rules that read them.
 """
 
 from __future__ import annotations
@@ -98,7 +97,7 @@ class _Evaluation:
     """One pass of the residual kernel.  Row i of each array belongs to the
     offset with index ``rows[i]`` (every offset, in listed order, when
     ``rows`` is None); ``grad``, ``parts`` and ``tik`` are None without a
-    gradient (``tik`` also at tikhonov 0), ``amp`` (which only the back half
+    gradient, ``amp`` (which only the back half
     reads) with one.  Slotted, not frozen: a frozen build costs several
     times more, and every iteration builds one or two; nothing assigns to a
     field after the kernel returns."""
@@ -183,10 +182,7 @@ def _parts(problem: Problem, z, windows, back, rows) -> tuple[np.ndarray, np.nda
 
 
 def _tikhonov(problem: Problem, z, v, tikhonov: float):
-    """The Tikhonov gradient (t alpha z, t beta v), or None at t = 0, whose
-    zero terms could change only the sign of an exact zero of a sum."""
-    if tikhonov == 0:
-        return None
+    """The Tikhonov gradient (t alpha z, t beta v)."""
     return tikhonov * problem.alpha * z, tikhonov * problem.beta * v
 
 
@@ -206,16 +202,6 @@ def _weighted_sum(parts, weights, tik) -> GradientPair:
     if tik is not None:
         g_z, g_v = g_z + tik[0], g_v + tik[1]
     return GradientPair(g_z, g_v)
-
-
-def _gradient(problem: Problem, z, v, windows, back, rows, weights=None,
-              tikhonov: float = 1.0) -> GradientPair:
-    """The gradient reduction of ``_evaluate`` from its per-row arrays:
-    ``_weighted_sum`` of ``_parts`` and ``_tikhonov``.  An int ``rows`` is
-    the one-row form (1-d ``windows`` and ``back``, a float or None
-    weight), which nothing stacks or sums."""
-    return _weighted_sum(_parts(problem, z, windows, back, rows), weights,
-                         _tikhonov(problem, z, v, tikhonov))
 
 
 def loss(problem: Problem, z, v) -> tuple[float, float]:
@@ -245,58 +231,6 @@ def gradient_region(problem: Problem, z, v, r: int) -> GradientPair:
     row = problem.row(r)
     return _evaluate(problem, *_as_iterate(problem, z, v), [row],
                      tikhonov=float(problem.p[row])).grad
-
-
-# ---------------------------------------------------------------------------
-# bound constants feeding the step-size rules
-
-class _Bounds:
-    """The curvature bound and the stochastic-gradient envelopes of one
-    problem, with every factor that depends on the problem alone computed
-    when built."""
-
-    def __init__(self, problem: Problem):
-        d = problem.d
-        self.d, self.alpha, self.beta = d, problem.alpha, problem.beta
-        # Python floats: the rules run once per iteration on scalars, where
-        # numpy scalar arithmetic costs several times more, with equal bits
-        self.ymass = math.sqrt(problem.y_total / d)
-        self.weight = 3.0 * max(problem.alpha, problem.beta)
-        self.scale = math.sqrt(15.0 * d / 4.0)
-        self.sampling = math.sqrt(problem.batch_size) * float(np.min(problem.p))
-
-    def curvature(self, z_sq: float, v_sq: float) -> float:
-        """``step_curvature_bound`` from ||z||^2 and ||v||^2."""
-        return 3.0 * self.d * ((10.0 / 3.0) * (z_sq + v_sq) + self.ymass) + self.weight
-
-    def envelopes(self, z_sq: float, v_sq: float) -> tuple[float, float]:
-        """``stochastic_gradient_bounds`` from ||z||^2 and ||v||^2."""
-        nz, nv = math.sqrt(z_sq), math.sqrt(v_sq)
-        shared = (nz * nv + self.ymass) / self.sampling
-        b_z = self.scale * (self.d * nv * shared + self.alpha * nz)
-        b_v = self.scale * (self.d * nz * shared + self.beta * nv)
-        return b_z, b_v
-
-
-def step_curvature_bound(problem: Problem, z, v) -> float:
-    """Uniform curvature bound for joint descent steps.
-
-    3 d [ (10/3)(||z||^2 + ||v||^2) + sqrt(||y||_1 / d) ] + 3 max(alpha, beta);
-    its reciprocal is the norm-independent branch of the step-size rule.
-    """
-    z, v = _as_iterate(problem, z, v)
-    return _Bounds(problem).curvature(_sq_norm(z), _sq_norm(v))
-
-
-def stochastic_gradient_bounds(problem: Problem, z, v) -> tuple[float, float]:
-    """Deterministic envelopes (b_z, b_v) for the sampled gradients.
-
-    Whatever indices are drawn, (15 d / 4) ||g_z||^2 <= b_z^2 and likewise
-    for the window part, which makes the SGD step rule measurable without
-    looking at the sample.
-    """
-    z, v = _as_iterate(problem, z, v)
-    return _Bounds(problem).envelopes(_sq_norm(z), _sq_norm(v))
 
 
 def partial_lipschitz(problem: Problem, z, v) -> tuple[float, float]:

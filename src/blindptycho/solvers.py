@@ -24,10 +24,14 @@ runs are bit-reproducible from (problem, initial pair, config).
 
 A factory computes once per run what depends only on the problem and the
 config: the step rules ``_gd_rule``/``_sgd_rule`` with their constants
-(``objective._Bounds``, (15d/4)^(-1/3), sgd's exponents and K-branch), the
+(``_Bounds``, (15d/4)^(-1/3), sgd's exponents and K-branch), the
 sampling CDF, the importance weights 1/(K p) and epie's sqrt(y).  A step
 passes the rule the monitor's ||z||^2 and ||v||^2; no rule takes a norm.
-The public ``gd_step_sizes`` and ``sgd_max_step`` wrap the same rules.
+The bound formulas are written once, on ``_Bounds``, which computes the
+per-problem constants sqrt(||y||_1 / d), 3 max(alpha, beta), sqrt(15d/4)
+and sqrt(K) min p when built: once per run by a rule, once per call by the
+public ``step_curvature_bound``, ``stochastic_gradient_bounds``,
+``gd_step_sizes`` and ``sgd_max_step``.
 
 Step-size policies:
 
@@ -82,17 +86,15 @@ from typing import ClassVar
 
 import numpy as np
 
-# dft, shift, gradient_region, loss, loss_and_gradient, partial_lipschitz,
-# step_curvature_bound and stochastic_gradient_bounds are not called here but
-# stay bound: perfbench/tracing.py wraps them under these names.
+# dft, shift, gradient_region, loss, loss_and_gradient and partial_lipschitz
+# are not called here but stay bound: perfbench/tracing.py wraps them under
+# these names.
 from .fourier import dft, shift  # noqa: F401
 from .model import Problem, _require
-from .objective import (GradientPair, _as_iterate, _Bounds,  # noqa: F401
-                        _evaluate, _gradient, _partial_lipschitz,
-                        _residual_back, _sq_norm, _weighted_sum,
-                        gradient_region, loss,
-                        loss_and_gradient, partial_lipschitz,
-                        step_curvature_bound, stochastic_gradient_bounds)
+from .objective import (GradientPair, _as_iterate, _evaluate,  # noqa: F401
+                        _partial_lipschitz, _parts, _residual_back, _sq_norm,
+                        _weighted_sum, gradient_region, loss,
+                        loss_and_gradient, partial_lipschitz)
 from .rng import Rng, _count, _real
 
 ALGORITHMS = ("gd", "sgd", "epie", "interval")
@@ -242,6 +244,58 @@ def run(problem: Problem, z0, v0, config: SolverConfig, *,
 
 
 # ---------------------------------------------------------------------------
+# step-size bounds
+
+class _Bounds:
+    """The curvature bound and the stochastic-gradient envelopes of one
+    problem, with every factor that depends on the problem alone computed
+    when built."""
+
+    def __init__(self, problem: Problem):
+        d = problem.d
+        self.d, self.alpha, self.beta = d, problem.alpha, problem.beta
+        # Python floats: the rules run once per iteration on scalars, where
+        # numpy scalar arithmetic costs several times more, with equal bits
+        self.ymass = math.sqrt(problem.y_total / d)
+        self.weight = 3.0 * max(problem.alpha, problem.beta)
+        self.scale = math.sqrt(15.0 * d / 4.0)
+        self.sampling = math.sqrt(problem.batch_size) * float(np.min(problem.p))
+
+    def curvature(self, z_sq: float, v_sq: float) -> float:
+        """``step_curvature_bound`` from ||z||^2 and ||v||^2."""
+        return 3.0 * self.d * ((10.0 / 3.0) * (z_sq + v_sq) + self.ymass) + self.weight
+
+    def envelopes(self, z_sq: float, v_sq: float) -> tuple[float, float]:
+        """``stochastic_gradient_bounds`` from ||z||^2 and ||v||^2."""
+        nz, nv = math.sqrt(z_sq), math.sqrt(v_sq)
+        shared = (nz * nv + self.ymass) / self.sampling
+        b_z = self.scale * (self.d * nv * shared + self.alpha * nz)
+        b_v = self.scale * (self.d * nz * shared + self.beta * nv)
+        return b_z, b_v
+
+
+def step_curvature_bound(problem: Problem, z, v) -> float:
+    """Uniform curvature bound for joint descent steps.
+
+    3 d [ (10/3)(||z||^2 + ||v||^2) + sqrt(||y||_1 / d) ] + 3 max(alpha, beta);
+    its reciprocal is the norm-independent branch of the step-size rule.
+    """
+    z, v = _as_iterate(problem, z, v)
+    return _Bounds(problem).curvature(_sq_norm(z), _sq_norm(v))
+
+
+def stochastic_gradient_bounds(problem: Problem, z, v) -> tuple[float, float]:
+    """Deterministic envelopes (b_z, b_v) for the sampled gradients.
+
+    Whatever indices are drawn, (15 d / 4) ||g_z||^2 <= b_z^2 and likewise
+    for the window part, which makes the SGD step rule measurable without
+    looking at the sample.
+    """
+    z, v = _as_iterate(problem, z, v)
+    return _Bounds(problem).envelopes(_sq_norm(z), _sq_norm(v))
+
+
+# ---------------------------------------------------------------------------
 # gradient descent
 
 _INF = float("inf")
@@ -296,11 +350,6 @@ def _draw_row(cdf: list[float], u: float) -> int:
     return min(bisect_right(cdf, u), len(cdf) - 1)
 
 
-def _draw_rows(cdf: list[float], k: int, rng: Rng) -> list[int]:
-    """k i.i.d. ``_draw_row`` draws of ``rng.uniform()``."""
-    return [_draw_row(cdf, rng.uniform()) for _ in range(k)]
-
-
 _UNIFORM_BLOCK = 256
 
 
@@ -316,8 +365,9 @@ def _uniforms(rng: Rng, total: int):
 
 def sample_indices(problem: Problem, k: int, rng: Rng) -> list[int]:
     """Draw k >= 1 offsets of the problem i.i.d. from its distribution p."""
-    rows = _draw_rows(np.cumsum(problem.p).tolist(), _count(k, "k", 1), rng)
-    return [problem.offsets[i] for i in rows]
+    cdf = np.cumsum(problem.p).tolist()
+    return [problem.offsets[_draw_row(cdf, u)]
+            for u in rng.uniform_vector(_count(k, "k", 1)).tolist()]
 
 
 def _importance_weights(p: np.ndarray, k: int) -> np.ndarray:
@@ -405,8 +455,8 @@ def _sgd(problem: Problem, config: SolverConfig):
                 spectrum = ev.spectrum[row]
                 back = _residual_back(magnitude[row], np.sqrt(np.abs(spectrum) ** 2),
                                       spectrum, 0.0)
-                g = _gradient(problem, z, v, ev.windows[row], back, row, weight[row],
-                              0.0)
+                g = _weighted_sum(_parts(problem, z, ev.windows[row], back, row),
+                                  weight[row], None)
             else:
                 pz, pv = ev.parts
                 g = _weighted_sum((pz[row], pv[row]), weight[row], ev.tik)

@@ -31,9 +31,10 @@ import numpy as np
 from .fourier import ShiftSet, q_apply
 from .model import Problem, synthesize_problem
 from .objective import (GradientPair, _sq_norm, gradient, gradient_region, loss,
-                        loss_and_gradient, stochastic_gradient_bounds)
+                        loss_and_gradient)
 from .rng import Rng, _count
-from .solvers import sample_indices, stochastic_gradient
+from .solvers import (sample_indices, stochastic_gradient,
+                      stochastic_gradient_bounds)
 
 DEFAULT_TOL = 1e-9
 

@@ -8,7 +8,8 @@ from blindptycho import (ShiftSet, gradient, gradient_region, loss,
                          q_apply, shift, step_curvature_bound,
                          stochastic_gradient_bounds, synthesize_problem)
 from blindptycho.fourier import MODES, shift_stack, unshift_sum
-from blindptycho.objective import _evaluate, _gradient, _residual_back
+from blindptycho.objective import (_evaluate, _parts, _residual_back, _tikhonov,
+                                   _weighted_sum)
 from blindptycho.verify import fd_wirtinger_gradient
 
 from conftest import np_pair
@@ -272,11 +273,12 @@ def test_one_row_gradient_equals_the_stack_row(shifts):
     for r in range(prob.n_regions):
         for weight in (None, 1.0 / float(prob.p[r])):
             stacked = None if weight is None else np.array([weight])
-            for tikhonov in (0.0, 1.0):
-                one = _gradient(prob, z, v, ev.windows[r], back[r], r, weight,
-                                tikhonov)
-                stack = _gradient(prob, z, v, ev.windows[[r]], back[[r]], [r],
-                                  stacked, tikhonov)
+            # the engine adds no Tikhonov terms, the monitor adds them whole
+            for tik in (None, _tikhonov(prob, z, v, 1.0)):
+                one = _weighted_sum(_parts(prob, z, ev.windows[r], back[r], r),
+                                    weight, tik)
+                stack = _weighted_sum(_parts(prob, z, ev.windows[[r]], back[[r]], [r]),
+                                      stacked, tik)
                 assert one.z.shape == one.v.shape == (d,)
                 assert np.array_equal(one.z, stack.z)
                 assert np.array_equal(one.v, stack.v)

@@ -13,10 +13,10 @@ from blindptycho import (ALGORITHMS, DivergenceError, NoiseModel, Problem, Rng,
                          step_curvature_bound, stochastic_gradient,
                          synthesize_problem, trace_to_csv, write_trace)
 from blindptycho import solvers
-from blindptycho.fourier import dft, idft, shift
+from blindptycho.fourier import dft, shift
 from blindptycho.harness import ExperimentConfig
 from blindptycho.objective import GradientPair, _sq_norm
-from blindptycho.solvers import TRACE_HEADER, _draw_rows
+from blindptycho.solvers import TRACE_HEADER, _draw_row
 
 from conftest import np_pair
 
@@ -192,16 +192,6 @@ def test_sample_indices_pinned_draws():
     assert draws == [[14, 6, -6, 14], [8, 12, 14, 6], [8, 12, 8, 12]]
 
 
-class _Uniforms:
-    """Stands in for an Rng whose ``uniform()`` returns the given values."""
-
-    def __init__(self, values):
-        self._values = iter(values)
-
-    def uniform(self):
-        return next(self._values)
-
-
 @pytest.mark.parametrize("p", [
     np.full(8, 1 / 8),
     np.linspace(1.0, 3.0, 40) / np.linspace(1.0, 3.0, 40).sum(),
@@ -217,7 +207,7 @@ def test_draw_rows_matches_searchsorted(p):
     for c in cdf:
         u += [float(c), float(np.nextafter(c, 0.0)), float(np.nextafter(c, 2.0))]
     expected = np.minimum(np.searchsorted(cdf, u, side="right"), len(p) - 1)
-    assert _draw_rows(cdf.tolist(), len(u), _Uniforms(u)) == expected.tolist()
+    assert [_draw_row(cdf.tolist(), x) for x in u] == expected.tolist()
 
 
 def test_stochastic_gradient_k1_uniform_scaling(small_problem):
@@ -599,7 +589,7 @@ def _projection_step(problem, z, v, row, a, b):
     mag = np.abs(spectrum)
     scale = np.divide(np.sqrt(problem.y[row]), mag, out=np.zeros_like(mag),
                       where=mag > 0)
-    delta = idft(scale * spectrum) - z * sv
+    delta = np.fft.ifft(scale * spectrum) - z * sv
     return (z + a * np.conj(sv) * delta / np.max(np.abs(v)) ** 2,
             v + b * shift(np.conj(z) * delta, -r, mode) / np.max(np.abs(z)) ** 2)
 
