@@ -132,10 +132,17 @@ def _cmd_synth(args) -> int:
     p = None
     if args.p != "uniform":
         p = np.array([_parse(float, tok, "--p") for tok in args.p.split(",")])
-    problem = synthesize_problem(
-        d=args.d, shifts=shifts, seed=args.seed, noise=_parse_noise(args.noise),
-        epsilon=args.epsilon, alpha=args.alpha, beta=args.beta, p=p,
-        batch_size=args.batch_size)
+    try:
+        problem = synthesize_problem(
+            d=args.d, shifts=shifts, seed=args.seed, noise=_parse_noise(args.noise),
+            epsilon=args.epsilon, alpha=args.alpha, beta=args.beta, p=p,
+            batch_size=args.batch_size)
+    except ValueError as exc:
+        # a rejected Problem field that a flag named after it set
+        name = getattr(exc, "field", None)
+        if name not in ("shifts", "p", "batch_size", "epsilon", "alpha", "beta"):
+            raise
+        raise ValueError(f"--{name.replace('_', '-')}: {exc}") from None
     if args.drop_truth:
         problem = replace(problem, truth=None)
     save_problem(args.out, problem)

@@ -44,9 +44,8 @@ The engine's step runs the back half, ``_residual_back`` at eps = 0 and
 form: on 1-d views of one row of the monitor's forward half, with an int
 row and a float weight, so nothing is stacked and no sum runs over one row.
 
-``partial_lipschitz`` gives interval descent's single-variable curvatures;
-the joint curvature bound and the sampled-gradient envelopes live in
-``solvers``, beside the step rules that read them.
+``partial_lipschitz`` gives interval descent's curvatures; the bounds that
+gd's and sgd's step rules read live beside those rules, in ``solvers``.
 """
 
 from __future__ import annotations
@@ -97,10 +96,10 @@ class _Evaluation:
     """One pass of the residual kernel.  Row i of each array belongs to the
     offset with index ``rows[i]`` (every offset, in listed order, when
     ``rows`` is None); ``grad``, ``parts`` and ``tik`` are None without a
-    gradient, ``amp`` (which only the back half
-    reads) with one.  Slotted, not frozen: a frozen build costs several
-    times more, and every iteration builds one or two; nothing assigns to a
-    field after the kernel returns."""
+    gradient, ``amp`` (which only the back half reads) with one.  Slotted,
+    not frozen: a frozen build costs several times more, and every
+    iteration builds one or two; nothing assigns to a field after the
+    kernel returns."""
 
     J: float
     L_eps: float

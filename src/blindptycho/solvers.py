@@ -27,11 +27,9 @@ config: the step rules ``_gd_rule``/``_sgd_rule`` with their constants
 (``_Bounds``, (15d/4)^(-1/3), sgd's exponents and K-branch), the
 sampling CDF, the importance weights 1/(K p) and epie's sqrt(y).  A step
 passes the rule the monitor's ||z||^2 and ||v||^2; no rule takes a norm.
-The bound formulas are written once, on ``_Bounds``, which computes the
-per-problem constants sqrt(||y||_1 / d), 3 max(alpha, beta), sqrt(15d/4)
-and sqrt(K) min p when built: once per run by a rule, once per call by the
-public ``step_curvature_bound``, ``stochastic_gradient_bounds``,
-``gd_step_sizes`` and ``sgd_max_step``.
+The bound formulas are written once, on ``_Bounds`` (with sqrt(||y||_1 / d),
+3 max(alpha, beta), sqrt(15d/4) and min p), built once per run by a rule
+and once per call by the public bound and step-size functions.
 
 Step-size policies:
 
@@ -259,7 +257,7 @@ class _Bounds:
         self.ymass = math.sqrt(problem.y_total / d)
         self.weight = 3.0 * max(problem.alpha, problem.beta)
         self.scale = math.sqrt(15.0 * d / 4.0)
-        self.sampling = math.sqrt(problem.batch_size) * float(np.min(problem.p))
+        self.sampling = float(np.min(problem.p))
 
     def curvature(self, z_sq: float, v_sq: float) -> float:
         """``step_curvature_bound`` from ||z||^2 and ||v||^2."""
@@ -285,11 +283,19 @@ def step_curvature_bound(problem: Problem, z, v) -> float:
 
 
 def stochastic_gradient_bounds(problem: Problem, z, v) -> tuple[float, float]:
-    """Deterministic envelopes (b_z, b_v) for the sampled gradients.
+    """Deterministic envelopes (b_z, b_v) for the sampled gradients,
 
-    Whatever indices are drawn, (15 d / 4) ||g_z||^2 <= b_z^2 and likewise
-    for the window part, which makes the SGD step rule measurable without
-    looking at the sample.
+        b_z = sqrt(15d/4) (d ||v|| (||z|| ||v|| + sqrt(||y||_1 / d)) / min p
+                           + alpha ||z||),
+
+    and b_v with z, v and alpha exchanged for v, z and beta.  Whatever the
+    batch size K and the indices drawn, repeats included, (15 d / 4)
+    ||g_z||^2 <= b_z^2 (likewise for g_v), so the SGD step rule need not look
+    at the sample: by the triangle inequality the data term of
+    g_z = (1/K) sum_k part_{r_k} / p_{r_k} + alpha z, part_r = conj(S_r v) B_r,
+    is at most max_r ||part_r|| / min p, the bound of one draw, and the
+    Tikhonov term enters once.  A batch that draws one row K times has that
+    draw's gradient, so no factor in K can sharpen the envelope.
     """
     z, v = _as_iterate(problem, z, v)
     return _Bounds(problem).envelopes(_sq_norm(z), _sq_norm(v))

@@ -162,7 +162,10 @@ def _problem_with(tmp_path, **fields):
                                   "synth-shifts-repeated", "synth-shifts-modulo-d",
                                   "synth-d-zero", "synth-d-negative",
                                   "run-iters-negative", "run-reps-zero",
-                                  "K-above-regions", "epsilon-overflow"])
+                                  "K-above-regions", "epsilon-overflow",
+                                  "synth-shifts-descending", "synth-p-length",
+                                  "synth-batch-size-above-regions",
+                                  "synth-epsilon-negative", "synth-alpha-nan"])
 def test_bad_input_exit_2_one_line(tmp_path, capsys, case):
     bad = {"x-not-pairs": {"x": [1, 2]}, "offsets-not-a-list": {"offsets": 5},
            "K-not-integral": {"K": 2.9},
@@ -208,6 +211,17 @@ def test_bad_input_exit_2_one_line(tmp_path, capsys, case):
         "synth-shifts-modulo-d": (synth + ["8", "--shifts", "0,8"], "--shifts"),
         "synth-d-zero": (synth + ["0", "--shifts", "0"], "--d"),
         "synth-d-negative": (synth + ["-3"], "--d"),
+        # Problem's checks of what synth's flags set name the flag
+        "synth-shifts-descending": (synth + ["4", "--shifts", "3,1"],
+                                    "--shifts: offsets must be strictly ascending"),
+        "synth-p-length": (synth + ["4", "--p", "0.5,0.5"],
+                           "--p: p must have one entry per shift"),
+        "synth-batch-size-above-regions": (synth + ["4", "--batch-size", "9"],
+                                           "--batch-size: batch_size must be <="),
+        "synth-epsilon-negative": (synth + ["4", "--epsilon", "-1"],
+                                   "--epsilon: epsilon must be >= 0: -1.0"),
+        "synth-alpha-nan": (synth + ["4", "--alpha", "nan"],
+                            "--alpha: alpha must be finite: nan"),
         "run-iters-negative": (run[:6] + ["-1"] + run[7:],
                                "--iters must be >= 0: -1"),
         "run-reps-zero": (run + ["--reps", "0"], "--reps must be >= 1: 0"),

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 from blindptycho import (ShiftSet, gradient, gradient_region, loss,
                          loss_and_gradient, partial_lipschitz,
                          q_apply, shift, step_curvature_bound,
-                         stochastic_gradient_bounds, synthesize_problem)
+                         stochastic_gradient, stochastic_gradient_bounds,
+                         synthesize_problem)
 from blindptycho.fourier import MODES, shift_stack, unshift_sum
 from blindptycho.objective import (_evaluate, _parts, _residual_back, _tikhonov,
                                    _weighted_sum)
@@ -320,14 +321,34 @@ def test_stochastic_gradient_bounds_values():
     zeros = np.zeros(8, complex)
     assert stochastic_gradient_bounds(prob, zeros, zeros) == (0.0, 0.0)
 
-    # quadrupling K halves the sampling term
-    import dataclasses
-    prob4 = dataclasses.replace(prob, batch_size=4)
+    # sqrt(15d/4) d ||v|| (||z|| ||v|| + sqrt(||y||_1 / d)) / min p at alpha 0
     z, v = np_pair(8, 26)
-    b1, _ = stochastic_gradient_bounds(prob, z, v)
-    b4, _ = stochastic_gradient_bounds(prob4, z, v)
-    assert b4 == pytest.approx(b1 / 2, rel=1e-12)
-    assert all(type(b) is float for b in stochastic_gradient_bounds(prob4, z, v))
+    nz, nv = np.linalg.norm(z), np.linalg.norm(v)
+    b_z, b_v = stochastic_gradient_bounds(prob, z, v)
+    shared = (nz * nv + np.sqrt(prob.y_total / 8)) / (1 / 8)
+    assert b_z == pytest.approx(np.sqrt(30) * 8 * nv * shared, rel=1e-12)
+    assert b_v == pytest.approx(np.sqrt(30) * 8 * nz * shared, rel=1e-12)
+    assert all(type(b) is float for b in (b_z, b_v))
+
+    # the envelope of one draw bounds every batch, so it does not depend on K
+    import dataclasses
+    for k in (2, 4, 8):
+        batch = dataclasses.replace(prob, batch_size=k)
+        assert stochastic_gradient_bounds(batch, z, v) == (b_z, b_v)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_stochastic_gradient_bounds_hold_for_a_repeated_row(k):
+    # At z = v = 10^3 e_0 a draw at offset 0 nearly attains the envelope.  A
+    # batch that draws it K times has that draw's gradient, so the envelope
+    # may not shrink with K.
+    prob = synthesize_problem(8, seed=0, epsilon=1e-3, batch_size=k)
+    e = np.zeros(8, complex)
+    e[0] = 1e3
+    g = stochastic_gradient(prob, e, e, [0] * k)
+    for part, b in zip((g.z, g.v), stochastic_gradient_bounds(prob, e, e)):
+        ratio = (15 * 8 / 4) * np.vdot(part, part).real / b ** 2
+        assert 0.999 < ratio <= 1.0
 
 
 def test_partial_lipschitz_values():

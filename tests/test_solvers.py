@@ -256,7 +256,7 @@ def test_sgd_max_step_cases():
     m = sgd_max_step(prob, z, v, t=0, theta=theta, kappa=0.2)
     expected = min(bound ** (-2.0), b_z ** (-0.8), b_v ** (-0.8))
     assert m == pytest.approx(expected, rel=1e-12)
-    # K = 2, theta = 1/2: the last branch equals 4; the envelopes are K's own
+    # K = 2, theta = 1/2: the last branch equals 4; the envelopes are K = 1's
     prob2 = synthesize_problem(8, seed=17, batch_size=2)
     b2_z, b2_v = stochastic_gradient_bounds(prob2, z, v)
     m2 = sgd_max_step(prob2, z, v, t=0, theta=theta, kappa=0.2)
