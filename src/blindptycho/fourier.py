@@ -14,8 +14,8 @@ code relies on.  A zero-padded family gathers from its input widened by a
 zero column at index d, which every emptied entry reads.  ``shift_stack``
 takes one vector; its adjoint gather ``unshift_stack`` and that gather's
 row sum ``unshift_sum`` take one row per offset, or a single 1-d row that
-stands for the same row under every offset (or, with an int ``select``,
-under that one offset).
+stands for the same row under every offset.  They gather every offset;
+only ``unshift_stack`` takes an int ``select``, one offset for a 1-d row.
 
 The transforms are numpy's FFT along the last axis, for any d.  ``dft``
 and ``dft_adjoint`` call the pocketfft gufuncs behind ``np.fft.fft`` and
@@ -144,21 +144,12 @@ class ShiftSet:
 
 
 @lru_cache(maxsize=None)
-def _row_base(n: int, width: int) -> np.ndarray:
-    """The column of row starts 0, width, ..., (n - 1) width, read-only:
-    with ``flat = idx + _row_base(len(idx), width)``, row i of
-    ``stack.reshape(-1)[flat]`` is row i of an n x width stack gathered by
-    row i of ``idx``."""
-    base = np.arange(0, width * n, width)[:, np.newaxis]
-    base.setflags(write=False)
-    return base
-
-
-@lru_cache(maxsize=None)
 def _gather_plan(offsets: tuple[int, ...], d: int, mode: str, sign: int):
-    """Row width, index matrix and full flat index such that row i of
-    ``_widen(v, width)[idx]`` is S_{sign*offsets[i]} v; zero-padded rows
-    are d + 1 wide, and every emptied entry reads their zero column d."""
+    """Row width, index matrix and flat index such that row i of
+    ``_widen(v, width)[idx]`` is S_{sign*offsets[i]} v, and row i of
+    ``_widen(rows, width).reshape(-1)[flat]`` is that shift of row i of
+    ``rows``; zero-padded rows are d + 1 wide, and every emptied entry
+    reads their zero column d."""
     offs = np.asarray(offsets, dtype=np.intp).reshape(-1, 1)
     pos = np.arange(d, dtype=np.intp).reshape(1, -1)
     src = pos - sign * offs
@@ -166,7 +157,7 @@ def _gather_plan(offsets: tuple[int, ...], d: int, mode: str, sign: int):
         width, idx = d, np.mod(src, d)
     else:
         width, idx = d + 1, np.where((src >= 0) & (src < d), src, d)
-    flat = idx + _row_base(len(idx), width)
+    flat = idx + np.arange(0, width * len(idx), width)[:, np.newaxis]
     for a in (idx, flat):
         a.setflags(write=False)
     return width, idx, flat
@@ -181,55 +172,42 @@ def _widen(a: np.ndarray, width: int) -> np.ndarray:
     return out
 
 
-def shift_stack(v: np.ndarray, shifts: ShiftSet, select=None) -> np.ndarray:
-    """Stack whose rows are S_r v for each offset, in listed order.
-
-    ``select`` lists row indices into the offsets (repeats allowed) and
-    keeps only those rows, in that order.
-    """
+def shift_stack(v: np.ndarray, shifts: ShiftSet) -> np.ndarray:
+    """Stack whose rows are S_r v for each offset, in listed order."""
     v = np.asarray(v)
     width, idx, _ = _gather_plan(shifts.offsets, v.shape[-1], shifts.mode, 1)
-    if select is not None:
-        idx = idx.take(select, 0)
     return _widen(v, width)[idx]
 
 
-def unshift_stack(rows: np.ndarray, shifts: ShiftSet, select=None) -> np.ndarray:
-    """Stack whose row i is S_{-r} applied to row i of ``rows``, r the
-    offset of that row: the adjoint gather of ``shift_stack``, with no sum.
+def unshift_stack(rows: np.ndarray, shifts: ShiftSet,
+                  select: int | None = None) -> np.ndarray:
+    """Stack whose row i is S_{-r} applied to row i of ``rows``, r offset i:
+    the adjoint gather of ``shift_stack``, with no sum.
 
     Entry j of row i reads rows[i, j + r] subject to the mode's boundary
-    rule.  With ``select``, row i of ``rows`` belongs to the offset with
-    index ``select[i]``, as for ``shift_stack(v, shifts, select)``; without
-    it, to offset i.  A 1-d ``rows`` is the same row for every (selected)
-    offset.  An int ``select`` takes a 1-d row and returns S_{-r} of it for
-    that one offset: a single gather of the cached plan row.
+    rule.  A 1-d ``rows`` is the same row for every offset.  An int
+    ``select`` takes a 1-d row and returns S_{-r} of it for that one
+    offset: a single gather of the cached plan row.
     """
     rows = np.asarray(rows)
     width, idx, flat = _gather_plan(shifts.offsets, rows.shape[-1], shifts.mode, -1)
-    if isinstance(select, (int, np.integer)):
+    if select is not None:
         if rows.ndim != 1:
             raise ValueError("an int select takes one 1-d row")
         return _widen(rows, width)[idx[select]]
-    if select is not None:
-        idx = idx.take(select, 0)
-        flat = idx + _row_base(len(idx), width)
     if rows.ndim == 1:
         return _widen(rows, width)[idx]
     if len(rows) != len(idx):
-        raise ValueError("rows must hold one row per selected offset")
+        raise ValueError("rows must hold one row per offset")
     # one flat gather: row i of the result reads row i of ``rows``
     return _widen(rows, width).reshape(-1)[flat]
 
 
-def unshift_sum(rows: np.ndarray, shifts: ShiftSet, select=None) -> np.ndarray:
+def unshift_sum(rows: np.ndarray, shifts: ShiftSet) -> np.ndarray:
     """Sum of S_{-r} applied to the matching row of ``rows``: the row sum of
-    ``unshift_stack(rows, shifts, select)``, in row order, and the adjoint
-    reduction of the window gradient.  An int ``select`` has one row and
-    returns ``unshift_stack``'s, with no sum.
-    """
-    out = unshift_stack(rows, shifts, select)
-    return out if out.ndim == 1 else np.add.reduce(out, 0)
+    ``unshift_stack(rows, shifts)``, in row order, and the adjoint
+    reduction of the window gradient."""
+    return np.add.reduce(unshift_stack(rows, shifts), 0)
 
 
 # ---------------------------------------------------------------------------

@@ -20,9 +20,11 @@ When eps = 0 and a spectral coefficient vanishes, the ratio term is set to
 zero (coefficients below 1e-300 in magnitude are treated as zero to avoid
 overflow).
 
-Every value and gradient comes from one kernel, ``_evaluate``, over any
-subset of regions (repeats allowed).  Reductions run in row order, so the
-decomposition identities are reproducible run to run.  The kernel takes
+Every value and gradient comes from one kernel, ``_evaluate``, over all
+of a problem's regions.  A single-region objective J_r is the objective of
+a one-region problem, ``_region``: the region's measurement row and offset,
+with p_r alpha and p_r beta as its Tikhonov weights.  Reductions run in row
+order, so the decomposition identities are reproducible run to run.  The kernel takes
 complex128 vectors of length d unchecked (the public wrappers check them)
 and keeps ||z||^2 and ||v||^2 for the step rules; every norm in the package
 is ``_sq_norm`` or its square root.  It has two halves: the forward half
@@ -34,11 +36,12 @@ earlier ``grad=False`` call computed for the same arguments.
 The back half forms each row's data gradient, ``_parts``: conj(S_r v) B_r
 and S_{-r}(conj(z) B_r), with B = F^*(I - D) spectrum.  ``_weighted_sum``
 scales each row by its weight after those products, sums the rows in
-order and adds the Tikhonov terms (t alpha z, t beta v).  The evaluation
+order and adds the Tikhonov terms (alpha z, beta v).  The evaluation
 keeps the unweighted parts and the Tikhonov terms, so sgd's step is a
 ``_weighted_sum`` of drawn rows of the solver monitor's parts, with no
 product, gather or transform of its own; it equals the public
-``stochastic_gradient``, which evaluates its rows afresh, bit for bit.
+``stochastic_gradient``, which evaluates each drawn region afresh, bit for
+bit.
 The engine's step runs the back half, ``_residual_back`` at eps = 0 and
 ``_weighted_sum`` of ``_parts`` without Tikhonov terms, in its one-row
 form: on 1-d views of one row of the monitor's forward half, with an int
@@ -55,7 +58,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fourier import dft, dft_adjoint, shift_stack, unshift_stack, unshift_sum
+from .fourier import (ShiftSet, dft, dft_adjoint, shift_stack, unshift_stack,
+                      unshift_sum)
 from .fourier import shift  # noqa: F401  # perfbench/tracing.py wraps objective.shift
 from .model import Problem
 
@@ -93,11 +97,10 @@ def _as_iterate(problem: Problem, z, v):
 
 @dataclass(slots=True)
 class _Evaluation:
-    """One pass of the residual kernel.  Row i of each array belongs to the
-    offset with index ``rows[i]`` (every offset, in listed order, when
-    ``rows`` is None); ``grad``, ``parts`` and ``tik`` are None without a
-    gradient, ``amp`` (which only the back half reads) with one.  Slotted,
-    not frozen: a frozen build costs several times more, and every
+    """One pass of the residual kernel.  Row i of each array belongs to
+    offset i of the problem; ``grad``, ``parts`` and ``tik`` are None
+    without a gradient, ``amp`` (which only the back half reads) with one.
+    Slotted, not frozen: a frozen build costs several times more, and every
     iteration builds one or two; nothing assigns to a field after the
     kernel returns."""
 
@@ -108,38 +111,32 @@ class _Evaluation:
     spectrum: np.ndarray           # dft(z * S_r v)
     amp: np.ndarray | None         # sqrt(|spectrum|^2 + eps)
     parts: tuple | None            # each row's data gradient (``_parts``)
-    tik: tuple | None              # (t alpha z, t beta v)
+    tik: tuple | None              # (alpha z, beta v)
     z_sq: float                    # ||z||^2
     v_sq: float                    # ||v||^2
 
 
-def _evaluate(problem: Problem, z, v, rows=None, weights=None,
-              tikhonov: float = 1.0, grad: bool = True,
+def _evaluate(problem: Problem, z, v, grad: bool = True,
               forward: _Evaluation | None = None) -> _Evaluation:
     """The residual kernel: value and Wirtinger gradient of
 
-        sum_i weights_i L_i(z, v) + tikhonov (alpha ||z||^2 + beta ||v||^2),
+        J(z, v) = sum_r L_r(z, v) + alpha ||z||^2 + beta ||v||^2
 
-    where L_i is the data misfit of the region with offset index rows[i]
-    (repeats allowed; all regions when None) and weights default to one.
-    L_eps is the weighted data sum.  One forward and one back transform
-    cover all the rows.  z and v must already be complex128 of length d.
+    over all the problem's regions, L_r the data misfit of region r; L_eps
+    is the data sum.  One forward and one back transform cover all the
+    rows.  z and v must already be complex128 of length d.
 
     ``forward``, when given, must be the ``grad=False`` evaluation of the
-    same (z, v, rows, weights, tikhonov); the kernel then runs only its
-    back half, on those arrays, and returns value and gradient.
+    same (problem, z, v); the kernel then runs only its back half, on those
+    arrays, and returns value and gradient.
     """
-    target = problem.y_amplitude if rows is None else problem.y_amplitude[rows]
     if forward is None:
-        windows = shift_stack(v, problem.shifts, rows)
+        windows = shift_stack(v, problem.shifts)
         spectrum = dft(z * windows)
         amp = np.sqrt(np.abs(spectrum) ** 2 + problem.epsilon)
-        misfit = (amp - target) ** 2
-        if weights is not None:
-            misfit = weights[:, np.newaxis] * misfit
-        data = float(np.add.reduce(misfit, None))
+        data = float(np.add.reduce((amp - problem.y_amplitude) ** 2, None))
         z_sq, v_sq = _sq_norm(z), _sq_norm(v)
-        total = data + problem.alpha * tikhonov * z_sq + problem.beta * tikhonov * v_sq
+        total = data + problem.alpha * z_sq + problem.beta * v_sq
         if not grad:
             return _Evaluation(total, data, None, windows, spectrum, amp, None, None,
                                z_sq, v_sq)
@@ -147,12 +144,12 @@ def _evaluate(problem: Problem, z, v, rows=None, weights=None,
         f = forward
         total, data, windows, spectrum, amp, z_sq, v_sq = \
             f.J, f.L_eps, f.windows, f.spectrum, f.amp, f.z_sq, f.v_sq
-    back = _residual_back(target, amp, spectrum, problem.epsilon)
-    parts = _parts(problem, z, windows, back, rows)
-    tik = _tikhonov(problem, z, v, tikhonov)
+    back = _residual_back(problem.y_amplitude, amp, spectrum, problem.epsilon)
+    parts = _parts(problem, z, windows, back)
+    tik = _tikhonov(problem, z, v)
     # amp has no reader after the back half; a monitor that kept it would
     # hold one more (R, d) array alive per iteration for every solver.
-    return _Evaluation(total, data, _weighted_sum(parts, weights, tik), windows,
+    return _Evaluation(total, data, _weighted_sum(parts, None, tik), windows,
                        spectrum, None, parts, tik, z_sq, v_sq)
 
 
@@ -167,22 +164,23 @@ def _residual_back(target, amp, spectrum, epsilon: float) -> np.ndarray:
     return dft_adjoint((1.0 - ratio) * spectrum)
 
 
-def _parts(problem: Problem, z, windows, back, rows) -> tuple[np.ndarray, np.ndarray]:
+def _parts(problem: Problem, z, windows, back,
+           row: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """The unweighted data gradient of each row, (conj(S_r v) B_r,
     S_{-r}(conj(z) B_r)), from ``_evaluate``'s per-row arrays; an int
-    ``rows`` takes that row's 1-d ``windows`` and ``back`` and gives 1-d
+    ``row`` takes that row's 1-d ``windows`` and ``back`` and gives 1-d
     parts."""
     # the window part first, and the object part's product in place: at
     # most three (R, d) arrays are alive at once, back included
-    part_v = unshift_stack(np.conj(z) * back, problem.shifts, rows)
+    part_v = unshift_stack(np.conj(z) * back, problem.shifts, row)
     part_z = np.conj(windows)
     part_z *= back
     return part_z, part_v
 
 
-def _tikhonov(problem: Problem, z, v, tikhonov: float):
-    """The Tikhonov gradient (t alpha z, t beta v)."""
-    return tikhonov * problem.alpha * z, tikhonov * problem.beta * v
+def _tikhonov(problem: Problem, z, v):
+    """The Tikhonov gradient (alpha z, beta v)."""
+    return problem.alpha * z, problem.beta * v
 
 
 def _weighted_sum(parts, weights, tik) -> GradientPair:
@@ -220,6 +218,18 @@ def loss_and_gradient(problem: Problem, z, v) -> tuple[float, float, GradientPai
     return ev.J, ev.L_eps, ev.grad
 
 
+def _region(problem: Problem, offset) -> Problem:
+    """The one-region problem whose objective is J_r: the region's
+    measurement row and offset, the same eps, and alpha and beta scaled by
+    p_r; an offset the problem does not measure raises ValueError."""
+    row = problem.row(offset)
+    share = float(problem.p[row])
+    return Problem(y=problem.y[row:row + 1],
+                   shifts=ShiftSet((problem.offsets[row],), problem.shifts.mode),
+                   epsilon=problem.epsilon, alpha=share * problem.alpha,
+                   beta=share * problem.beta, p=(1.0,))
+
+
 def gradient_region(problem: Problem, z, v, r: int) -> GradientPair:
     """Gradient of the single-region objective J_r.
 
@@ -227,9 +237,7 @@ def gradient_region(problem: Problem, z, v, r: int) -> GradientPair:
     terms, so the full gradient is recovered exactly by summing over all
     regions in listed order.
     """
-    row = problem.row(r)
-    return _evaluate(problem, *_as_iterate(problem, z, v), [row],
-                     tikhonov=float(problem.p[row])).grad
+    return gradient(_region(problem, r), z, v)
 
 
 def partial_lipschitz(problem: Problem, z, v) -> tuple[float, float]:

@@ -90,9 +90,9 @@ import numpy as np
 from .fourier import dft, shift  # noqa: F401
 from .model import Problem, _require
 from .objective import (GradientPair, _as_iterate, _evaluate,  # noqa: F401
-                        _partial_lipschitz, _parts, _residual_back, _sq_norm,
-                        _weighted_sum, gradient_region, loss,
-                        loss_and_gradient, partial_lipschitz)
+                        _partial_lipschitz, _parts, _region, _residual_back,
+                        _sq_norm, _tikhonov, _weighted_sum, gradient_region,
+                        loss, loss_and_gradient, partial_lipschitz)
 from .rng import Rng, _count, _real
 
 ALGORITHMS = ("gd", "sgd", "epie", "interval")
@@ -383,12 +383,17 @@ def _importance_weights(p: np.ndarray, k: int) -> np.ndarray:
 
 def stochastic_gradient(problem: Problem, z, v, indices) -> GradientPair:
     """Importance-weighted average of the sampled single-region gradients:
-    (1/K) sum_k (1 / p_{r_k}) grad J_{r_k}, from one batched evaluation."""
-    rows = np.array([problem.row(r) for r in indices], dtype=np.intp)
-    if rows.size == 0:
+    (1/K) sum_k (1 / p_{r_k}) grad J_{r_k}, from one evaluation of each
+    drawn region's problem (``objective._region``), summed in draw order."""
+    rows = [problem.row(r) for r in indices]
+    if not rows:
         raise ValueError("indices must contain at least one offset")
-    return _evaluate(problem, *_as_iterate(problem, z, v), rows,
-                     _importance_weights(problem.p[rows], len(rows))).grad
+    z, v = _as_iterate(problem, z, v)
+    parts = [_evaluate(_region(problem, problem.offsets[row]), z, v).parts
+             for row in rows]
+    return _weighted_sum(tuple(np.concatenate(stack) for stack in zip(*parts)),
+                         _importance_weights(problem.p[rows], len(rows)),
+                         _tikhonov(problem, z, v))
 
 
 def _sgd_rule(problem: Problem, theta: float, kappa: float):

@@ -194,53 +194,41 @@ def test_shift_stack_rows(mode):
 
 
 @pytest.mark.parametrize("mode", ["circular", "zero-padded"])
-def test_selected_rows_repeat_and_reorder(mode):
+def test_unshift_sum_is_the_row_order_sum_of_shifts(mode):
+    # the adjoint sum is the row-order sum of single shifts, bit for bit, on
+    # 40 offsets at d = 100 (zero-padded ones beyond the edge included)
     rng = np.random.default_rng(8)
-    v = rng.normal(size=8) + 1j * rng.normal(size=8)
-    shifts = ShiftSet((-3, 0, 2, 4), mode)
-    shifts.validate_for_dim(8)  # distinct modulo 8, so a problem can hold it
-    select = [3, 1, 3, 0]
-    assert np.array_equal(shift_stack(v, shifts, select),
-                          shift_stack(v, shifts)[select])
-    # the selected-row adjoint is the row-order sum of single shifts, bit
-    # for bit, up to K = 40 rows with repeats
-    wide = ShiftSet(tuple(range(-40, 40, 2)), mode)
-    cases = [(shifts, select, 8)] + [
-        (wide, rng.integers(0, 40, size=k).tolist(), 100) for k in (1, 13, 40)]
-    for family, chosen, d in cases:
-        rows = rng.normal(size=(len(chosen), d)) + 1j * rng.normal(size=(len(chosen), d))
-        expected = sum(shift(rows[i], -family.offsets[j], mode)
-                       for i, j in enumerate(chosen))
-        assert np.array_equal(unshift_sum(rows, family, chosen), expected)
+    family = ShiftSet(tuple(range(-40, 40, 2)), mode)
+    family.validate_for_dim(100)
+    rows = rng.normal(size=(40, 100)) + 1j * rng.normal(size=(40, 100))
+    expected = sum(shift(rows[i], -r, mode) for i, r in enumerate(family.offsets))
+    assert np.array_equal(unshift_sum(rows, family), expected)
 
 
 @pytest.mark.parametrize("mode", ["circular", "zero-padded"])
 def test_unshift_sum_of_one_row(mode):
-    # a 1-d row stands for that row under every (selected) offset
+    # a 1-d row stands for that row under every offset
     rng = np.random.default_rng(4)
     row = rng.normal(size=8) + 1j * rng.normal(size=8)
     shifts = ShiftSet((-3, 0, 2, 6, 9), mode)
     stacked = np.repeat(row[np.newaxis], len(shifts), axis=0)
     assert np.array_equal(unshift_sum(row, shifts), unshift_sum(stacked, shifts))
-    select = [4, 1, 4]
-    assert np.array_equal(unshift_sum(row, shifts, select),
-                          unshift_sum(stacked[:3], shifts, select))
 
 
 @pytest.mark.parametrize("mode", ["circular", "zero-padded"])
 def test_unshift_sum_of_one_offset(mode):
-    # an int select gathers S_{-r} of one 1-d row: the one-row selection
-    # [i] and the single-offset shift, for offsets within and beyond d
+    # an int select gathers S_{-r} of one 1-d row: row i of the full
+    # gather and the single-offset shift, for offsets within and beyond d
     rng = np.random.default_rng(6)
     row = rng.normal(size=8) + 1j * rng.normal(size=8)
     shifts = ShiftSet((-11, -3, 0, 2, 6, 10), mode)
+    every = unshift_stack(row, shifts)
     for i, r in enumerate(shifts.offsets):
-        one = unshift_sum(row, shifts, i)
-        assert np.array_equal(one, unshift_sum(row, shifts, [i]))
-        assert np.array_equal(one, unshift_sum(row[np.newaxis], shifts, [i]))
+        one = unshift_stack(row, shifts, i)
+        assert np.array_equal(one, every[i])
         assert np.array_equal(one, shift(row, -r, mode))
     with pytest.raises(ValueError, match="one 1-d row"):
-        unshift_sum(row[np.newaxis], shifts, 0)
+        unshift_stack(row[np.newaxis], shifts, 0)
 
 
 @pytest.mark.parametrize("mode", ["circular", "zero-padded"])
@@ -251,11 +239,10 @@ def test_unshift_sum_is_rowwise_adjoint(mode):
     expected = sum(shift(rows[i], -r, mode)
                    for i, r in enumerate(shifts.offsets))
     assert np.allclose(unshift_sum(rows, shifts), expected, rtol=1e-15, atol=0)
-    # one row per offset (or per selected offset), no more and no fewer
-    for bad, select in [(rows[:2], None), (np.vstack([rows, rows]), None),
-                        (rows[:1], [0, 2])]:
-        with pytest.raises(ValueError, match="one row per selected offset"):
-            unshift_sum(bad, shifts, select)
+    # one row per offset, no more and no fewer
+    for bad in (rows[:2], np.vstack([rows, rows])):
+        with pytest.raises(ValueError, match="one row per offset"):
+            unshift_sum(bad, shifts)
 
 
 @settings(max_examples=60, deadline=None)
@@ -263,32 +250,29 @@ def test_unshift_sum_is_rowwise_adjoint(mode):
        seed=st.integers(0, 2 ** 32 - 1))
 def test_shift_stack_unshift_sum_adjoint_property(data, d, mode, seed):
     # <shift_stack(u), W> = <u, unshift_sum(W)> for any distinct offsets
-    # (beyond +-d too) and any row selection, repeats allowed; each gathered
-    # row is the single-offset shift bit for bit
+    # (beyond +-d too); each gathered row is the single-offset shift bit
+    # for bit
     offsets = data.draw(st.lists(st.integers(-2 * d, 2 * d), min_size=1,
                                  max_size=12, unique=True))
-    select = data.draw(st.none() | st.lists(st.integers(0, len(offsets) - 1),
-                                            min_size=1, max_size=12))
     shifts = ShiftSet(tuple(offsets), mode)
-    n = len(offsets) if select is None else len(select)
+    n = len(offsets)
     rng = np.random.default_rng(seed)
     u = rng.normal(size=d) + 1j * rng.normal(size=d)
     w = rng.normal(size=(n, d)) + 1j * rng.normal(size=(n, d))
-    lhs = np.vdot(shift_stack(u, shifts, select), w)
-    rhs = np.vdot(u, unshift_sum(w, shifts, select))
+    lhs = np.vdot(shift_stack(u, shifts), w)
+    rhs = np.vdot(u, unshift_sum(w, shifts))
     assert abs(lhs - rhs) <= 1e-12 * np.linalg.norm(u) * np.linalg.norm(w)
-    picked = [offsets[i] for i in (range(n) if select is None else select)]
-    assert np.array_equal(shift_stack(u, shifts, select),
-                          np.stack([shift(u, r, mode) for r in picked]))
+    assert np.array_equal(shift_stack(u, shifts),
+                          np.stack([shift(u, r, mode) for r in offsets]))
     # numpy's sum over the stacked rows, not Python's left-to-right sum: at
     # d = 1 numpy reduces an (n, 1) stack pairwise
-    unshifted = np.stack([shift(w[i], -r, mode) for i, r in enumerate(picked)])
-    assert np.array_equal(unshift_stack(w, shifts, select), unshifted)
-    assert np.array_equal(unshift_sum(w, shifts, select), unshifted.sum(axis=0))
+    unshifted = np.stack([shift(w[i], -r, mode) for i, r in enumerate(offsets)])
+    assert np.array_equal(unshift_stack(w, shifts), unshifted)
+    assert np.array_equal(unshift_sum(w, shifts), unshifted.sum(axis=0))
     # the output dtype follows the input
     for a, b in ((u, w), (u.real, w.real)):
-        assert shift_stack(a, shifts, select).dtype == a.dtype
-        assert unshift_sum(b, shifts, select).dtype == b.dtype
+        assert shift_stack(a, shifts).dtype == a.dtype
+        assert unshift_sum(b, shifts).dtype == b.dtype
 
 
 def test_q_apply_hand_values():

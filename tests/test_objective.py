@@ -9,8 +9,8 @@ from blindptycho import (ShiftSet, gradient, gradient_region, loss,
                          stochastic_gradient, stochastic_gradient_bounds,
                          synthesize_problem)
 from blindptycho.fourier import MODES, shift_stack, unshift_sum
-from blindptycho.objective import (_evaluate, _parts, _residual_back, _tikhonov,
-                                   _weighted_sum)
+from blindptycho.objective import (_evaluate, _parts, _region, _residual_back,
+                                   _tikhonov, _weighted_sum)
 from blindptycho.verify import fd_wirtinger_gradient
 
 from conftest import np_pair
@@ -18,7 +18,7 @@ from conftest import np_pair
 
 def _region_misfit(prob, z, v, r):
     """Data misfit of the single region with offset r (no Tikhonov part)."""
-    return _evaluate(prob, z, v, [prob.offset_row[r]], grad=False).L_eps
+    return loss(_region(prob, r), z, v)[1]
 
 
 def test_loss_zero_at_truth_any_eps():
@@ -263,22 +263,24 @@ def test_monitor_parts_sum_to_the_gradient(eps, mode):
                          ids=["circular-8", "zero-padded-12"])
 def test_one_row_gradient_equals_the_stack_row(shifts):
     # an int row with 1-d windows and back (the engine's step) reduces to the
-    # values of the (1, d) stack [r]; equal nonzero floats have equal bits, and
-    # only the sign of an exact zero may differ (an axis-0 sum gives +0)
+    # values of rows [r:r+1] of the full stack of parts; equal nonzero floats
+    # have equal bits, and only the sign of an exact zero may differ (an
+    # axis-0 sum gives +0)
     d = 8 if shifts.mode == "circular" else 12
     prob = synthesize_problem(d, shifts=shifts, seed=26, epsilon=1e-3, alpha=0.1,
                               beta=0.2)
     z, v = np_pair(d, 27)
     ev = _evaluate(prob, z, v, grad=False)
     back = _residual_back(prob.y_amplitude, ev.amp, ev.spectrum, prob.epsilon)
+    part_z, part_v = _parts(prob, z, ev.windows, back)
     for r in range(prob.n_regions):
         for weight in (None, 1.0 / float(prob.p[r])):
             stacked = None if weight is None else np.array([weight])
             # the engine adds no Tikhonov terms, the monitor adds them whole
-            for tik in (None, _tikhonov(prob, z, v, 1.0)):
+            for tik in (None, _tikhonov(prob, z, v)):
                 one = _weighted_sum(_parts(prob, z, ev.windows[r], back[r], r),
                                     weight, tik)
-                stack = _weighted_sum(_parts(prob, z, ev.windows[[r]], back[[r]], [r]),
+                stack = _weighted_sum((part_z[r:r + 1], part_v[r:r + 1]),
                                       stacked, tik)
                 assert one.z.shape == one.v.shape == (d,)
                 assert np.array_equal(one.z, stack.z)
