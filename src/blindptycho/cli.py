@@ -84,7 +84,9 @@ def _build_parser() -> argparse.ArgumentParser:
     synth = sub.add_parser("synth", help="synthesize a problem instance")
     synth.add_argument("--d", type=int, required=True)
     synth.add_argument("--shifts", default="all",
-                       help="'all' or a comma-separated offset list")
+                       help="'all' or a comma-separated offset list; write a "
+                            "list that starts with a negative offset as "
+                            "--shifts=-4,0,4")
     synth.add_argument("--mode", default=CIRCULAR, choices=MODES)
     synth.add_argument("--seed", type=int, default=0)
     synth.add_argument("--noise", default="none")

@@ -20,11 +20,11 @@ When eps = 0 and a spectral coefficient vanishes, the ratio term is set to
 zero (coefficients below 1e-300 in magnitude are treated as zero to avoid
 overflow).
 
-Every value and gradient comes from one kernel, ``_evaluate``, over all
-of a problem's regions.  A single-region objective J_r is the objective of
-a one-region problem, ``_region``: the region's measurement row and offset,
-with p_r alpha and p_r beta as its Tikhonov weights.  Reductions run in row
-order, so the decomposition identities are reproducible run to run.  The kernel takes
+Every value and gradient comes from one kernel, ``_evaluate``, over all of
+a problem's regions; a single-region objective J_r is that of the
+one-region problem ``_region``, with Tikhonov weights p_r alpha and
+p_r beta.  Reductions run in row order, so the decomposition identities
+are reproducible run to run.  The kernel takes
 complex128 vectors of length d unchecked (the public wrappers check them)
 and keeps ||z||^2 and ||v||^2 for the step rules; every norm in the package
 is ``_sq_norm`` or its square root.  It has two halves: the forward half
@@ -40,8 +40,8 @@ order and adds the Tikhonov terms (alpha z, beta v).  The evaluation
 keeps the unweighted parts and the Tikhonov terms, so sgd's step is a
 ``_weighted_sum`` of drawn rows of the solver monitor's parts, with no
 product, gather or transform of its own; it equals the public
-``stochastic_gradient``, which evaluates each drawn region afresh, bit for
-bit.
+``stochastic_gradient``, which evaluates each drawn region afresh, bit
+for bit.
 The engine's step runs the back half, ``_residual_back`` at eps = 0 and
 ``_weighted_sum`` of ``_parts`` without Tikhonov terms, in its one-row
 form: on 1-d views of one row of the monitor's forward half, with an int
@@ -58,8 +58,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fourier import (ShiftSet, dft, dft_adjoint, shift_stack, unshift_stack,
-                      unshift_sum)
+from .fourier import ShiftSet, dft, dft_adjoint, shift_stack, unshift_stack, unshift_sum
 from .fourier import shift  # noqa: F401  # perfbench/tracing.py wraps objective.shift
 from .model import Problem
 
@@ -164,8 +163,7 @@ def _residual_back(target, amp, spectrum, epsilon: float) -> np.ndarray:
     return dft_adjoint((1.0 - ratio) * spectrum)
 
 
-def _parts(problem: Problem, z, windows, back,
-           row: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+def _parts(problem: Problem, z, windows, back, row=None) -> tuple[np.ndarray, np.ndarray]:
     """The unweighted data gradient of each row, (conj(S_r v) B_r,
     S_{-r}(conj(z) B_r)), from ``_evaluate``'s per-row arrays; an int
     ``row`` takes that row's 1-d ``windows`` and ``back`` and gives 1-d

@@ -16,8 +16,9 @@ imaginary coordinate, assembled as (d/dRe + i d/dIm)/2.
 
 ``run_suite`` runs suites by name from one table, in the order of
 ``SUITES``: gradient_fd (at most 10 points), descent (scales 0.1, 1, 10),
-unbiasedness, gradient_bounds, bilinear (circular and zero-padded, at most
-25 points) and lipschitz.
+unbiasedness, gradient_bounds, bilinear (at most 25 points, zero-padded on
+the problem's offsets and circular on their distinct residues mod d, in
+ascending order) and lipschitz.
 """
 
 from __future__ import annotations
@@ -224,8 +225,10 @@ _SUITES = {
         problem, rng.complex_normal_vector(problem.d), rng.complex_normal_vector(problem.d))],
     "gradient_bounds": lambda problem, rng, n: [check_gradient_bounds(problem, n, rng)],
     "bilinear": lambda problem, rng, n: [
-        check_bilinear_bound(problem.d, ShiftSet(problem.offsets, mode), min(n, 25), rng)
-        for mode in ("circular", "zero-padded")],
+        check_bilinear_bound(problem.d, ShiftSet(offsets, mode), min(n, 25), rng)
+        for mode, offsets in (
+            ("circular", sorted({r % problem.d for r in problem.offsets})),
+            ("zero-padded", problem.offsets))],
     "lipschitz": lambda problem, rng, n: [check_lipschitz(problem, n, rng)],
 }
 SUITES = tuple(_SUITES)

@@ -41,6 +41,14 @@ def test_synth_options(tmp_path):
     assert prob.truth is None
 
 
+def test_synth_negative_first_offset(tmp_path):
+    # argparse reads "--shifts -4,0,4" as a flag; the "=" form is the way in
+    out = tmp_path / "p.json"
+    assert main(["synth", "--d", "8", "--mode", "zero-padded", "--shifts=-4,0,4",
+                 "--out", str(out)]) == 0
+    assert load_problem(out).offsets == (-4, 0, 4)
+
+
 def test_run_writes_trace_and_summary(tmp_path):
     problem_path = tmp_path / "p.json"
     main(["synth", "--d", "8", "--seed", "1", "--out", str(problem_path)])
@@ -102,6 +110,17 @@ def test_verify_suite_exit_codes(tmp_path):
     assert code == 0
     reports = json.loads(report_path.read_text())
     assert all(r["passed"] for r in reports)
+
+
+def test_verify_problem_with_offsets_equal_mod_d(tmp_path):
+    problem_path = tmp_path / "p.json"
+    report_path = tmp_path / "report.json"
+    assert main(["synth", "--d", "8", "--mode", "zero-padded", "--shifts=-4,-2,0,4",
+                 "--out", str(problem_path)]) == 0
+    assert main(["verify", "--problem", str(problem_path), "--samples", "5",
+                 "--out", str(report_path)]) == 0
+    reports = json.loads(report_path.read_text())
+    assert len(reports) == 9 and all(r["passed"] for r in reports)
 
 
 def test_verify_without_out_writes_json_to_stdout(capsys):

@@ -38,9 +38,18 @@ def test_ledger_counts_transforms():
             # the monitor's adjoint gather
             assert ledger[f"{key}/unshift_stack"] + ledger[f"{key}/unshift_sum"] \
                 >= iters + 1
+            # the monitor gathers all R rows each way, the engine one row
+            # more per step; interval's trials and curvatures gather more
+            gathered = regions * (iters + 1)
+            if algorithm == "interval":
+                assert ledger[f"{key}/shift_stack_rows"] > gathered, key
+                assert ledger[f"{key}/unshift_stack_rows"] > gathered, key
+            else:
+                assert ledger[f"{key}/shift_stack_rows"] == gathered, key
+                assert ledger[f"{key}/unshift_stack_rows"] == gathered + engine, key
             assert ledger[f"{key}/calls_per_iter"] > 0
             assert ledger[f"{key}/peak_bytes"] > 0
-    assert len(ledger) == 1 + 2 * 4 * 9
+    assert len(ledger) == 1 + 2 * 4 * 11
 
 
 def test_ledger_usage():

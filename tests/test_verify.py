@@ -231,6 +231,17 @@ def test_run_suite_all_pass():
     assert reports and all(r.passed for r in reports)
 
 
+def test_bilinear_suite_on_offsets_equal_mod_d():
+    # -4 and 4 agree mod 8: the circular report runs on the residues
+    # (0, 4, 6), the zero-padded one on the offsets as they are
+    prob = synthesize_problem(8, shifts=ShiftSet((-4, -2, 0, 4), "zero-padded"),
+                              seed=3)
+    reports = run_suite(["bilinear"], problem=prob, samples=10)
+    assert [r.name for r in reports] == ["bilinear_bound[circular]",
+                                         "bilinear_bound[zero-padded]"]
+    assert all(r.passed for r in reports)
+
+
 def test_run_suite_pinned_draws():
     # literal worst slacks of the reports above rounding level (None: at
     # rounding level); a change to the checkers' draws or arithmetic moves them

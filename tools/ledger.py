@@ -16,10 +16,13 @@ runs ``run`` for ``iters`` iterations three times and reports, under
     ``unshift_sum``: how often each of those ``fourier`` functions was
     called (0 where a tree lacks one; ``unshift_sum`` calls
     ``unshift_stack``, so a call of it counts under both);
-* from a run under a ``sys.setprofile`` hook that reads the first argument
-  of each transform call, so a tree's names need no patching:
-  ``dft_rows`` and ``dft_adjoint_rows``, the rows each transform was
-  handed (a vector is one row, an (R, d) stack R);
+* from a run under a ``sys.setprofile`` hook, so a tree's names need no
+  patching (a vector is one row, an (R, d) stack R):
+  * ``dft_rows`` and ``dft_adjoint_rows``, the rows each transform was
+    handed, read from the first argument of each call;
+  * ``shift_stack_rows`` and ``unshift_stack_rows``, the rows each gather
+    returned, read from the result of each return (``unshift_sum``'s
+    gather counts under ``unshift_stack_rows``);
 * from a run under ``tracemalloc``: ``peak_bytes``, the peak of the memory
   traced while it ran.
 
@@ -49,27 +52,35 @@ SHAPE_NAMES = ("small-d8", "sparse-d100-padded")
 ALGORITHMS = ("gd", "sgd", "epie", "interval")
 COUNTED = ("dft", "dft_adjoint", "shift_stack", "unshift_stack", "unshift_sum")
 TRANSFORMS = ("dft", "dft_adjoint")
+GATHERS = ("shift_stack", "unshift_stack")
 
 
-def transform_rows(bp, run) -> dict[str, int]:
-    """The rows each of ``TRANSFORMS`` is handed while ``run()`` runs (0
-    where a tree lacks one), read from the first argument of each call."""
+def rows(bp, run) -> dict[str, int]:
+    """The rows each of ``TRANSFORMS`` is handed and each of ``GATHERS``
+    returns while ``run()`` runs (0 where a tree lacks one), read from the
+    first argument of each transform call and the result of each gather."""
     codes = {getattr(bp.fourier, fn).__code__: fn
-             for fn in TRANSFORMS if hasattr(bp.fourier, fn)}
-    rows = dict.fromkeys(TRANSFORMS, 0)
+             for fn in TRANSFORMS + GATHERS if hasattr(bp.fourier, fn)}
+    counts = dict.fromkeys(TRANSFORMS + GATHERS, 0)
 
     def hook(frame, event, arg):
-        fn = codes.get(frame.f_code) if event == "call" else None
-        if fn is not None:
+        fn = codes.get(frame.f_code) if event in ("call", "return") else None
+        if fn is None:
+            return
+        if event == "call" and fn in TRANSFORMS:
             shape = np.shape(frame.f_locals[frame.f_code.co_varnames[0]])
-            rows[fn] += math.prod(shape[:-1])
+        elif event == "return" and fn in GATHERS and arg is not None:
+            shape = np.shape(arg)
+        else:
+            return
+        counts[fn] += math.prod(shape[:-1])
 
     sys.setprofile(hook)
     try:
         run()
     finally:
         sys.setprofile(None)
-    return rows
+    return counts
 
 
 def peak_bytes(run) -> int:
@@ -104,7 +115,7 @@ def ledger(bp) -> dict[str, float]:
             out[f"{key}/calls_per_iter"] = stats.total_calls / ITERS
             for fn, count in calls.items():
                 out[f"{key}/{fn}"] = count
-            for fn, count in transform_rows(bp, run).items():
+            for fn, count in rows(bp, run).items():
                 out[f"{key}/{fn}_rows"] = count
             out[f"{key}/peak_bytes"] = peak_bytes(run)
     return out
