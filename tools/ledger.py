@@ -55,7 +55,7 @@ TRANSFORMS = ("dft", "dft_adjoint")
 GATHERS = ("shift_stack", "unshift_stack")
 
 
-def rows(bp, run) -> dict[str, int]:
+def row_counts(bp, run) -> dict[str, int]:
     """The rows each of ``TRANSFORMS`` is handed and each of ``GATHERS``
     returns while ``run()`` runs (0 where a tree lacks one), read from the
     first argument of each transform call and the result of each gather."""
@@ -64,16 +64,12 @@ def rows(bp, run) -> dict[str, int]:
     counts = dict.fromkeys(TRANSFORMS + GATHERS, 0)
 
     def hook(frame, event, arg):
-        fn = codes.get(frame.f_code) if event in ("call", "return") else None
-        if fn is None:
-            return
+        fn = codes.get(frame.f_code)
         if event == "call" and fn in TRANSFORMS:
             shape = np.shape(frame.f_locals[frame.f_code.co_varnames[0]])
+            counts[fn] += math.prod(shape[:-1])
         elif event == "return" and fn in GATHERS and arg is not None:
-            shape = np.shape(arg)
-        else:
-            return
-        counts[fn] += math.prod(shape[:-1])
+            counts[fn] += math.prod(np.shape(arg)[:-1])
 
     sys.setprofile(hook)
     try:
@@ -115,7 +111,7 @@ def ledger(bp) -> dict[str, float]:
             out[f"{key}/calls_per_iter"] = stats.total_calls / ITERS
             for fn, count in calls.items():
                 out[f"{key}/{fn}"] = count
-            for fn, count in rows(bp, run).items():
+            for fn, count in row_counts(bp, run).items():
                 out[f"{key}/{fn}_rows"] = count
             out[f"{key}/peak_bytes"] = peak_bytes(run)
     return out
