@@ -84,9 +84,7 @@ def _build_parser() -> argparse.ArgumentParser:
     synth = sub.add_parser("synth", help="synthesize a problem instance")
     synth.add_argument("--d", type=int, required=True)
     synth.add_argument("--shifts", default="all",
-                       help="'all' or a comma-separated offset list; write a "
-                            "list that starts with a negative offset as "
-                            "--shifts=-4,0,4")
+                       help="'all' or a comma-separated offset list")
     synth.add_argument("--mode", default=CIRCULAR, choices=MODES)
     synth.add_argument("--seed", type=int, default=0)
     synth.add_argument("--noise", default="none")
@@ -194,10 +192,21 @@ _COMMANDS = {"synth": _cmd_synth, "run": _cmd_run, "verify": _cmd_verify,
              "report": _cmd_report}
 
 
+def _join_shifts(argv) -> list[str]:
+    """``argv`` (default ``sys.argv[1:]``) with each ``--shifts X`` written
+    ``--shifts=X``: argparse reads an X that starts with '-', such as
+    -4,0,4, as a flag."""
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for i in reversed(range(len(argv) - 1)):
+        if argv[i] == "--shifts":
+            argv[i:i + 2] = [f"--shifts={argv[i + 1]}"]
+    return argv
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_shifts(argv))
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help; pass both through
         return int(exc.code or 0)

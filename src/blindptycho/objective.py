@@ -98,7 +98,7 @@ def _as_iterate(problem: Problem, z, v):
 class _Evaluation:
     """One pass of the residual kernel.  Row i of each array belongs to
     offset i of the problem; ``grad``, ``parts`` and ``tik`` are None
-    without a gradient, ``amp`` (which only the back half reads) with one.
+    without a gradient.  ``solvers.run`` owns each monitor record's life.
     Slotted, not frozen: a frozen build costs several times more, and every
     iteration builds one or two; nothing assigns to a field after the
     kernel returns."""
@@ -146,10 +146,8 @@ def _evaluate(problem: Problem, z, v, grad: bool = True,
     back = _residual_back(problem.y_amplitude, amp, spectrum, problem.epsilon)
     parts = _parts(problem, z, windows, back)
     tik = _tikhonov(problem, z, v)
-    # amp has no reader after the back half; a monitor that kept it would
-    # hold one more (R, d) array alive per iteration for every solver.
     return _Evaluation(total, data, _weighted_sum(parts, None, tik), windows,
-                       spectrum, None, parts, tik, z_sq, v_sq)
+                       spectrum, amp, parts, tik, z_sq, v_sq)
 
 
 def _residual_back(target, amp, spectrum, epsilon: float) -> np.ndarray:

@@ -13,7 +13,7 @@ the iterate, there only, to (z - mu_t g.z, v - nu_t g.v), where ``g`` is
 ``ev.grad`` for gd and interval and the sampled gradient for sgd and epie.
 ``ahead`` is None or the new pair's ``_evaluate(..., grad=False)``, which
 interval hands over (its selected trial): the monitor then runs only the
-kernel's back half.
+kernel's back half.  No step, trace row or SolverRun keeps ``ev`` or ``g``.
 The factories ``_gd/_sgd/_interval(problem, config)`` check the problem,
 build the algorithm's state and return (step, interval_steps or None);
 ``_sgd`` serves sgd and epie.  ``ev`` is the monitor's evaluation, whose
@@ -208,7 +208,9 @@ class SolverRun:
 def run(problem: Problem, z0, v0, config: SolverConfig, *,
         record_iterates: bool = False) -> SolverRun:
     """The solver loop shared by every algorithm (see module docstring);
-    ``record_iterates`` keeps every iterate in ``SolverRun.iterates``."""
+    ``record_iterates`` keeps every iterate in ``SolverRun.iterates``.  The
+    loop owns each iteration's record and step gradient: it drops both once
+    the iterate has moved, before the next kernel pass allocates its own."""
     z, v = (np.array(a) for a in _as_iterate(problem, z0, v0))
     if not (np.all(np.isfinite(z)) and np.all(np.isfinite(v))):
         raise ValueError("starting pair must be finite")
@@ -236,6 +238,7 @@ def run(problem: Problem, z0, v0, config: SolverConfig, *,
         if last:
             break
         z, v = z - mu_t * g.z, v - nu_t * g.v
+        del ev, g
         if iterates is not None:
             iterates.append((z.copy(), v.copy()))
     return SolverRun(z, v, trace, iterates, interval_steps)

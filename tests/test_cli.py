@@ -41,12 +41,19 @@ def test_synth_options(tmp_path):
     assert prob.truth is None
 
 
-def test_synth_negative_first_offset(tmp_path):
-    # argparse reads "--shifts -4,0,4" as a flag; the "=" form is the way in
-    out = tmp_path / "p.json"
-    assert main(["synth", "--d", "8", "--mode", "zero-padded", "--shifts=-4,0,4",
-                 "--out", str(out)]) == 0
-    assert load_problem(out).offsets == (-4, 0, 4)
+def test_synth_negative_first_offset(tmp_path, capsys):
+    # a list that starts with a negative offset is read after "--shifts" as
+    # after "--shifts=", to the same bytes; a negative --d is still refused
+    spaced, joined = tmp_path / "spaced.json", tmp_path / "joined.json"
+    synth = ["synth", "--d", "8", "--mode", "zero-padded"]
+    assert main(synth + ["--shifts", "-4,0,4", "--out", str(spaced)]) == 0
+    assert main(synth + ["--shifts=-4,0,4", "--out", str(joined)]) == 0
+    assert spaced.read_bytes() == joined.read_bytes()
+    assert load_problem(spaced).offsets == (-4, 0, 4)
+    capsys.readouterr()
+    assert main(["synth", "--d", "-1", "--shifts", "-4,0,4",
+                 "--out", str(tmp_path / "x.json")]) == 2
+    assert capsys.readouterr().err == "error: --d must be >= 1: -1\n"
 
 
 def test_run_writes_trace_and_summary(tmp_path):

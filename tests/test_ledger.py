@@ -20,7 +20,7 @@ def test_ledger_counts_transforms():
     # interval's second gamma trial adds a forward transform per step and
     # the engine's own residual a back transform.  Each monitor transform
     # takes all R rows, the engine's residual one.  The call totals depend
-    # on the Python and numpy versions, and the peak bytes by a few hundred
+    # on the Python and numpy versions, and the peaks by a few hundred bytes
     # between repeats, so only their presence is checked.
     forward = {"gd": iters + 1, "sgd": iters + 1, "epie": iters + 1,
                "interval": 2 * iters + 1}
@@ -49,7 +49,8 @@ def test_ledger_counts_transforms():
                 assert ledger[f"{key}/unshift_stack_rows"] == gathered + engine, key
             assert ledger[f"{key}/calls_per_iter"] > 0
             assert ledger[f"{key}/peak_bytes"] > 0
-    assert len(ledger) == 1 + 2 * 4 * 11
+            assert ledger[f"{key}/peak_rd_arrays"] > 0
+    assert len(ledger) == 1 + 2 * 4 * 12
 
 
 def test_ledger_usage():

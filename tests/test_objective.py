@@ -225,16 +225,21 @@ def test_loss_and_gradient_consistent(small_problem):
 @pytest.mark.parametrize("eps", [1e-8, 0.0])
 @pytest.mark.parametrize("mode", MODES)
 def test_evaluate_on_handed_over_forward_pass(eps, mode):
-    # the back half run on an earlier grad=False pass equals the full kernel
+    # the back half run on an earlier grad=False pass equals the full kernel,
+    # and a full record keeps its forward half, amp included
     prob = synthesize_problem(8, shifts=ShiftSet.all_shifts(8, mode), seed=24,
                               epsilon=eps)
     z, v = np_pair(8, 25)
     full = _evaluate(prob, z, v)
     resumed = _evaluate(prob, z, v, forward=_evaluate(prob, z, v, grad=False))
-    assert (resumed.J, resumed.L_eps) == (full.J, full.L_eps)
+    assert (resumed.J, resumed.L_eps, resumed.z_sq, resumed.v_sq) == \
+        (full.J, full.L_eps, full.z_sq, full.v_sq)
     for a, b in [(resumed.grad.z, full.grad.z), (resumed.grad.v, full.grad.v),
+                 (resumed.windows, full.windows), (resumed.spectrum, full.spectrum),
+                 (resumed.amp, full.amp),
                  *zip(resumed.parts, full.parts), *zip(resumed.tik, full.tik)]:
         assert np.array_equal(a, b)
+    assert np.array_equal(full.amp, np.sqrt(np.abs(full.spectrum) ** 2 + eps))
 
 
 @pytest.mark.parametrize("eps", [1e-8, 0.0])

@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+import weakref
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
@@ -807,6 +808,36 @@ def test_trace_rows_are_fresh_evaluations(mode, d, epsilon):
             gammas = {s.gamma for s in steps}
             assert len(gammas) > 1
             assert cfg.gamma_grid == 2 or gammas - {0.0, 1.0}
+
+
+@pytest.mark.parametrize("shifts", [ShiftSet.all_shifts(8, "circular"),
+                                    ShiftSet(tuple(range(-6, 12, 3)), "zero-padded")],
+                         ids=["circular-8", "zero-padded-12"])
+def test_monitor_record_dies_with_its_iteration(monkeypatch, shifts):
+    # The loop is the only holder of a monitor record (the calls without
+    # grad=False): when iteration t+1's monitor call starts, every (R, d)
+    # array of iteration t's record is dead, interval's handed-over forward
+    # pass included.
+    d = 8 if shifts.mode == "circular" else 12
+    prob = synthesize_problem(d, shifts=shifts, seed=51)
+    z0, v0 = np_pair(d, 52)
+    kernel = solvers._evaluate
+    held = []   # weakrefs to each monitor record's (R, d) arrays
+
+    def monitor(problem, z, v, grad=True, forward=None):
+        if not grad:
+            return kernel(problem, z, v, grad=False)
+        alive = [i for i, ref in enumerate(held) if ref() is not None]
+        assert not alive, f"monitor {len(held) // 4}: arrays {alive} of a past record"
+        ev = kernel(problem, z, v, forward=forward)
+        held.extend(weakref.ref(a) for a in (ev.windows, ev.spectrum, *ev.parts))
+        return ev
+
+    monkeypatch.setattr(solvers, "_evaluate", monitor)
+    for algorithm in ALGORITHMS:
+        held.clear()
+        run(prob, z0, v0, SolverConfig(algorithm=algorithm, max_iters=6))
+        assert len(held) == 4 * 7, algorithm
 
 
 def test_trace_norms_are_the_one_norm_at_d100():

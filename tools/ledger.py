@@ -24,7 +24,8 @@ runs ``run`` for ``iters`` iterations three times and reports, under
     returned, read from the result of each return (``unshift_sum``'s
     gather counts under ``unshift_stack_rows``);
 * from a run under ``tracemalloc``: ``peak_bytes``, the peak of the memory
-  traced while it ran.
+  traced while it ran, and ``peak_rd_arrays``, that peak in complex (R, d)
+  arrays, ``peak_bytes / (16 R d)`` to two decimals.
 
 The counts repeat exactly run to run; ``calls_per_iter`` depends on the
 Python and numpy versions, and ``peak_bytes`` differs by a few hundred
@@ -113,7 +114,9 @@ def ledger(bp) -> dict[str, float]:
                 out[f"{key}/{fn}"] = count
             for fn, count in row_counts(bp, run).items():
                 out[f"{key}/{fn}_rows"] = count
-            out[f"{key}/peak_bytes"] = peak_bytes(run)
+            peak = out[f"{key}/peak_bytes"] = peak_bytes(run)
+            out[f"{key}/peak_rd_arrays"] = round(peak / (16 * problem.n_regions
+                                                         * problem.d), 2)
     return out
 
 
