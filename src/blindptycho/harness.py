@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import Problem, _require
+from .model import Problem, _file, _require
 from .objective import _sq_norm
 from .rng import Rng, _count, _real
 from .solvers import (DivergenceError, SolverConfig, SolverRun, TraceRecord,
@@ -157,11 +157,13 @@ REPORT_HEADER = ",".join(["file", "algorithm", "seed", *(f.name for f in fields(
 
 
 def aggregate_summaries(paths) -> str:
-    """Collect summary documents into one CSV table; a field that is missing
-    or not a number raises ValueError naming it."""
+    """Collect summary documents into one CSV table; a file that is not UTF-8
+    JSON, or a field that is missing or not a number, raises ValueError
+    naming it."""
     lines = [REPORT_HEADER]
     for path in paths:
-        data = json.loads(Path(path).read_text())
+        with _file(path):
+            data = json.loads(Path(path).read_text(encoding="utf-8"))
         cfg = data.get("config", {}) if isinstance(data, dict) else None
         if not isinstance(cfg, dict):
             raise ValueError(f"{path}: not a summary document")

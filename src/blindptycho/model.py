@@ -299,6 +299,15 @@ def _field(key: str):
         raise ValueError(f"problem field {key!r}: {exc}") from None
 
 
+@contextmanager
+def _file(path):
+    """Name the file ``path`` in a UTF-8 decode or JSON syntax error."""
+    try:
+        yield
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def problem_from_json(text: str) -> Problem:
     """Inverse of problem_to_json; a missing field, or one of the wrong type
     or shape, a ``d`` other than y's column count, or any value ``Problem``
@@ -337,4 +346,5 @@ def save_problem(path, problem: Problem) -> None:
 
 
 def load_problem(path) -> Problem:
-    return problem_from_json(Path(path).read_text())
+    with _file(path):
+        return problem_from_json(Path(path).read_text(encoding="utf-8"))

@@ -27,11 +27,11 @@ p_r beta.  Reductions run in row order, so the decomposition identities
 are reproducible run to run.  The kernel takes
 complex128 vectors of length d unchecked (the public wrappers check them)
 and keeps ||z||^2 and ||v||^2 for the step rules; every norm in the package
-is ``_sq_norm`` or its square root.  It has two halves: the forward half
-(gather, transform, amplitudes, misfit and norms) is all that ``grad=False``
-runs, and the back half (ratio, back transform and gradient reduction) runs
-on a forward half, either its own or one passed as ``forward=`` that an
-earlier ``grad=False`` call computed for the same arguments.
+is ``_sq_norm`` or its square root.  ``_forward`` is its value-only pass
+(gather, transform, amplitudes, misfit and norms), which ``loss`` and
+interval descent's gamma trials run; ``_evaluate`` runs the back half
+(ratio, back transform and gradient reduction) on a ``_forward`` record,
+its own or one handed over for the same arguments, and completes it.
 
 The back half forms each row's data gradient, ``_parts``: conj(S_r v) B_r
 and S_{-r}(conj(z) B_r), with B = F^*(I - D) spectrum.  ``_weighted_sum``
@@ -97,57 +97,46 @@ def _as_iterate(problem: Problem, z, v):
 @dataclass(slots=True)
 class _Evaluation:
     """One pass of the residual kernel.  Row i of each array belongs to
-    offset i of the problem; ``grad``, ``parts`` and ``tik`` are None
-    without a gradient.  ``solvers.run`` owns each monitor record's life.
-    Slotted, not frozen: a frozen build costs several times more, and every
-    iteration builds one or two; nothing assigns to a field after the
-    kernel returns."""
+    offset i of the problem.  ``_forward`` leaves ``grad``, ``parts`` and
+    ``tik`` None and ``_evaluate`` fills them in, so it is not frozen.
+    ``solvers.run`` owns each monitor record's life."""
 
     J: float
     L_eps: float
-    grad: GradientPair | None
     windows: np.ndarray            # S_r v
     spectrum: np.ndarray           # dft(z * S_r v)
-    amp: np.ndarray | None         # sqrt(|spectrum|^2 + eps)
-    parts: tuple | None            # each row's data gradient (``_parts``)
-    tik: tuple | None              # (alpha z, beta v)
+    amp: np.ndarray                # sqrt(|spectrum|^2 + eps)
     z_sq: float                    # ||z||^2
     v_sq: float                    # ||v||^2
+    grad: GradientPair | None = None
+    parts: tuple | None = None     # each row's data gradient (``_parts``)
+    tik: tuple | None = None       # (alpha z, beta v)
 
 
-def _evaluate(problem: Problem, z, v, grad: bool = True,
-              forward: _Evaluation | None = None) -> _Evaluation:
-    """The residual kernel: value and Wirtinger gradient of
+def _forward(problem: Problem, z, v) -> _Evaluation:
+    """The kernel's value-only pass: J and its data sum L_eps over all the
+    problem's regions, with one forward transform.  z and v must already
+    be complex128 of length d."""
+    windows = shift_stack(v, problem.shifts)
+    spectrum = dft(z * windows)
+    amp = np.sqrt(np.abs(spectrum) ** 2 + problem.epsilon)
+    data = float(np.add.reduce((amp - problem.y_amplitude) ** 2, None))
+    z_sq, v_sq = _sq_norm(z), _sq_norm(v)
+    return _Evaluation(data + problem.alpha * z_sq + problem.beta * v_sq, data,
+                       windows, spectrum, amp, z_sq, v_sq)
 
-        J(z, v) = sum_r L_r(z, v) + alpha ||z||^2 + beta ||v||^2
 
-    over all the problem's regions, L_r the data misfit of region r; L_eps
-    is the data sum.  One forward and one back transform cover all the
-    rows.  z and v must already be complex128 of length d.
-
-    ``forward``, when given, must be the ``grad=False`` evaluation of the
-    same (problem, z, v); the kernel then runs only its back half, on those
-    arrays, and returns value and gradient.
-    """
-    if forward is None:
-        windows = shift_stack(v, problem.shifts)
-        spectrum = dft(z * windows)
-        amp = np.sqrt(np.abs(spectrum) ** 2 + problem.epsilon)
-        data = float(np.add.reduce((amp - problem.y_amplitude) ** 2, None))
-        z_sq, v_sq = _sq_norm(z), _sq_norm(v)
-        total = data + problem.alpha * z_sq + problem.beta * v_sq
-        if not grad:
-            return _Evaluation(total, data, None, windows, spectrum, amp, None, None,
-                               z_sq, v_sq)
-    else:
-        f = forward
-        total, data, windows, spectrum, amp, z_sq, v_sq = \
-            f.J, f.L_eps, f.windows, f.spectrum, f.amp, f.z_sq, f.v_sq
-    back = _residual_back(problem.y_amplitude, amp, spectrum, problem.epsilon)
-    parts = _parts(problem, z, windows, back)
-    tik = _tikhonov(problem, z, v)
-    return _Evaluation(total, data, _weighted_sum(parts, None, tik), windows,
-                       spectrum, amp, parts, tik, z_sq, v_sq)
+def _evaluate(problem: Problem, z, v, forward: _Evaluation | None = None) -> _Evaluation:
+    """The residual kernel: J and its Wirtinger gradient.  The back half
+    (one back transform over all the rows) runs on ``forward``, which must
+    be ``_forward(problem, z, v)``, or on its own ``_forward``, and fills
+    in that record, which it returns."""
+    ev = _forward(problem, z, v) if forward is None else forward
+    back = _residual_back(problem.y_amplitude, ev.amp, ev.spectrum, problem.epsilon)
+    ev.parts = _parts(problem, z, ev.windows, back)
+    ev.tik = _tikhonov(problem, z, v)
+    ev.grad = _weighted_sum(ev.parts, None, ev.tik)
+    return ev
 
 
 def _residual_back(target, amp, spectrum, epsilon: float) -> np.ndarray:
@@ -199,7 +188,7 @@ def _weighted_sum(parts, weights, tik) -> GradientPair:
 
 def loss(problem: Problem, z, v) -> tuple[float, float]:
     """Evaluate the objective; returns (J, L_eps)."""
-    ev = _evaluate(problem, *_as_iterate(problem, z, v), grad=False)
+    ev = _forward(problem, *_as_iterate(problem, z, v))
     return ev.J, ev.L_eps
 
 

@@ -11,9 +11,10 @@ writes a closing row with zero step sizes and stops; otherwise it writes
 the row of ``step(z, v, t, ev, gz, gv) -> (mu_t, nu_t, g, ahead)`` and moves
 the iterate, there only, to (z - mu_t g.z, v - nu_t g.v), where ``g`` is
 ``ev.grad`` for gd and interval and the sampled gradient for sgd and epie.
-``ahead`` is None or the new pair's ``_evaluate(..., grad=False)``, which
+``ahead`` is None or the new pair's value-only ``_forward`` record, which
 interval hands over (its selected trial): the monitor then runs only the
-kernel's back half.  No step, trace row or SolverRun keeps ``ev`` or ``g``.
+kernel's back half, which completes it.  No step, trace row or SolverRun
+keeps ``ev`` or ``g``.
 The factories ``_gd/_sgd/_interval(problem, config)`` check the problem,
 build the algorithm's state and return (step, interval_steps or None);
 ``_sgd`` serves sgd and epie.  ``ev`` is the monitor's evaluation, whose
@@ -64,7 +65,7 @@ Step-size policies:
 * interval:  minimize J over a gamma grid of the loop's update with
   (mu_t, nu_t) = (gamma / L_obj, (1 - gamma) / L_win), whose ends are the
   single-variable updates of z (gamma = 1) and v (gamma = 0); the selected
-  trial's forward pass is the next monitor's.  L_obj reads only v and
+  trial's ``_forward`` record is the next monitor's.  L_obj reads only v and
   L_win only z, so a step that selected an end carries the curvature of
   the side it left in place (L_obj when nu_t = 0, L_win when mu_t = 0) and
   the next step computes only the other: that side moved by 0 * g with g
@@ -90,9 +91,9 @@ import numpy as np
 from .fourier import dft, shift  # noqa: F401
 from .model import Problem, _require
 from .objective import (GradientPair, _as_iterate, _evaluate,  # noqa: F401
-                        _partial_lipschitz, _parts, _region, _residual_back,
-                        _sq_norm, _tikhonov, _weighted_sum, gradient_region,
-                        loss, loss_and_gradient, partial_lipschitz)
+                        _forward, _partial_lipschitz, _parts, _region,
+                        _residual_back, _sq_norm, _tikhonov, _weighted_sum,
+                        gradient_region, loss, loss_and_gradient, partial_lipschitz)
 from .rng import Rng, _count, _real
 
 ALGORITHMS = ("gd", "sgd", "epie", "interval")
@@ -221,7 +222,7 @@ def run(problem: Problem, z0, v0, config: SolverConfig, *,
     start = time.monotonic_ns()
     for t in range(config.max_iters + 1):
         try:
-            ev = _evaluate(problem, z, v, forward=ahead)
+            ev = _evaluate(problem, z, v, ahead)
             gz, gv = ev.grad.norms()
             # a non-finite gradient entry makes its norm non-finite
             if not (math.isfinite(ev.J) and math.isfinite(gz) and math.isfinite(gv)):
@@ -379,11 +380,6 @@ def sample_indices(problem: Problem, k: int, rng: Rng) -> list[int]:
             for u in rng.uniform_vector(_count(k, "k", 1)).tolist()]
 
 
-def _importance_weights(p: np.ndarray, k: int) -> np.ndarray:
-    """The weights 1 / (K p_r) of a batch of K draws with probabilities p."""
-    return 1.0 / (k * p)
-
-
 def stochastic_gradient(problem: Problem, z, v, indices) -> GradientPair:
     """Importance-weighted average of the sampled single-region gradients:
     (1/K) sum_k (1 / p_{r_k}) grad J_{r_k}, from one evaluation of each
@@ -395,7 +391,7 @@ def stochastic_gradient(problem: Problem, z, v, indices) -> GradientPair:
     parts = [_evaluate(_region(problem, problem.offsets[row]), z, v).parts
              for row in rows]
     return _weighted_sum(tuple(np.concatenate(stack) for stack in zip(*parts)),
-                         _importance_weights(problem.p[rows], len(rows)),
+                         1.0 / (len(rows) * problem.p[rows]),
                          _tikhonov(problem, z, v))
 
 
@@ -443,7 +439,7 @@ def _sgd(problem: Problem, config: SolverConfig):
     # the run owns rng, and the shuffled schedule draws no uniforms
     uniforms = _uniforms(rng, config.max_iters * k)
     cdf = np.cumsum(problem.p).tolist()
-    weights = _importance_weights(problem.p, k)
+    weights = 1.0 / (k * problem.p)
     weight, share = weights.tolist(), problem.p.tolist()
     rule = None if scaled else _sgd_rule(problem, config.theta, config.kappa)
     schedule: list[int] = []
@@ -507,7 +503,7 @@ def _interval(problem: Problem, config: SolverConfig):
         values, best = [], None
         for gamma in gammas:
             mu, nu = gamma / object_curv, (1.0 - gamma) / window_curv
-            forward = _evaluate(problem, z - mu * g.z, v - nu * g.v, grad=False)
+            forward = _forward(problem, z - mu * g.z, v - nu * g.v)
             values.append(forward.J)
             if best is None or not math.isnan(best[3].J) and (
                     math.isnan(forward.J) or forward.J < best[3].J):

@@ -263,6 +263,33 @@ def test_bad_input_exit_2_one_line(tmp_path, capsys, case):
     assert not out_dir.exists() and not table.exists()
 
 
+@pytest.mark.parametrize("content", ["empty", "not-utf8", "trace-csv"])
+@pytest.mark.parametrize("command", ["run", "verify", "report"])
+def test_unreadable_file_named_exit_2(tmp_path, capsys, command, content):
+    # a file that is not UTF-8 JSON is named in the one error line, so a
+    # report over several files says which one broke
+    problem = _problem_with(tmp_path)
+    runs = tmp_path / "runs"
+    assert main(["run", "--problem", str(problem), "--algo", "gd", "--iters", "1",
+                 "--out-dir", str(runs)]) == 0
+    bad = tmp_path / "bad.json"
+    bad.write_bytes({"empty": b"", "not-utf8": b"\xff{}",
+                     "trace-csv": (runs / "gd_run000_trace.csv").read_bytes()}[content])
+    out = tmp_path / "out"
+    argv = {"run": ["run", "--problem", str(bad), "--algo", "gd", "--out-dir", str(out)],
+            "verify": ["verify", "--problem", str(bad), "--out", str(out)],
+            "report": ["report", str(runs / "gd_run000_summary.json"), str(bad),
+                       "--out", str(out)]}[command]
+    reason = {"empty": "Expecting value: line 1 column 1 (char 0)",
+              "not-utf8": "'utf-8' codec can't decode byte 0xff in position 0",
+              "trace-csv": "Expecting value: line 1 column 1 (char 0)"}[content]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith(f"error: {bad}: {reason}")
+    assert not out.exists()
+
+
 def test_verify_zero_samples_exit_2(tmp_path, capsys):
     out = tmp_path / "report.json"
     capsys.readouterr()

@@ -9,8 +9,8 @@ from blindptycho import (ShiftSet, gradient, gradient_region, loss,
                          stochastic_gradient, stochastic_gradient_bounds,
                          synthesize_problem)
 from blindptycho.fourier import MODES, shift_stack, unshift_sum
-from blindptycho.objective import (_evaluate, _parts, _region, _residual_back,
-                                   _tikhonov, _weighted_sum)
+from blindptycho.objective import (_evaluate, _forward, _parts, _region,
+                                   _residual_back, _tikhonov, _weighted_sum)
 from blindptycho.verify import fd_wirtinger_gradient
 
 from conftest import np_pair
@@ -225,13 +225,13 @@ def test_loss_and_gradient_consistent(small_problem):
 @pytest.mark.parametrize("eps", [1e-8, 0.0])
 @pytest.mark.parametrize("mode", MODES)
 def test_evaluate_on_handed_over_forward_pass(eps, mode):
-    # the back half run on an earlier grad=False pass equals the full kernel,
+    # the back half run on an earlier _forward pass equals the full kernel,
     # and a full record keeps its forward half, amp included
     prob = synthesize_problem(8, shifts=ShiftSet.all_shifts(8, mode), seed=24,
                               epsilon=eps)
     z, v = np_pair(8, 25)
     full = _evaluate(prob, z, v)
-    resumed = _evaluate(prob, z, v, forward=_evaluate(prob, z, v, grad=False))
+    resumed = _evaluate(prob, z, v, forward=_forward(prob, z, v))
     assert (resumed.J, resumed.L_eps, resumed.z_sq, resumed.v_sq) == \
         (full.J, full.L_eps, full.z_sq, full.v_sq)
     for a, b in [(resumed.grad.z, full.grad.z), (resumed.grad.v, full.grad.v),
@@ -240,6 +240,28 @@ def test_evaluate_on_handed_over_forward_pass(eps, mode):
                  *zip(resumed.parts, full.parts), *zip(resumed.tik, full.tik)]:
         assert np.array_equal(a, b)
     assert np.array_equal(full.amp, np.sqrt(np.abs(full.spectrum) ** 2 + eps))
+
+
+@pytest.mark.parametrize("eps", [1e-8, 0.0])
+@pytest.mark.parametrize("mode", MODES)
+def test_forward_is_the_value_pass_that_evaluate_completes(eps, mode):
+    # _forward is loss's pass, bit for bit, with no back-half field; the back
+    # half fills in the record it is handed and returns that record
+    prob = synthesize_problem(8, shifts=ShiftSet.all_shifts(8, mode), seed=30,
+                              epsilon=eps, alpha=0.1, beta=0.2)
+    z, v = np_pair(8, 31)
+    forward = _forward(prob, z, v)
+    assert (forward.J, forward.L_eps) == loss(prob, z, v)
+    assert forward.grad is None and forward.parts is None and forward.tik is None
+    full = _evaluate(prob, z, v)
+    assert _evaluate(prob, z, v, forward) is forward
+    assert (forward.J, forward.L_eps, forward.z_sq, forward.v_sq) == \
+        (full.J, full.L_eps, full.z_sq, full.v_sq)
+    for a, b in [(forward.grad.z, full.grad.z), (forward.grad.v, full.grad.v),
+                 (forward.windows, full.windows), (forward.spectrum, full.spectrum),
+                 (forward.amp, full.amp),
+                 *zip(forward.parts, full.parts), *zip(forward.tik, full.tik)]:
+        assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("eps", [1e-8, 0.0])
@@ -275,7 +297,7 @@ def test_one_row_gradient_equals_the_stack_row(shifts):
     prob = synthesize_problem(d, shifts=shifts, seed=26, epsilon=1e-3, alpha=0.1,
                               beta=0.2)
     z, v = np_pair(d, 27)
-    ev = _evaluate(prob, z, v, grad=False)
+    ev = _forward(prob, z, v)
     back = _residual_back(prob.y_amplitude, ev.amp, ev.spectrum, prob.epsilon)
     part_z, part_v = _parts(prob, z, ev.windows, back)
     for r in range(prob.n_regions):

@@ -814,22 +814,20 @@ def test_trace_rows_are_fresh_evaluations(mode, d, epsilon):
                                     ShiftSet(tuple(range(-6, 12, 3)), "zero-padded")],
                          ids=["circular-8", "zero-padded-12"])
 def test_monitor_record_dies_with_its_iteration(monkeypatch, shifts):
-    # The loop is the only holder of a monitor record (the calls without
-    # grad=False): when iteration t+1's monitor call starts, every (R, d)
-    # array of iteration t's record is dead, interval's handed-over forward
-    # pass included.
+    # The loop is the only holder of a monitor record (its _evaluate calls):
+    # when iteration t+1's monitor call starts, every (R, d) array of
+    # iteration t's record is dead, interval's handed-over forward pass
+    # included.
     d = 8 if shifts.mode == "circular" else 12
     prob = synthesize_problem(d, shifts=shifts, seed=51)
     z0, v0 = np_pair(d, 52)
     kernel = solvers._evaluate
     held = []   # weakrefs to each monitor record's (R, d) arrays
 
-    def monitor(problem, z, v, grad=True, forward=None):
-        if not grad:
-            return kernel(problem, z, v, grad=False)
+    def monitor(problem, z, v, forward=None):
         alive = [i for i, ref in enumerate(held) if ref() is not None]
         assert not alive, f"monitor {len(held) // 4}: arrays {alive} of a past record"
-        ev = kernel(problem, z, v, forward=forward)
+        ev = kernel(problem, z, v, forward)
         held.extend(weakref.ref(a) for a in (ev.windows, ev.spectrum, *ev.parts))
         return ev
 
